@@ -349,11 +349,14 @@ def _fit_model(cfg: RunConfig, split):
             cfg.get("model.scores_path"), split.train.num_items
         )
         return model.fit(split.train), name
+    return _build_model(name, params).fit(split.train), name
+
+
+def _build_model(name: str, params: dict):
     try:
-        model = build_model(name, **params)
+        return build_model(name, **params)
     except TypeError as exc:
         raise ConfigError(f"model.params does not fit model {name!r}: {exc}") from exc
-    return model.fit(split.train), name
 
 
 def _embeddings_for(cfg: RunConfig, split, samplers) -> object | None:
@@ -608,10 +611,12 @@ def cmd_compare(args) -> int:
     split = _stage_split(cfg, data)
     eval_cfg = cfg.eval_config()
     embeddings = _embeddings_for(cfg, split, samplers)
+    # model.params belong to the configured model.name only
+    configured, params = cfg.model_request()
     fitted = []
     for name in model_names:
-        model = build_model(name).fit(split.train)
-        fitted.append((name, model))
+        model = _build_model(name, params if name == configured else {})
+        fitted.append((name, model.fit(split.train)))
     reports = []
     crossings = []
     for sampler in samplers:

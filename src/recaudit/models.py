@@ -14,7 +14,6 @@ replays precomputed per-case score rows instead of computing them.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,12 +125,37 @@ class MarkovModel(RecommenderModel):
         return scores
 
 
+def _flatten(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """All training items in sequence order, and each sequence's CSR offsets."""
+    lengths = np.fromiter((len(seq) for seq in train.sequences), dtype=np.int64)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    items = np.concatenate([seq.items for seq in train.sequences], dtype=np.int32)
+    return items, offsets
+
+
+def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the given CSR rows' entries, row after row, and the row lengths."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    positions = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+    return positions, lengths
+
+
 class CooccurrenceModel(RecommenderModel):
     """Symmetric within-window co-occurrence counts, order ignored.
 
     ``window=None`` counts every pair in a sequence; ``window=w`` only pairs
     at distance <= w.  score(j) sums j's co-occurrence with each prefix item,
     so reversing every training sequence provably changes nothing.
+
+    ``counts_`` is a canonical CSR matrix.  Without a window it is
+    ``XᵀX − diag(colsum X)`` over the sequence × item occurrence-count matrix
+    X; with one, it is built from one masked pass per distance d = 1..w over
+    the flat item array.  Scoring gathers the prefix items' rows and sums them
+    with one ``bincount``.  Every sum adds integer-valued counts, so the
+    result is exact whatever the order of accumulation.
     """
 
     def __init__(self, window: int | None = None) -> None:
@@ -144,22 +168,29 @@ class CooccurrenceModel(RecommenderModel):
     def fit(self, train: Dataset) -> "CooccurrenceModel":
         self.fallback_ = _popularity_vector(train)
         n = len(train.item_index)
-        rows: list[int] = []
-        cols: list[int] = []
-        for seq in train.sequences:
-            items = seq.items.tolist()
-            length = len(items)
-            for p in range(length):
-                limit = length if self.window is None else min(length, p + self.window + 1)
-                for q in range(p + 1, limit):
-                    rows.append(items[p])
-                    cols.append(items[q])
-        if rows:
-            data = np.ones(len(rows), dtype=np.float64)
-            upper = sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
-            matrix = (upper + upper.T).tocsr()
+        items, offsets = _flatten(train)
+        if self.window is None:
+            occurrences = sparse.csr_matrix(
+                (np.ones(len(items)), items, offsets), shape=(len(offsets) - 1, n)
+            )
+            gram = (occurrences.T @ occurrences).tocsr()
+            # an item pairs with its other occurrences, never with itself
+            matrix = gram - sparse.diags(np.bincount(items, minlength=n).astype(np.float64))
         else:
-            matrix = sparse.csr_matrix((n, n), dtype=np.float64)
+            lengths = np.diff(offsets)
+            sequence_of = np.repeat(np.arange(len(lengths)), lengths)
+            sources: list[np.ndarray] = []
+            targets: list[np.ndarray] = []
+            for d in range(1, min(self.window, int(lengths.max()) - 1) + 1):
+                same = sequence_of[:-d] == sequence_of[d:]
+                sources.append(items[:-d][same])
+                targets.append(items[d:][same])
+            if sources:
+                rows, cols = np.concatenate(sources), np.concatenate(targets)
+                upper = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+                matrix = (upper + upper.T).tocsr()
+            else:
+                matrix = sparse.csr_matrix((n, n), dtype=np.float64)
         matrix.sum_duplicates()
         self.counts_ = matrix
         return self
@@ -168,11 +199,15 @@ class CooccurrenceModel(RecommenderModel):
         _require_fitted(self.counts_)
         if len(prefix) == 0:
             return self.fallback_.copy()
-        scores = np.zeros(self.counts_.shape[0], dtype=np.float64)
-        for code in prefix:
-            code = int(code)
-            start, end = self.counts_.indptr[code], self.counts_.indptr[code + 1]
-            scores[self.counts_.indices[start:end]] += self.counts_.data[start:end]
+        counts = self.counts_
+        # a prefix holds few items: slicing each row gathers faster than the
+        # computed positions of _row_positions
+        rows = [slice(counts.indptr[code], counts.indptr[code + 1]) for code in prefix.tolist()]
+        scores = np.bincount(
+            np.concatenate([counts.indices[row] for row in rows]),
+            weights=np.concatenate([counts.data[row] for row in rows]),
+            minlength=counts.shape[0],
+        )
         if not scores.any():
             return self.fallback_.copy()
         return scores
@@ -187,6 +222,18 @@ class SessionKNNModel(RecommenderModel):
     ``k`` vote.  Each neighbor adds similarity x position weight for every item
     it contains, where ``decay="linear"`` weights position p of L as (p+1)/L
     (later events count more) and ``decay="none"`` weights all items equally.
+
+    ``fit`` builds flat arrays: an item → session CSR incidence with one entry
+    per distinct (item, session) pair, each session's distinct-item count, a
+    recency rank (0 = latest end time; equal end times rank the later
+    session first), and each session's items and position weights in CSR
+    form.  ``score_all`` finds candidates and overlaps by counting the
+    sessions gathered from the prefix items' incidence rows, keeps the
+    ``sample_size`` lowest recency ranks, orders by (similarity descending,
+    recency rank) and casts the vote with one ``bincount`` over the
+    neighbors' items in neighbor order.  That multiplies the same floats and
+    accumulates them in the same order as adding one neighbor at a time, so
+    the scores are bit-identical to that loop.
     """
 
     def __init__(self, k: int = 100, sample_size: int = 1000, decay: str = "linear") -> None:
@@ -199,65 +246,74 @@ class SessionKNNModel(RecommenderModel):
         self.k = k
         self.sample_size = sample_size
         self.decay = decay
-        self.sessions_: list[np.ndarray] | None = None
-        self.session_sets_: list[set[int]] | None = None
-        self.recency_order_: list[int] | None = None
-        self.inverted_: dict[int, list[int]] | None = None
+        self.items_: np.ndarray | None = None
+        self.offsets_: np.ndarray | None = None
+        self.weights_: np.ndarray | None = None
+        self.recency_: np.ndarray | None = None
+        self.distinct_counts_: np.ndarray | None = None
+        self.incidence_indptr_: np.ndarray | None = None
+        self.incidence_sessions_: np.ndarray | None = None
         self.fallback_: np.ndarray | None = None
         self.catalog_size_: int = 0
 
     def fit(self, train: Dataset) -> "SessionKNNModel":
         self.fallback_ = _popularity_vector(train)
-        self.catalog_size_ = len(train.item_index)
-        self.sessions_ = [seq.items for seq in train.sequences]
-        self.session_sets_ = [set(seq.items.tolist()) for seq in train.sequences]
-        # ties on end time break by position so ordering is reproducible
-        order = sorted(
-            range(len(train.sequences)),
-            key=lambda i: (train.sequences[i].end_time, i),
-            reverse=True,
-        )
-        rank_of = {sid: pos for pos, sid in enumerate(order)}
-        self.recency_order_ = [rank_of[i] for i in range(len(train.sequences))]
-        inverted: dict[int, list[int]] = {}
-        for sid, items in enumerate(self.session_sets_):
-            for code in items:
-                inverted.setdefault(code, []).append(sid)
-        self.inverted_ = inverted
+        n = len(train.item_index)
+        self.catalog_size_ = n
+        items, offsets = _flatten(train)
+        lengths = np.diff(offsets)
+        count = len(lengths)
+        # built in place and from int32 arrays: the temporaries set peak memory
+        if self.decay == "linear":
+            weights = np.arange(len(items), dtype=np.float64)
+            weights -= np.repeat(offsets[:-1], lengths)
+            weights += 1.0
+            weights /= np.repeat(lengths.astype(np.int32), lengths)
+        else:
+            weights = np.ones(len(items), dtype=np.float64)
+        end_times = np.fromiter((seq.end_time for seq in train.sequences), dtype=np.int64)
+        order = np.lexsort((np.arange(count), end_times))[::-1]
+        self.recency_ = np.empty(count, dtype=np.int64)
+        self.recency_[order] = np.arange(count)
+        # sessions grouped by item, ascending within each item (a stable sort
+        # of the flat items); a repeat of an item within a session is dropped
+        by_item = np.argsort(items, kind="stable")
+        sorted_items = items[by_item]
+        sessions = np.repeat(np.arange(count, dtype=np.int32), lengths)[by_item]
+        del by_item
+        first = np.ones(len(items), dtype=bool)
+        first[1:] = (sorted_items[1:] != sorted_items[:-1]) | (sessions[1:] != sessions[:-1])
+        self.incidence_sessions_ = sessions[first]
+        self.incidence_indptr_ = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sorted_items[first], minlength=n), out=self.incidence_indptr_[1:])
+        self.distinct_counts_ = np.bincount(self.incidence_sessions_, minlength=count)
+        self.items_ = items
+        self.offsets_ = offsets
+        self.weights_ = weights
         return self
 
     def score_all(self, prefix: np.ndarray) -> np.ndarray:
-        _require_fitted(self.sessions_)
-        prefix_set = set(int(c) for c in prefix)
-        if not prefix_set:
+        _require_fitted(self.items_)
+        if len(prefix) == 0:
             return self.fallback_.copy()
-        candidates: set[int] = set()
-        for code in prefix_set:
-            candidates.update(self.inverted_.get(code, ()))
-        if not candidates:
+        distinct = np.unique(prefix)
+        indptr, incidence = self.incidence_indptr_, self.incidence_sessions_
+        sessions = np.concatenate(
+            [incidence[indptr[code] : indptr[code + 1]] for code in distinct.tolist()]
+        )
+        if len(sessions) == 0:
             return self.fallback_.copy()
-        recent = sorted(candidates, key=lambda sid: self.recency_order_[sid])
-        recent = recent[: self.sample_size]
-        scored = []
-        for sid in recent:
-            session = self.session_sets_[sid]
-            overlap = len(session & prefix_set)
-            similarity = overlap / math.sqrt(len(session) * len(prefix_set))
-            scored.append((similarity, sid))
-        scored.sort(key=lambda pair: (-pair[0], self.recency_order_[pair[1]]))
-        neighbors = scored[: self.k]
-        scores = np.zeros(self.catalog_size_, dtype=np.float64)
-        for similarity, sid in neighbors:
-            items = self.sessions_[sid]
-            length = len(items)
-            if self.decay == "linear":
-                weights = (np.arange(length, dtype=np.float64) + 1.0) / length
-            else:
-                weights = np.ones(length, dtype=np.float64)
-            np.add.at(scores, items, similarity * weights)
-        if not scores.any():
-            return self.fallback_.copy()
-        return scores
+        candidates, overlap = np.unique(sessions, return_counts=True)
+        recency = self.recency_[candidates]
+        if len(candidates) > self.sample_size:
+            recent = np.argpartition(recency, self.sample_size - 1)[: self.sample_size]
+            candidates, overlap, recency = candidates[recent], overlap[recent], recency[recent]
+        similarity = overlap / np.sqrt(self.distinct_counts_[candidates] * len(distinct))
+        best = np.lexsort((recency, -similarity))[: self.k]
+        at, lengths = _row_positions(self.offsets_, candidates[best])
+        votes = np.repeat(similarity[best], lengths) * self.weights_[at]
+        # every vote is positive, so the scores are never all zero
+        return np.bincount(self.items_[at], weights=votes, minlength=self.catalog_size_)
 
 
 def fit_popularity(train: Dataset) -> PopularityModel:
@@ -406,7 +462,10 @@ class ExternalScoresModel(RecommenderModel):
     def __init__(self, source, catalog_size: int) -> None:
         path = Path(source)
         if path.suffix == ".npy":
-            matrix = np.load(path)
+            try:
+                matrix = np.load(path)
+            except (ValueError, EOFError) as exc:
+                raise ModelError(f"{path}: {exc}") from None
             if matrix.ndim != 2 or matrix.shape[1] != catalog_size:
                 raise ModelError(
                     f"{path}: expected a 2-d matrix with {catalog_size} columns"
@@ -420,13 +479,17 @@ class ExternalScoresModel(RecommenderModel):
                     if not line:
                         continue
                     parts = line.split("\t")
-                    values = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+                    try:
+                        case_index = int(parts[0])
+                        values = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+                    except ValueError as exc:
+                        raise ModelError(f"{path}:{line_no}: {exc}") from None
                     if len(values) != catalog_size:
                         raise ModelError(
                             f"{path}:{line_no}: {len(values)} scores for a "
                             f"{catalog_size}-item catalog"
                         )
-                    rows[int(parts[0])] = values
+                    rows[case_index] = values
             self.rows_ = rows
         for row in self.rows_.values():
             if not np.isfinite(row).all():

@@ -300,6 +300,39 @@ class TestCompare:
         )
         assert code == 0 and warning_codes(payload) == []
 
+    def test_model_params_agree_with_evaluate(self, events_csv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"model": {"name": "session_knn", "params": {"k": 1}}}
+        ))
+        common = ["--input", events_csv, "--config", str(config),
+                  "--strategy", "time", "--test-days", "1"]
+        code, evaluated, _ = run_cli(
+            ["evaluate", *common, "--output-dir", str(tmp_path / "eval"),
+             "--sampler", "none"]
+        )
+        assert code == 0
+        code, compared, _ = run_cli(
+            ["compare", *common, "--output-dir", str(tmp_path / "cmp"),
+             "--models", "session_knn,markov", "--samplers", "none"]
+        )
+        assert code == 0
+        by_model = {r["model"]: r for r in compared["reports"]}
+        assert by_model["session_knn"]["recall"] == evaluated["recall"]
+        assert by_model["session_knn"]["mrr"] == evaluated["mrr"]
+
+    def test_model_params_that_do_not_fit_are_a_config_error(self, events_csv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"model": {"name": "markov", "params": {"k": 1}}}
+        ))
+        code, _, err = run_cli(
+            ["compare", "--input", events_csv, "--config", str(config),
+             "--output-dir", str(tmp_path), "--models", "markov", "--samplers", "none"]
+        )
+        assert code == 1
+        assert "model.params" in err and "Traceback" not in err
+
     def test_bad_sampler_text(self, events_csv, tmp_path):
         code, _, err = run_cli(
             ["compare", "--input", events_csv, "--output-dir", str(tmp_path),
@@ -368,6 +401,30 @@ class TestRun:
         assert manifest["error"]["stage"] == "split"
         assert "ingest" in manifest["stage_seconds"]
         assert "evaluate" not in manifest["stage_seconds"]
+
+    @pytest.mark.parametrize(
+        "name, text", [("scores.tsv", "0\tabc\n"), ("scores.npy", "not an npy file\n")]
+    )
+    def test_malformed_external_scores_write_partial_manifest(
+        self, events_csv, tmp_path, name, text
+    ):
+        scores = tmp_path / name
+        scores.write_text(text)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"model": {"name": "external", "scores_path": str(scores)}}
+        ))
+        code, _, err = run_cli(
+            ["run", "--input", events_csv, "--config", str(config),
+             "--output-dir", str(tmp_path / "out"), "--strategy", "time",
+             "--test-days", "1"]
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert name in err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["error"]["stage"] == "evaluate"
 
     def test_resolved_config_reproduces_run(self, events_csv, tmp_path):
         first = tmp_path / "first"

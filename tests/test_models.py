@@ -335,6 +335,20 @@ class TestExternalScores:
         with pytest.raises(ModelError, match="prefixes"):
             model.score_all(np.array([A]))
 
+    @pytest.mark.parametrize("line", ["0\tabc\t0\t0\t0\t0\t0", "x\t1\t0\t0\t0\t0\t0"])
+    def test_malformed_tsv_row_names_its_line(self, tmp_path, line):
+        path = tmp_path / "scores.tsv"
+        path.write_text("0\t1\t0\t0\t0\t0\t0\n" + line + "\n")
+        with pytest.raises(ModelError, match="scores.tsv:2: "):
+            ExternalScoresModel(path, catalog_size=6)
+
+    @pytest.mark.parametrize("content", [b"", b"not an npy file\n"])
+    def test_malformed_npy_is_a_model_error(self, tmp_path, content):
+        path = tmp_path / "scores.npy"
+        path.write_bytes(content)
+        with pytest.raises(ModelError, match="scores.npy: "):
+            ExternalScoresModel(path, catalog_size=6)
+
     def test_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "scores.npy"
         np.save(path, np.zeros((2, 4)))
