@@ -17,7 +17,6 @@ Four independent statistics, each a pure reduction over immutable data:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,29 +73,22 @@ def collision_stats(log: EventLog) -> CollisionReport:
     """Count events sharing an (entity, timestamp) slot.
 
     Collisions are per entity: two different entities acting at the same
-    second collide with nobody.
+    second collide with nobody.  The log is sorted by (entity, timestamp), so
+    every slot is one run of rows.
     """
-    total_events = 0
-    total_pairs = 0
-    colliding_pairs = 0
-    colliding_events = 0
-    histogram: Counter[int] = Counter()
-    for group in log.groups.values():
-        times = np.fromiter((e.timestamp for e in group), np.int64, count=len(group))
-        _, counts = np.unique(times, return_counts=True)
-        total_events += len(group)
-        total_pairs += len(counts)
-        big = counts[counts >= 2]
-        colliding_pairs += len(big)
-        colliding_events += int(big.sum())
-        for size in big:
-            histogram[int(size)] += 1
+    entities, times = log.entity_codes, log.timestamps
+    new_slot = np.ones(len(times), dtype=bool)
+    new_slot[1:] = (entities[1:] != entities[:-1]) | (times[1:] != times[:-1])
+    counts = np.diff(np.append(np.flatnonzero(new_slot), len(times)))
+    big = counts[counts >= 2]
+    sizes, slots = np.unique(big, return_counts=True)
+    total_events, total_pairs = len(times), len(counts)
     return CollisionReport(
-        colliding_pair_fraction=colliding_pairs / total_pairs if total_pairs else 0.0,
+        colliding_pair_fraction=len(big) / total_pairs if total_pairs else 0.0,
         colliding_event_fraction=(
-            colliding_events / total_events if total_events else 0.0
+            int(big.sum()) / total_events if total_events else 0.0
         ),
-        collision_size_histogram=dict(histogram),
+        collision_size_histogram=dict(zip(sizes.tolist(), slots.tolist())),
         total_events=total_events,
         total_pairs=total_pairs,
     )
@@ -114,37 +106,50 @@ def collision_hazard(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionSet:
     """Distinct adjacent item pairs with the day each was first completed.
 
     A transition (i, j) happens when j directly follows i inside one
     sequence; its day is the day of the second event.  Days are absolute
-    (timestamp // 86400).
+    (timestamp // 86400).  Pairs are held as sorted keys ``i * width + j``.
     """
 
-    first_seen_day: dict[tuple[int, int], int]
+    keys: np.ndarray
+    first_day: np.ndarray
+    width: int
+
+    @property
+    def first_seen_day(self) -> dict[tuple[int, int], int]:
+        left, right = np.divmod(self.keys, self.width)
+        return dict(zip(zip(left.tolist(), right.tolist()), self.first_day.tolist()))
 
     @property
     def pairs(self) -> set[tuple[int, int]]:
         return set(self.first_seen_day)
 
     def __len__(self) -> int:
-        return len(self.first_seen_day)
+        return len(self.keys)
+
+
+def _transitions(data: Dataset) -> tuple[np.ndarray, np.ndarray, int]:
+    """Pair key and day of every adjacent pair inside a sequence, and the key width."""
+    table = data.sequences
+    follows = np.ones(table.num_events, dtype=bool)
+    follows[table.offsets[:-1]] = False
+    second = np.flatnonzero(follows)
+    width = max(data.num_items, 1)
+    keys = table.items[second - 1] * width + table.items[second]
+    return keys, table.timestamps[second] // SECONDS_PER_DAY, width
 
 
 def transition_set(data: Dataset) -> TransitionSet:
-    first: dict[tuple[int, int], int] = {}
-    for seq in data.sequences:
-        if len(seq) < 2:
-            continue
-        days = seq.timestamps[1:] // SECONDS_PER_DAY
-        for left, right, day in zip(seq.items[:-1], seq.items[1:], days):
-            pair = (int(left), int(right))
-            day = int(day)
-            if pair not in first or day < first[pair]:
-                first[pair] = day
-    return TransitionSet(first_seen_day=first)
+    keys, days, width = _transitions(data)
+    order = np.lexsort((days, keys))
+    keys, days = keys[order], days[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return TransitionSet(keys=keys[first], first_day=days[first], width=width)
 
 
 @dataclass(frozen=True)
@@ -181,45 +186,46 @@ def new_transition_rate(
         raise DiagnosticsError(
             f"unknown denominator {denominator!r}, expected one of {RATE_DENOMINATORS}"
         )
-    active: Counter[int] = Counter()
-    starting: Counter[int] = Counter()
-    occurring: dict[int, set[tuple[int, int]]] = {}
-    event_days: set[int] = set()
-    for seq in data.sequences:
-        days = seq.timestamps // SECONDS_PER_DAY
-        distinct_days = np.unique(days)
-        event_days.update(int(d) for d in distinct_days)
-        for d in distinct_days:
-            active[int(d)] += 1
-        starting[int(days[0])] += 1
-        for left, right, day in zip(seq.items[:-1], seq.items[1:], days[1:]):
-            occurring.setdefault(int(day), set()).add((int(left), int(right)))
-    if not event_days:
+    table = data.sequences
+    days = table.timestamps // SECONDS_PER_DAY
+    if not len(days):
         raise DiagnosticsError("cannot compute transition rates without events")
-    first_day = min(event_days)
-    if max(event_days) == first_day:
+    first_day = int(days.min())
+    if int(days.max()) == first_day:
         raise DiagnosticsError(
             "transition rates need data spanning at least two days"
         )
-    new_per_day = Counter(transition_set(data).first_seen_day.values())
-    series = []
-    for abs_day in sorted(event_days):
-        if denominator == DENOMINATOR_ACTIVE_SEQUENCES:
-            denom = active[abs_day]
-        elif denominator == DENOMINATOR_STARTING_SEQUENCES:
-            denom = starting[abs_day]
-        else:
-            denom = len(occurring.get(abs_day, ()))
-        new = new_per_day.get(abs_day, 0)
-        series.append(
-            TransitionRatePoint(
-                day=abs_day - first_day,
-                new_transitions=new,
-                denominator=denom,
-                rate=new / denom if denom else None,
-            )
+    day = days - first_day
+    span = int(day.max()) + 1
+    starts = table.offsets[:-1]
+    if denominator == DENOMINATOR_ACTIVE_SEQUENCES:
+        # days never decrease inside a sequence: each (sequence, day) is one run
+        new_run = np.ones(len(day), dtype=bool)
+        new_run[1:] = day[1:] != day[:-1]
+        new_run[starts] = True
+        denominators = np.bincount(day[new_run], minlength=span)
+    elif denominator == DENOMINATOR_STARTING_SEQUENCES:
+        denominators = np.bincount(day[starts], minlength=span)
+    else:
+        keys, pair_days, _ = _transitions(data)
+        order = np.lexsort((keys, pair_days))
+        keys, pair_days = keys[order], pair_days[order]
+        distinct = np.ones(len(keys), dtype=bool)
+        distinct[1:] = (keys[1:] != keys[:-1]) | (pair_days[1:] != pair_days[:-1])
+        denominators = np.bincount(pair_days[distinct] - first_day, minlength=span)
+    new_per_day = np.bincount(transition_set(data).first_day - first_day, minlength=span)
+    event_days = np.flatnonzero(np.bincount(day, minlength=span)).tolist()
+    return [
+        TransitionRatePoint(
+            day=offset,
+            new_transitions=new,
+            denominator=denom,
+            rate=new / denom if denom else None,
         )
-    return series
+        for offset, new, denom in zip(
+            event_days, new_per_day[event_days].tolist(), denominators[event_days].tolist()
+        )
+    ]
 
 
 def plot_points(series: list[TransitionRatePoint]) -> list[TransitionRatePoint]:
@@ -256,20 +262,22 @@ def transition_overlap(split: DatasetSplit) -> OverlapReport:
     distinct-pair fraction are reported; they answer different questions and
     neither dominates the other.
     """
-    train_pairs = transition_set(split.train).pairs
-    occurrences = [
-        (int(case.prefix[-1]), case.target) for case in enumerate_cases(split)
-    ]
-    if not occurrences:
+    train = transition_set(split.train)
+    cases = enumerate_cases(split)
+    if not cases:
         raise DiagnosticsError("the test side contains no transitions to compare")
-    shared = sum(1 for pair in occurrences if pair in train_pairs)
-    distinct_test = set(occurrences)
+    left = np.fromiter((case.prefix[-1] for case in cases), np.int64, len(cases))
+    right = np.fromiter((case.target for case in cases), np.int64, len(cases))
+    occurrences = left * train.width + right
+    distinct_test = np.unique(occurrences)
     return OverlapReport(
-        occurrence_overlap=shared / len(occurrences),
-        distinct_overlap=len(distinct_test & train_pairs) / len(distinct_test),
+        occurrence_overlap=int(np.isin(occurrences, train.keys).sum()) / len(occurrences),
+        distinct_overlap=(
+            int(np.isin(distinct_test, train.keys).sum()) / len(distinct_test)
+        ),
         test_transition_count=len(occurrences),
         distinct_test_transitions=len(distinct_test),
-        distinct_train_transitions=len(train_pairs),
+        distinct_train_transitions=len(train),
     )
 
 

@@ -57,7 +57,7 @@ def _require_fitted(attr) -> None:
 def _popularity_vector(train: Dataset) -> np.ndarray:
     if not train.sequences:
         raise ModelError("cannot fit on an empty training set")
-    return train.recount_support().astype(np.float64)
+    return train.item_support.astype(np.float64)
 
 
 class PopularityModel(RecommenderModel):
@@ -126,12 +126,8 @@ class MarkovModel(RecommenderModel):
 
 
 def _flatten(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """All training items in sequence order, and each sequence's CSR offsets."""
-    lengths = np.fromiter((len(seq) for seq in train.sequences), dtype=np.int64)
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    items = np.concatenate([seq.items for seq in train.sequences], dtype=np.int32)
-    return items, offsets
+    """All training items in sequence order (int32), and each sequence's CSR offsets."""
+    return train.sequences.items.astype(np.int32), train.sequences.offsets
 
 
 def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +267,7 @@ class SessionKNNModel(RecommenderModel):
             weights /= np.repeat(lengths.astype(np.int32), lengths)
         else:
             weights = np.ones(len(items), dtype=np.float64)
-        end_times = np.fromiter((seq.end_time for seq in train.sequences), dtype=np.int64)
+        end_times = train.sequences.timestamps[offsets[1:] - 1]
         order = np.lexsort((np.arange(count), end_times))[::-1]
         self.recency_ = np.empty(count, dtype=np.int64)
         self.recency_[order] = np.arange(count)
@@ -405,7 +401,11 @@ def load_embeddings(source, item_index: ItemIndex) -> EmbeddingMatrix:
     path = Path(source)
     seen: dict[int, np.ndarray] = {}
     dimension: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise EmbeddingError(f"cannot read embeddings {path}: {exc}") from None
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -464,6 +464,8 @@ class ExternalScoresModel(RecommenderModel):
         if path.suffix == ".npy":
             try:
                 matrix = np.load(path)
+            except OSError as exc:
+                raise ModelError(f"cannot read scores {path}: {exc}") from None
             except (ValueError, EOFError) as exc:
                 raise ModelError(f"{path}: {exc}") from None
             if matrix.ndim != 2 or matrix.shape[1] != catalog_size:
@@ -473,7 +475,11 @@ class ExternalScoresModel(RecommenderModel):
             self.rows_ = {i: matrix[i].astype(np.float64) for i in range(matrix.shape[0])}
         else:
             rows: dict[int, np.ndarray] = {}
-            with open(path, "r", encoding="utf-8") as fh:
+            try:
+                fh = open(path, "r", encoding="utf-8")
+            except OSError as exc:
+                raise ModelError(f"cannot read scores {path}: {exc}") from None
+            with fh:
                 for line_no, line in enumerate(fh, start=1):
                     line = line.rstrip("\n")
                     if not line:

@@ -6,21 +6,28 @@ rare items until both constraints hold at once.  Every step appends a ledger
 record with before/after counts, because aggressive preprocessing quietly
 reshapes a dataset and the numbers are the only honest way to show how much.
 
-Items are dense integer codes throughout; the mapping back to raw ids travels
-in an :class:`~recaudit.events.ItemIndex` and is rebuilt (compacted) by the
-support filter once the catalog has settled.
+Every step is an array pass over one :class:`SequenceTable`: flat int64
+``items`` and ``timestamps`` columns in the event log's order (entity, then
+time, ties in input order) with CSR ``offsets`` marking where each sequence
+starts.  Items are dense integer codes throughout; the mapping back to raw
+ids travels in an :class:`~recaudit.events.ItemIndex` and is rebuilt
+(compacted) by the support filter once the catalog has settled.  Code that
+wants one sequence at a time iterates the table, which hands out
+:class:`Sequence` views: int64 slices of the flat columns, built once per
+table without re-validating each sequence.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence as TypingSequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import PreprocessError
-from .events import SECONDS_PER_DAY, EventLog, ItemIndex, RESOLUTION_DAYS
+from .events import RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog, ItemIndex, _factorize
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +77,14 @@ class Sequence:
         if np.any(np.diff(self.timestamps) < 0):
             raise ValueError("timestamps must be non-decreasing")
 
+    @classmethod
+    def view(cls, seq_id: int, entity_id: str, items: np.ndarray, timestamps: np.ndarray):
+        """A sequence over slices of a :class:`SequenceTable`, which already holds
+        its invariants, so the per-object checks are skipped."""
+        seq = object.__new__(cls)
+        seq.__dict__.update(seq_id=seq_id, entity_id=entity_id, items=items, timestamps=timestamps)
+        return seq
+
     def __len__(self) -> int:
         return len(self.items)
 
@@ -81,8 +96,97 @@ class Sequence:
     def end_time(self) -> int:
         return int(self.timestamps[-1])
 
-    def replace_events(self, items: np.ndarray, timestamps: np.ndarray) -> "Sequence":
-        return Sequence(self.seq_id, self.entity_id, items, timestamps)
+
+@dataclass(frozen=True, eq=False)
+class SequenceTable:
+    """Sequences as flat columns with CSR offsets.
+
+    Sequence ``k`` holds events ``offsets[k]:offsets[k + 1]`` of the int64
+    ``items`` and ``timestamps`` columns; it is never empty and its timestamps
+    never decrease.  ``seq_ids`` and ``entity_codes`` (indices into
+    ``entity_ids``) hold one int64 per sequence.  ``len``, iteration and
+    indexing see the table as a list of :class:`Sequence` views, built once.
+    """
+
+    items: np.ndarray
+    timestamps: np.ndarray
+    offsets: np.ndarray
+    seq_ids: np.ndarray
+    entity_codes: np.ndarray
+    entity_ids: tuple[str, ...]
+
+    @classmethod
+    def from_sequences(cls, sequences: Iterable[Sequence]) -> "SequenceTable":
+        sequences = list(sequences)
+        entity_ids, entity_codes = _factorize([s.entity_id for s in sequences])
+        offsets = np.zeros(len(sequences) + 1, dtype=np.int64)
+        np.cumsum([len(s) for s in sequences], out=offsets[1:])
+        empty = np.empty(0, dtype=np.int64)
+        return cls(
+            items=np.concatenate([s.items for s in sequences] or [empty]),
+            timestamps=np.concatenate([s.timestamps for s in sequences] or [empty]),
+            offsets=offsets,
+            seq_ids=np.array([s.seq_id for s in sequences], dtype=np.int64),
+            entity_codes=entity_codes,
+            entity_ids=entity_ids,
+        )
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @cached_property
+    def _views(self) -> list[Sequence]:
+        bounds = self.offsets.tolist()
+        items, times, names = self.items, self.timestamps, self.entity_ids
+        return [
+            Sequence.view(seq_id, names[entity], items[lo:hi], times[lo:hi])
+            for seq_id, entity, lo, hi in zip(
+                self.seq_ids.tolist(), self.entity_codes.tolist(), bounds[:-1], bounds[1:]
+            )
+        ]
+
+    def __iter__(self) -> Iterator[Sequence]:
+        return iter(self._views)
+
+    def __getitem__(self, position):
+        return self._views[position]
+
+    @property
+    def num_events(self) -> int:
+        return len(self.items)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def start_times(self) -> np.ndarray:
+        return self.timestamps[self.offsets[:-1]]
+
+    def count(self, events: np.ndarray) -> np.ndarray:
+        """How many events of each sequence a boolean mask selects."""
+        before = np.zeros(len(events) + 1, dtype=np.int64)
+        np.cumsum(events, out=before[1:])
+        return np.diff(before[self.offsets])
+
+    def take(self, events: np.ndarray) -> "SequenceTable":
+        """Keep the events a boolean mask selects; sequences left empty vanish."""
+        if events.all():
+            return self
+        kept = self.count(events)
+        nonempty = kept > 0
+        return SequenceTable(
+            items=self.items[events],
+            timestamps=self.timestamps[events],
+            offsets=np.append(0, np.cumsum(kept[nonempty])),
+            seq_ids=self.seq_ids[nonempty],
+            entity_codes=self.entity_codes[nonempty],
+            entity_ids=self.entity_ids,
+        )
+
+    def select(self, sequences: np.ndarray) -> "SequenceTable":
+        """Keep the whole sequences a boolean mask selects."""
+        return self.take(np.repeat(sequences, self.lengths))
 
 
 @dataclass(frozen=True)
@@ -111,18 +215,27 @@ class StepRecord:
         }
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Preprocessed sequences plus the item index and the step ledger."""
 
-    sequences: list[Sequence]
+    sequences: SequenceTable
     item_index: ItemIndex
-    item_support: np.ndarray
     provenance: list[StepRecord] = field(default_factory=list)
+
+    @classmethod
+    def from_sequences(cls, sequences: Iterable[Sequence], item_index: ItemIndex) -> "Dataset":
+        """A dataset of hand-built sequences, with an empty ledger."""
+        return cls(SequenceTable.from_sequences(sequences), item_index)
+
+    @cached_property
+    def item_support(self) -> np.ndarray:
+        """Occurrences of each catalog item."""
+        return np.bincount(self.sequences.items, minlength=len(self.item_index))
 
     @property
     def num_events(self) -> int:
-        return sum(len(s) for s in self.sequences)
+        return self.sequences.num_events
 
     @property
     def num_sequences(self) -> int:
@@ -132,21 +245,12 @@ class Dataset:
     def num_items(self) -> int:
         return len(self.item_index)
 
-    def recount_support(self) -> np.ndarray:
-        support = np.zeros(len(self.item_index), dtype=np.int64)
-        for seq in self.sequences:
-            np.add.at(support, seq.items, 1)
-        return support
-
     def verify(self, cfg: PipelineConfig | None = None) -> None:
         """Check structural invariants; raises on violation."""
-        for seq in self.sequences:
-            if len(seq) and int(seq.items.max()) >= len(self.item_index):
-                raise AssertionError("item code out of catalog range")
-        if not np.array_equal(self.recount_support(), self.item_support):
-            raise AssertionError("item_support out of sync with sequences")
+        if len(self.item_support) > len(self.item_index):
+            raise AssertionError("item code out of catalog range")
         if cfg is not None:
-            if any(len(s) < cfg.min_seq_len for s in self.sequences):
+            if np.any(self.sequences.lengths < cfg.min_seq_len):
                 raise AssertionError("sequence below minimum length survived")
             present = self.item_support > 0
             if np.any(self.item_support[present] < cfg.min_item_support):
@@ -154,25 +258,29 @@ class Dataset:
 
     def canonical_text(self) -> str:
         """Deterministic dump used to compare pipeline outputs byte for byte."""
+        table = self.sequences
+        lengths = table.lengths
+        rows = zip(
+            np.repeat(table.seq_ids, lengths).tolist(),
+            map(table.entity_ids.__getitem__, np.repeat(table.entity_codes, lengths).tolist()),
+            map(self.item_index.reverse.__getitem__, table.items.tolist()),
+            table.timestamps.tolist(),
+        )
         lines = ["seq_id\tentity\titem\ttimestamp"]
-        for seq in self.sequences:
-            for code, ts in zip(seq.items.tolist(), seq.timestamps.tolist()):
-                lines.append(f"{seq.seq_id}\t{seq.entity_id}\t{self.item_index.reverse[code]}\t{ts}")
+        lines.extend(f"{seq_id}\t{entity}\t{item}\t{ts}" for seq_id, entity, item, ts in rows)
         return "\n".join(lines) + "\n"
 
     def provenance_report(self) -> list[dict]:
         return [record.to_dict() for record in self.provenance]
 
 
-def _distinct_items(sequences: Iterable[Sequence]) -> int:
-    seen: set[int] = set()
-    for seq in sequences:
-        seen.update(seq.items.tolist())
-    return len(seen)
+def _table_counts(table: SequenceTable) -> tuple[int, int, int]:
+    """Events, sequences and distinct items of a table."""
+    return table.num_events, len(table), int(np.count_nonzero(np.bincount(table.items)))
 
 
 def _log_counts(log: EventLog) -> tuple[int, int, int]:
-    return log.num_events, log.num_entities, len({e.item_id for e in log.iter_events()})
+    return log.num_events, log.num_entities, len(log.item_ids)
 
 
 def filter_event_type(log: EventLog, keep: str) -> EventLog:
@@ -182,26 +290,29 @@ def filter_event_type(log: EventLog, keep: str) -> EventLog:
     to filter on); a type that matches nothing yields an empty log.  Both edge
     paths emit a warning instead of failing.
     """
-    if all(e.event_type is None for e in log.iter_events()):
+    if not np.any(log.type_codes >= 0):
         logger.warning("event-type filter skipped: log carries no event types")
         return log
-    kept = [e for e in log.iter_events() if e.event_type == keep]
-    if not kept:
+    # one flag per type code; the trailing False is read by untyped rows (code -1)
+    matches = np.array([kind == keep for kind in log.event_type_ids] + [False])
+    kept = log.take(matches[log.type_codes])
+    if not kept.num_events:
         logger.warning("event-type filter matched nothing: keep=%r", keep)
-    return EventLog.from_events(kept)
+    return kept
 
 
 def sessionize(
     log: EventLog,
     cfg: PipelineConfig,
     index: ItemIndex | None = None,
-) -> list[Sequence]:
+) -> SequenceTable:
     """Cut each entity's history into sequences with dense item codes.
 
     Modes: ``by_entity`` and ``by_session_column`` map every entity group to
     one sequence (in the latter the entity column already holds session keys);
     ``gap`` starts a new sequence whenever the pause since the previous event
-    of the same entity exceeds ``cfg.gap_seconds``.
+    of the same entity exceeds ``cfg.gap_seconds``.  Sequence ids number the
+    sequences in table order: by entity, then time.
 
     ``index`` defaults to a lexicographic index over the log's items, so two
     calls on the same log agree on codes.
@@ -215,91 +326,72 @@ def sessionize(
                 "use by_entity sessions or a gap of at least 86400."
             )
     if index is None:
-        index = ItemIndex.from_items(e.item_id for e in log.iter_events())
+        index = ItemIndex.from_items(log.item_ids)
+    codes = np.fromiter(map(index.forward.__getitem__, log.item_ids), np.int64, len(log.item_ids))
 
-    sequences: list[Sequence] = []
-    seq_id = 0
-    for entity in sorted(log.groups):
-        group = log.groups[entity]
-        codes = np.fromiter((index.forward[e.item_id] for e in group), np.int64, len(group))
-        times = np.fromiter((e.timestamp for e in group), np.int64, len(group))
-        if cfg.session_mode == SESSION_GAP and len(group) > 1:
-            breaks = np.flatnonzero(np.diff(times) > cfg.gap_seconds) + 1
-            bounds = [0, *breaks.tolist(), len(group)]
-        else:
-            bounds = [0, len(group)]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            sequences.append(Sequence(seq_id, entity, codes[lo:hi], times[lo:hi]))
-            seq_id += 1
-    return sequences
+    starts = np.ones(log.num_events, dtype=bool)
+    np.not_equal(log.entity_codes[1:], log.entity_codes[:-1], out=starts[1:])
+    if cfg.session_mode == SESSION_GAP:
+        starts[1:] |= np.diff(log.timestamps) > cfg.gap_seconds
+    firsts = np.flatnonzero(starts)
+    return SequenceTable(
+        items=codes[log.item_codes],
+        timestamps=log.timestamps,
+        offsets=np.append(firsts, log.num_events),
+        seq_ids=np.arange(len(firsts), dtype=np.int64),
+        entity_codes=log.entity_codes[firsts],
+        entity_ids=log.entity_ids,
+    )
 
 
-def collapse_repeats(seq: Sequence) -> Sequence:
+def collapse_repeats(sequences: SequenceTable) -> SequenceTable:
     """Merge runs of the same item into one event keeping the first timestamp.
 
     Non-adjacent repeats stay: (i,j,i) is untouched, (i,i,j) becomes (i,j).
+    One mask over the flat item column; runs never cross a sequence start.
     """
-    if len(seq) < 2:
-        return seq
-    keep = np.empty(len(seq), dtype=bool)
-    keep[0] = True
-    np.not_equal(seq.items[1:], seq.items[:-1], out=keep[1:])
-    if keep.all():
-        return seq
-    return seq.replace_events(seq.items[keep], seq.timestamps[keep])
-
-
-def _sequence_counts(sequences: TypingSequence[Sequence]) -> tuple[int, int, int]:
-    return sum(len(s) for s in sequences), len(sequences), _distinct_items(sequences)
+    items = sequences.items
+    keep = np.ones(len(items), dtype=bool)
+    np.not_equal(items[1:], items[:-1], out=keep[1:])
+    keep[sequences.offsets[:-1]] = True
+    return sequences.take(keep)
 
 
 def iterative_support_filter(
-    sequences: list[Sequence],
+    sequences: SequenceTable,
     cfg: PipelineConfig,
     index: ItemIndex,
     provenance: list[StepRecord] | None = None,
 ) -> Dataset:
     """Drop short sequences and rare items until both constraints hold.
 
-    Each pass first drops sequences shorter than ``min_seq_len``, then recounts
-    item support over the survivors and removes every item below
-    ``min_item_support`` at once, re-collapsing any adjacent repeats the
-    removals exposed.  Passes repeat until one changes nothing.  One ledger
-    record is appended per pass, so cascades are visible pass by pass.
+    ``sequences`` hold codes of ``index`` and no adjacent repeats (the output
+    of :func:`collapse_repeats`).  Each pass first drops sequences shorter
+    than ``min_seq_len``, then recounts item support over the survivors and
+    removes every item below ``min_item_support`` at once, re-collapsing any
+    adjacent repeats the removals exposed.  Passes repeat until one changes
+    nothing.  One ledger record is appended per pass, so cascades are visible
+    pass by pass.
 
     Raises:
         PreprocessError: the filter emptied the dataset; the message replays
             the per-pass shrinkage so the cascade can be audited.
     """
     records: list[StepRecord] = provenance if provenance is not None else []
-    current = list(sequences)
+    current = sequences
     shrink_rows: list[str] = []
     iteration = 0
     while True:
         iteration += 1
-        events_before, seqs_before, items_before = _sequence_counts(current)
-        kept = [s for s in current if len(s) >= cfg.min_seq_len]
-        support = np.zeros(len(index), dtype=np.int64)
-        for seq in kept:
-            np.add.at(support, seq.items, 1)
+        events_before, seqs_before, items_before = _table_counts(current)
+        kept = current.select(current.lengths >= cfg.min_seq_len)
+        support = np.bincount(kept.items, minlength=len(index))
         weak = (support > 0) & (support < cfg.min_item_support)
         removed_items = int(np.count_nonzero(weak))
-        if removed_items:
-            pruned: list[Sequence] = []
-            for seq in kept:
-                mask = ~weak[seq.items]
-                if mask.all():
-                    pruned.append(seq)
-                elif mask.any():
-                    pruned.append(
-                        collapse_repeats(seq.replace_events(seq.items[mask], seq.timestamps[mask]))
-                    )
-                # fully emptied sequences vanish here
-            next_sequences = pruned
-        else:
-            next_sequences = kept
-        events_after, seqs_after, items_after = _sequence_counts(next_sequences)
-        changed = removed_items > 0 or len(kept) != len(current) or len(next_sequences) != len(kept)
+        # fully emptied sequences vanish in take()
+        pruned = collapse_repeats(kept.take(~weak[kept.items])) if removed_items else kept
+        events_after, seqs_after, items_after = _table_counts(pruned)
+        changed = removed_items > 0 or len(kept) != len(current) or len(pruned) != len(kept)
         records.append(
             StepRecord(
                 step="support_filter",
@@ -322,7 +414,7 @@ def iterative_support_filter(
             f"pass {iteration}: events {events_before}->{events_after}, "
             f"sequences {seqs_before}->{seqs_after}, items {items_before}->{items_after}"
         )
-        current = next_sequences
+        current = pruned
         if not changed or not current:
             break
     if not current:
@@ -331,16 +423,11 @@ def iterative_support_filter(
             "Shrinkage per pass: " + "; ".join(shrink_rows)
         )
 
-    survivors = sorted({code for seq in current for code in seq.items.tolist()})
+    survivors = np.flatnonzero(np.bincount(current.items, minlength=len(index))).tolist()
     compact = ItemIndex.from_items(index.reverse[code] for code in survivors)
     remap = np.full(len(index), -1, dtype=np.int64)
-    for code in survivors:
-        remap[code] = compact.forward[index.reverse[code]]
-    remapped = [seq.replace_events(remap[seq.items], seq.timestamps) for seq in current]
-    support = np.zeros(len(compact), dtype=np.int64)
-    for seq in remapped:
-        np.add.at(support, seq.items, 1)
-    return Dataset(sequences=remapped, item_index=compact, item_support=support, provenance=records)
+    remap[survivors] = [compact.forward[index.reverse[code]] for code in survivors]
+    return Dataset(replace(current, items=remap[current.items]), compact, records)
 
 
 def preprocess(log: EventLog, cfg: PipelineConfig) -> Dataset:
@@ -364,13 +451,13 @@ def preprocess(log: EventLog, cfg: PipelineConfig) -> Dataset:
             )
         )
 
-    index = ItemIndex.from_items(e.item_id for e in log.iter_events())
+    index = ItemIndex.from_items(log.item_ids)
     log_counts = _log_counts(log)
     sequences = sessionize(log, cfg, index)
     params: dict = {"mode": cfg.session_mode}
     if cfg.session_mode == SESSION_GAP:
         params["gap_seconds"] = cfg.gap_seconds
-    events, seqs, items = _sequence_counts(sequences)
+    events, seqs, items = _table_counts(sequences)
     provenance.append(
         StepRecord(
             step="sessionize",
@@ -384,8 +471,8 @@ def preprocess(log: EventLog, cfg: PipelineConfig) -> Dataset:
         )
     )
 
-    collapsed = [collapse_repeats(s) for s in sequences]
-    events_c, seqs_c, items_c = _sequence_counts(collapsed)
+    collapsed = collapse_repeats(sequences)
+    events_c, seqs_c, items_c = _table_counts(collapsed)
     provenance.append(
         StepRecord(
             step="collapse_repeats",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SplitError
 from .events import SECONDS_PER_DAY
-from .preprocess import Dataset, Sequence
+from .preprocess import Dataset, SequenceTable
 
 STRATEGY_TIME = "time"
 STRATEGY_LOO = "leave_one_out"
@@ -111,50 +111,32 @@ class DatasetSplit:
     window_days: int | None = None
 
 
-def _subset(data: Dataset, sequences: list[Sequence]) -> Dataset:
-    support = np.zeros(len(data.item_index), dtype=np.int64)
-    for seq in sequences:
-        np.add.at(support, seq.items, 1)
-    return Dataset(
-        sequences=sequences,
-        item_index=data.item_index,
-        item_support=support,
-        provenance=list(data.provenance),
-    )
-
-
-def _side_stats(sequences: list[Sequence]) -> SideStats:
-    events = sum(len(s) for s in sequences)
-    if not sequences:
+def _side_stats(table: SequenceTable) -> SideStats:
+    if not len(table):
         return SideStats(events=0, sequences=0, days=0)
-    first = min(s.start_time for s in sequences)
-    last = max(s.end_time for s in sequences)
+    # timestamps never decrease inside a sequence: the extremes are its ends
+    first = int(table.timestamps.min())
+    last = int(table.timestamps.max())
     days = last // SECONDS_PER_DAY - first // SECONDS_PER_DAY + 1
-    return SideStats(events=events, sequences=len(sequences), days=days)
+    return SideStats(events=table.num_events, sequences=len(table), days=days)
 
 
 def _make_split(
     data: Dataset,
-    train_seqs: list[Sequence],
-    test_seqs: list[Sequence],
+    train_seqs: SequenceTable,
+    test_seqs: SequenceTable,
     spec: SplitSpec,
     split_time: int | None = None,
     window_days: int | None = None,
 ) -> DatasetSplit:
-    train = _subset(data, train_seqs)
-    test = _subset(data, test_seqs)
-    seen = train.item_support > 0
-    unseen_events = 0
-    unseen_items: set[int] = set()
-    for seq in test_seqs:
-        misses = ~seen[seq.items]
-        unseen_events += int(misses.sum())
-        unseen_items.update(seq.items[misses].tolist())
+    train = Dataset(train_seqs, data.item_index, list(data.provenance))
+    test = Dataset(test_seqs, data.item_index, list(data.provenance))
+    missing = test_seqs.items[train.item_support[test_seqs.items] == 0]
     stats = SplitStats(
         train=_side_stats(train_seqs),
         test=_side_stats(test_seqs),
-        unseen_item_events=unseen_events,
-        unseen_items=len(unseen_items),
+        unseen_item_events=len(missing),
+        unseen_items=len(np.unique(missing)),
     )
     return DatasetSplit(
         train=train,
@@ -169,10 +151,8 @@ def _make_split(
 def _time_range(data: Dataset) -> tuple[int, int]:
     if not data.sequences:
         raise SplitError("cannot split an empty dataset")
-    return (
-        min(s.start_time for s in data.sequences),
-        max(s.end_time for s in data.sequences),
-    )
+    timestamps = data.sequences.timestamps
+    return int(timestamps.min()), int(timestamps.max())
 
 
 def choose_split_time(data: Dataset, target_test_days: int) -> int:
@@ -205,20 +185,16 @@ def time_split(data: Dataset, split_time: int, min_seq_len: int = 2) -> DatasetS
     A boundary outside the data's range surfaces as one of the empty-side
     errors below; :func:`choose_split_time` always returns a usable one.
     """
-    if not data.sequences:
+    table = data.sequences
+    if not table:
         raise SplitError("cannot split an empty dataset")
-    train_seqs: list[Sequence] = []
-    test_seqs: list[Sequence] = []
-    for seq in data.sequences:
-        if seq.start_time > split_time:
-            test_seqs.append(seq)
-            continue
-        cut = int(np.searchsorted(seq.timestamps, split_time, side="right"))
-        if cut == len(seq):
-            train_seqs.append(seq)
-        elif cut >= min_seq_len:
-            train_seqs.append(seq.replace_events(seq.items[:cut], seq.timestamps[:cut]))
-        # else: stump too short, dropped entirely
+    is_test = table.start_times > split_time
+    # events up to the boundary form a prefix of each sequence
+    early = table.timestamps <= split_time
+    cut = table.count(early)
+    keep = ~is_test & ((cut == table.lengths) | (cut >= min_seq_len))
+    train_seqs = table.take(early & np.repeat(keep, table.lengths))
+    test_seqs = table.select(is_test)
     if not train_seqs:
         raise SplitError(f"split_time {split_time} leaves an empty training side")
     if not test_seqs:
@@ -238,9 +214,10 @@ def leave_one_out_split(data: Dataset, selection: LeaveOneOutSelection) -> Datas
     Only sequences of length >= 2 are eligible (a shorter one has no prefix to
     leave behind); ineligible ones go to train whole.
     """
-    if not data.sequences:
+    table = data.sequences
+    if not table:
         raise SplitError("cannot split an empty dataset")
-    eligible = [i for i, s in enumerate(data.sequences) if len(s) >= 2]
+    eligible = np.flatnonzero(table.lengths >= 2)
     if selection.kind == SELECT_ALL:
         chosen = eligible
     elif selection.k is not None and selection.k > len(eligible):
@@ -248,25 +225,17 @@ def leave_one_out_split(data: Dataset, selection: LeaveOneOutSelection) -> Datas
             f"selection k={selection.k} exceeds {len(eligible)} eligible sequences"
         )
     elif selection.kind == SELECT_MOST_RECENT:
-        order = sorted(eligible, key=lambda i: (data.sequences[i].start_time, i))
+        order = eligible[np.lexsort((eligible, table.start_times[eligible]))]
         chosen = order[len(eligible) - selection.k :]
     else:
         rng = np.random.default_rng(selection.seed)
-        chosen = sorted(
-            np.asarray(eligible)[rng.choice(len(eligible), size=selection.k, replace=False)]
-            .tolist()
-        )
-    if not chosen:
+        chosen = eligible[rng.choice(len(eligible), size=selection.k, replace=False)]
+    if not len(chosen):
         raise SplitError("no sequence is long enough to donate a test event")
-    chosen_set = set(chosen)
-    train_seqs: list[Sequence] = []
-    test_seqs: list[Sequence] = []
-    for i, seq in enumerate(data.sequences):
-        if i in chosen_set:
-            train_seqs.append(seq.replace_events(seq.items[:-1], seq.timestamps[:-1]))
-            test_seqs.append(seq.replace_events(seq.items[-1:], seq.timestamps[-1:]))
-        else:
-            train_seqs.append(seq)
+    held_out = np.zeros(table.num_events, dtype=bool)
+    held_out[table.offsets[1:][chosen] - 1] = True
+    train_seqs = table.take(~held_out)
+    test_seqs = table.take(held_out)
     spec = SplitSpec(strategy=STRATEGY_LOO, selection=selection)
     return _make_split(data, train_seqs, test_seqs, spec)
 
@@ -276,8 +245,8 @@ def random_split(data: Dataset, fraction: float, seed: int) -> DatasetSplit:
     spec = SplitSpec(strategy=STRATEGY_RANDOM, fraction=fraction, seed=seed)
     rng = np.random.default_rng(seed)
     draws = rng.random(len(data.sequences))
-    train_seqs = [s for s, d in zip(data.sequences, draws) if d >= fraction]
-    test_seqs = [s for s, d in zip(data.sequences, draws) if d < fraction]
+    train_seqs = data.sequences.select(draws >= fraction)
+    test_seqs = data.sequences.select(draws < fraction)
     if not train_seqs or not test_seqs:
         raise SplitError(
             f"random split with fraction {fraction} left a side empty "
@@ -300,23 +269,16 @@ def truncate_training_window(
     if split.split_time is None:
         raise SplitError("window truncation needs a time split (no split boundary present)")
     window_start = split.split_time - window_days * SECONDS_PER_DAY
-    train_seqs: list[Sequence] = []
-    for seq in split.train.sequences:
-        lo = int(np.searchsorted(seq.timestamps, window_start, side="left"))
-        if lo == 0:
-            train_seqs.append(seq)
-        elif len(seq) - lo >= min_seq_len:
-            train_seqs.append(seq.replace_events(seq.items[lo:], seq.timestamps[lo:]))
+    table = split.train.sequences
+    recent = table.timestamps >= window_start
+    # events inside the window form a suffix of each sequence
+    inside = table.count(recent)
+    keep = (inside == table.lengths) | (inside >= min_seq_len)
+    train_seqs = table.take(recent & np.repeat(keep, table.lengths))
     if not train_seqs:
         raise SplitError(f"a {window_days}-day window leaves an empty training side")
-    merged = Dataset(
-        sequences=train_seqs + split.test.sequences,
-        item_index=split.train.item_index,
-        item_support=np.zeros(len(split.train.item_index), dtype=np.int64),
-        provenance=list(split.train.provenance),
-    )
     return _make_split(
-        merged,
+        split.train,
         train_seqs,
         split.test.sequences,
         split.spec,
@@ -361,4 +323,4 @@ def matched_loo_k(split: DatasetSplit, prefix_start: int = 1) -> int:
     [``prefix_start``, L-1].  Use this to pick a leave-one-out k that matches a
     time split's case count, so strategy comparisons are size-controlled.
     """
-    return sum(max(0, len(s) - prefix_start) for s in split.test.sequences)
+    return int(np.maximum(split.test.sequences.lengths - prefix_start, 0).sum())

@@ -29,6 +29,14 @@ def log_of(*slots):
     return EventLog.from_events(events)
 
 
+def groups_of(log):
+    """Per-entity lists of the log's events as RawEvent objects, in time order."""
+    groups = {}
+    for event in log.iter_events():
+        groups.setdefault(event.entity_id, []).append(event)
+    return groups
+
+
 def build_dataset(index, rows, seq_id_base=0):
     """rows: list of (items, timestamps) parallel lists."""
     sequences = []
@@ -37,12 +45,7 @@ def build_dataset(index, rows, seq_id_base=0):
         sequences.append(
             Sequence(sid, f"u{sid}", np.asarray(items), np.asarray(times))
         )
-    support = np.zeros(len(index), dtype=np.int64)
-    for seq in sequences:
-        np.add.at(support, seq.items, 1)
-    return Dataset(
-        sequences=sequences, item_index=index, item_support=support, provenance=[]
-    )
+    return Dataset.from_sequences(sequences, index)
 
 
 def build_split(index, train_rows, test_rows, split_time=None):

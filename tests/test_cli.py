@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recaudit.cli import main
 from synth import DAY, browsing_rows, write_events_csv
@@ -426,6 +429,38 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["error"]["stage"] == "evaluate"
 
+    @pytest.mark.parametrize(
+        "model, sampler, name",
+        [
+            ({"name": "external", "scores_path": "missing.tsv"}, "none", "missing.tsv"),
+            ({"name": "external", "scores_path": "missing.npy"}, "none", "missing.npy"),
+            (
+                {"name": "markov", "embeddings_path": "missing_vectors.tsv"},
+                "similar_embedding:5",
+                "missing_vectors.tsv",
+            ),
+        ],
+    )
+    def test_missing_model_file_writes_partial_manifest(
+        self, events_csv, tmp_path, model, sampler, name
+    ):
+        for key in ("scores_path", "embeddings_path"):
+            if key in model:
+                model[key] = str(tmp_path / model[key])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": model}))
+        code, _, err = run_cli(
+            ["run", "--input", events_csv, "--config", str(config),
+             "--output-dir", str(tmp_path / "out"), "--strategy", "time",
+             "--test-days", "1", "--sampler", sampler]
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error in stage evaluate:") and name in err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["error"]["stage"] == "evaluate"
+
     def test_resolved_config_reproduces_run(self, events_csv, tmp_path):
         first = tmp_path / "first"
         code, payload, _ = run_cli(
@@ -519,3 +554,73 @@ class TestUsageAndConfig:
         }))
         code, payload, _ = run_cli(["ingest", "--config", str(config)])
         assert code == 0 and payload["events"] > 0
+
+
+# malformed rows the parser must reject, one per kind
+BAD_ROWS = {
+    "missing_column": "u1,i1",
+    "empty_entity": ",i1,100",
+    "empty_item": "u1,,100",
+    "negative_time": "u1,i1,-5",
+    "non_numeric_time": "u1,i1,abc",
+    "bad_iso_time": "u1,i1,2020-02-30",
+}
+# lines that are not rows (blank) or are well-formed despite a stray quote
+NEUTRAL_LINES = ("", 'u1,i"1,100', 'u2",i2,200')
+
+
+@st.composite
+def fuzzed_logs(draw):
+    """(csv text, number of injected bad rows) for a tiny log."""
+    # entity u<k> starts on day k % 3, so a one-day time split has both sides
+    lines = [
+        f"u{entity},i{draw(st.integers(0, 3))},{(entity % 3) * DAY + 3600 + 60 * step}"
+        for entity in range(6)
+        for step in range(draw(st.integers(0, 5)))
+    ]
+    bad = draw(st.lists(st.sampled_from(sorted(BAD_ROWS)), max_size=4))
+    neutral = draw(st.lists(st.sampled_from(NEUTRAL_LINES), max_size=3))
+    for position, line in zip(
+        draw(st.lists(st.integers(0, 40), min_size=len(bad) + len(neutral),
+                      max_size=len(bad) + len(neutral))),
+        [BAD_ROWS[kind] for kind in bad] + list(neutral),
+    ):
+        lines.insert(position % (len(lines) + 1), line)
+    bad_count = len(bad)
+    if draw(st.booleans()):
+        # an opening quote on the last line swallows only that line: one bad row
+        lines.append('"u3,i3,300')
+        bad_count += 1
+    return "entity,item,timestamp\n" + "\n".join(lines) + "\n", bad_count
+
+
+class TestMalformedInputFuzz:
+    @given(fuzzed_logs(), st.sampled_from([0.01, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_run_fails_cleanly_or_counts_every_reject(self, log, reject_fraction):
+        text, bad_count = log
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "events.csv")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w", encoding="utf-8") as handle:
+                json.dump({
+                    "input": {"max_reject_fraction": reject_fraction},
+                    "preprocess": {"min_item_support": 1},
+                }, handle)
+            outdir = os.path.join(tmp, "out")
+            code, _, err = run_cli(
+                ["run", "--input", path, "--config", config, "--output-dir", outdir,
+                 "--strategy", "time", "--test-days", "1", "--model", "markov"]
+            )
+            with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as handle:
+                manifest = json.load(handle)
+        assert "Traceback" not in err
+        if code == 1:
+            stage = manifest["error"]["stage"]
+            assert err.strip().splitlines()[-1].startswith(f"error in stage {stage}: ")
+        else:
+            assert code in (0, 2)
+            assert "error" not in manifest
+            assert manifest["stage_stats"]["ingest"]["rejected_rows"] == bad_count

@@ -34,24 +34,19 @@ INDEX = ItemIndex.from_items("abcdefgh")
 A, B, C, D, E, F, G, H = range(8)
 
 
-def dataset_from(words, index=INDEX, t0=0):
+def dataset_from(words, index=INDEX, t0=0, seq_id_base=0):
     sequences = []
     t = t0
-    for sid, word in enumerate(words):
+    for sid, word in enumerate(words, start=seq_id_base):
         codes = np.array([index.forward[ch] for ch in word])
         sequences.append(Sequence(sid, f"u{sid}", codes, np.arange(t, t + len(codes))))
         t += 100
-    support = np.zeros(len(index), dtype=np.int64)
-    for seq in sequences:
-        np.add.at(support, seq.items, 1)
-    return Dataset(sequences=sequences, item_index=index, item_support=support, provenance=[])
+    return Dataset.from_sequences(sequences, index)
 
 
 def split_from(train_words, test_words, index=INDEX):
     train = dataset_from(train_words, index, t0=0)
-    test = dataset_from(test_words, index, t0=100_000)
-    for offset, seq in enumerate(test.sequences, start=len(train.sequences)):
-        object.__setattr__(seq, "seq_id", offset)
+    test = dataset_from(test_words, index, t0=100_000, seq_id_base=len(train_words))
     stats = SplitStats(
         train=SideStats(train.num_events, train.num_sequences, 1),
         test=SideStats(test.num_events, test.num_sequences, 1),
@@ -319,14 +314,12 @@ class TestEvaluate:
     def test_sampled_recall_matches_closed_form_probability(self):
         catalog = 50
         index = ItemIndex.from_items([f"i{k:02d}" for k in range(catalog)])
-        train = Dataset(
-            sequences=[
+        train = Dataset.from_sequences(
+            [
                 Sequence(0, "u0", np.arange(catalog), np.arange(catalog)),
                 Sequence(1, "u1", np.arange(catalog), np.arange(catalog) + 100),
             ],
-            item_index=index,
-            item_support=np.full(catalog, 2, dtype=np.int64),
-            provenance=[],
+            index,
         )
         rank_r = 10
         target = rank_r - 1  # scores strictly descending by index
@@ -334,12 +327,7 @@ class TestEvaluate:
             Sequence(2 + k, f"t{k}", np.array([0, target]), np.array([1000 + k, 1001 + k]))
             for k in range(4000)
         ]
-        test = Dataset(
-            sequences=test_seqs,
-            item_index=index,
-            item_support=np.zeros(catalog, dtype=np.int64),
-            provenance=[],
-        )
+        test = Dataset.from_sequences(test_seqs, index)
         split = DatasetSplit(
             train=train,
             test=test,

@@ -19,6 +19,7 @@ from recaudit.events import (
     dump_canonical,
     ingest_csv,
 )
+from synth import groups_of
 
 MAPPING = ColumnMapping(entity="user", item="item", time="ts")
 MAPPING_TYPED = ColumnMapping(entity="user", item="item", time="ts", type="kind")
@@ -33,18 +34,18 @@ class TestIngestBasics:
         text = csv_text(["u1,a,30", "u2,b,10", "u1,c,20"])
         log = ingest_csv(io.StringIO(text), MAPPING)
         assert log.num_events == 3
-        assert [e.item_id for e in log.groups["u1"]] == ["c", "a"]
-        assert [e.item_id for e in log.groups["u2"]] == ["b"]
+        assert [e.item_id for e in groups_of(log)["u1"]] == ["c", "a"]
+        assert [e.item_id for e in groups_of(log)["u2"]] == ["b"]
 
     def test_equal_timestamps_keep_input_order(self):
         text = csv_text(["u1,i9,100", "u1,i3,100"])
         log = ingest_csv(io.StringIO(text), MAPPING)
-        assert [e.item_id for e in log.groups["u1"]] == ["i9", "i3"]
+        assert [e.item_id for e in groups_of(log)["u1"]] == ["i9", "i3"]
 
     def test_equal_timestamps_keep_input_order_after_reordering_rows(self):
         text = csv_text(["u1,i3,100", "u1,i9,100"])
         log = ingest_csv(io.StringIO(text), MAPPING)
-        assert [e.item_id for e in log.groups["u1"]] == ["i3", "i9"]
+        assert [e.item_id for e in groups_of(log)["u1"]] == ["i3", "i9"]
 
     def test_type_column_optional_and_blank_becomes_none(self):
         text = csv_text(
@@ -52,20 +53,20 @@ class TestIngestBasics:
             header="user,item,ts,kind",
         )
         log = ingest_csv(io.StringIO(text), MAPPING_TYPED)
-        kinds = [e.event_type for e in log.groups["u1"]]
+        kinds = [e.event_type for e in groups_of(log)["u1"]]
         assert kinds == ["click", None, "buy"]
         assert log.event_types() == {"click", "buy"}
 
     def test_tab_delimiter_autodetected(self):
         text = "user\titem\tts\nu1\ta\t5\n"
         log = ingest_csv(io.StringIO(text), MAPPING)
-        assert log.groups["u1"][0].item_id == "a"
+        assert groups_of(log)["u1"][0].item_id == "a"
 
     def test_forced_delimiter_overrides_detection(self):
         # Commas inside a tab-separated file must not split fields.
         text = "user\titem\tts\nu1\ta,b\t5\n"
         log = ingest_csv(io.StringIO(text), MAPPING, delimiter="\t")
-        assert log.groups["u1"][0].item_id == "a,b"
+        assert groups_of(log)["u1"][0].item_id == "a,b"
 
     def test_accepts_path_bytes_and_stream(self, tmp_path):
         text = csv_text(["u1,a,1"])
@@ -85,23 +86,23 @@ class TestTimestampParsing:
     def test_iso_date_is_midnight_utc(self):
         text = csv_text(["u1,a,2020-01-02"])
         log = ingest_csv(io.StringIO(text), MAPPING)
-        assert log.groups["u1"][0].timestamp == 1577923200
+        assert groups_of(log)["u1"][0].timestamp == 1577923200
         assert log.timestamp_resolution == "days"
 
     def test_iso_datetime_with_zulu_suffix(self):
         text = csv_text(["u1,a,1970-01-01T00:01:40Z"])
         log = ingest_csv(io.StringIO(text), MAPPING)
-        assert log.groups["u1"][0].timestamp == 100
+        assert groups_of(log)["u1"][0].timestamp == 100
 
     def test_iso_datetime_with_offset(self):
         text = csv_text(["u1,a,1970-01-01T02:00:00+02:00"])
         log = ingest_csv(io.StringIO(text), MAPPING)
-        assert log.groups["u1"][0].timestamp == 0
+        assert groups_of(log)["u1"][0].timestamp == 0
 
     def test_naive_datetime_assumed_utc(self):
         text = csv_text(["u1,a,1970-01-02T00:00:30"])
         log = ingest_csv(io.StringIO(text), MAPPING)
-        assert log.groups["u1"][0].timestamp == 86430
+        assert groups_of(log)["u1"][0].timestamp == 86430
 
     def test_resolution_seconds_when_any_offset_within_day(self):
         text = csv_text(["u1,a,86400", "u1,b,86401"])
@@ -115,7 +116,7 @@ class TestTimestampParsing:
 
     def test_empty_log_resolution_detection_rejected(self):
         with pytest.raises(IngestError, match="empty"):
-            detect_timestamp_resolution(EventLog(groups={}))
+            detect_timestamp_resolution(EventLog.from_events([]))
 
 
 class TestRejectAccounting:
@@ -140,6 +141,12 @@ class TestRejectAccounting:
         log = ingest_csv(io.StringIO(csv_text(rows)), MAPPING)
         assert log.rejected_count == 1
 
+    def test_timestamp_beyond_64_bits_rejected(self):
+        rows = [f"u1,i{k},{k}" for k in range(200)] + ["u1,x,99999999999999999999"]
+        log = ingest_csv(io.StringIO(csv_text(rows)), MAPPING)
+        assert log.rejected_count == 1
+        assert "64 bits" in log.rejected_preview[0]
+
     def test_short_rows_rejected_not_crashing(self):
         rows = [f"u1,i{k},{k}" for k in range(200)] + ["u1,a"]
         log = ingest_csv(io.StringIO(csv_text(rows)), MAPPING)
@@ -154,6 +161,18 @@ class TestRejectAccounting:
         with pytest.raises(IngestError, match="header"):
             ingest_csv(io.StringIO(""), MAPPING)
 
+    def test_unterminated_quote_past_field_limit_is_hard_error(self):
+        # the open quote swallows every later row into one oversized field
+        rows = ['u1,"a,1'] + [f"u1,i{k},{k}" for k in range(20000)]
+        with pytest.raises(IngestError, match="cannot parse input near line"):
+            ingest_csv(io.StringIO(csv_text(rows)), MAPPING)
+
+    def test_non_utf8_input_is_hard_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"user,item,ts\nu1,caf\xe9,5\n")
+        with pytest.raises(IngestError, match="cannot read input"):
+            ingest_csv(path, MAPPING)
+
     def test_unreadable_path_is_hard_error(self, tmp_path):
         with pytest.raises(IngestError, match="cannot read"):
             ingest_csv(tmp_path / "nope.csv", MAPPING)
@@ -166,7 +185,7 @@ class TestCanonicalDump:
         path = tmp_path / "canon.tsv"
         dump_canonical(log, path)
         again = ingest_csv(path, CANONICAL_MAPPING)
-        assert again.groups == log.groups
+        assert groups_of(again) == groups_of(log)
 
     def test_dump_orders_by_entity_then_time(self):
         text = csv_text(["u2,b,10", "u1,a,30", "u1,c,20"])
@@ -199,7 +218,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_groups_sorted_by_timestamp(self, events):
         log = EventLog.from_events(events)
-        for group in log.groups.values():
+        for group in groups_of(log).values():
             times = [e.timestamp for e in group]
             assert times == sorted(times)
 
@@ -232,7 +251,7 @@ class TestProperties:
         make = lambda rs: csv_text([f"{u},{i},{t}" for u, i, t in rs])
         log_a = ingest_csv(io.StringIO(make(rows)), MAPPING)
         log_b = ingest_csv(io.StringIO(make(shuffled)), MAPPING)
-        assert log_a.groups == log_b.groups
+        assert groups_of(log_a) == groups_of(log_b)
 
 
 class TestItemIndex:

@@ -39,18 +39,10 @@ def make_dataset(words, start=0):
         times = np.arange(t, t + len(codes))
         sequences.append(Sequence(sid, f"u{sid}", codes, times))
         t += 1000
-    support = np.zeros(len(INDEX), dtype=np.int64)
-    for seq in sequences:
-        np.add.at(support, seq.items, 1)
-    return Dataset(sequences=sequences, item_index=INDEX, item_support=support, provenance=[])
+    return Dataset.from_sequences(sequences, INDEX)
 
 
-EMPTY = Dataset(
-    sequences=[],
-    item_index=INDEX,
-    item_support=np.zeros(len(INDEX), dtype=np.int64),
-    provenance=[],
-)
+EMPTY = Dataset.from_sequences([], INDEX)
 
 
 class TestPopularity:

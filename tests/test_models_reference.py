@@ -42,19 +42,19 @@ def reference_cooccurrence_counts(train, window):
 
 def reference_cooccurrence_scores(train, counts, prefix):
     if len(prefix) == 0:
-        return train.recount_support().astype(np.float64)
+        return train.item_support.astype(np.float64)
     scores = np.zeros(counts.shape[0], dtype=np.float64)
     for code in prefix:
         code = int(code)
         start, end = counts.indptr[code], counts.indptr[code + 1]
         scores[counts.indices[start:end]] += counts.data[start:end]
     if not scores.any():
-        return train.recount_support().astype(np.float64)
+        return train.item_support.astype(np.float64)
     return scores
 
 
 def reference_session_knn_scores(train, prefix, k, sample_size, decay):
-    fallback = train.recount_support().astype(np.float64)
+    fallback = train.item_support.astype(np.float64)
     sessions = [seq.items for seq in train.sequences]
     session_sets = [set(seq.items.tolist()) for seq in train.sequences]
     order = sorted(
@@ -111,10 +111,7 @@ def make_dataset(sessions):
     for sid, (items, end_time) in enumerate(sessions):
         times = np.full(len(items), end_time)
         sequences.append(Sequence(sid, f"u{sid}", np.array(items), times))
-    support = np.zeros(CATALOG, dtype=np.int64)
-    for seq in sequences:
-        np.add.at(support, seq.items, 1)
-    return Dataset(sequences=sequences, item_index=INDEX, item_support=support)
+    return Dataset.from_sequences(sequences, INDEX)
 
 
 # short sessions over few items and few end times: repeated items (also
@@ -206,4 +203,4 @@ class TestSessionKNNMatchesReference:
         model = SessionKNNModel().fit(train)
         for prefix in ([], [6], [7, 6, 7]):
             prefix = np.array(prefix, dtype=np.int64)
-            assert model.score_all(prefix).tolist() == train.recount_support().tolist()
+            assert model.score_all(prefix).tolist() == train.item_support.tolist()

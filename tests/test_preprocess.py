@@ -12,12 +12,14 @@ from recaudit.events import ColumnMapping, EventLog, ItemIndex, RawEvent, ingest
 from recaudit.preprocess import (
     PipelineConfig,
     Sequence,
+    SequenceTable,
     collapse_repeats,
     filter_event_type,
     iterative_support_filter,
     preprocess,
     sessionize,
 )
+from synth import groups_of
 
 ALPHABET = "abcdef"
 INDEX = ItemIndex.from_items(ALPHABET)
@@ -28,6 +30,10 @@ def seq(seq_id, spelled, timestamps=None, entity="u"):
     if timestamps is None:
         timestamps = list(range(len(codes)))
     return Sequence(seq_id, entity, np.array(codes), np.array(timestamps))
+
+
+def table(*sequences):
+    return SequenceTable.from_sequences(sequences)
 
 
 def spelled(sequence, index=INDEX):
@@ -44,7 +50,7 @@ class TestFilterEventType:
             [("u", "a", 1, "view"), ("u", "b", 2, "cart"), ("u", "c", 3, "view")]
         )
         kept = filter_event_type(log, "view")
-        assert [e.item_id for e in kept.groups["u"]] == ["a", "c"]
+        assert [e.item_id for e in groups_of(kept)["u"]] == ["a", "c"]
 
     def test_untyped_log_passes_through(self, caplog):
         log = log_of([("u", "a", 1), ("u", "b", 2)])
@@ -115,23 +121,23 @@ class TestSessionize:
 
 class TestCollapseRepeats:
     def test_adjacent_duplicates_merge_keeping_first_timestamp(self):
-        collapsed = collapse_repeats(seq(0, "aab", [10, 20, 30]))
+        collapsed = collapse_repeats(table(seq(0, "aab", [10, 20, 30])))
         assert spelled(collapsed) == "ab"
         assert collapsed.timestamps.tolist() == [10, 30]
 
     def test_non_adjacent_repeat_untouched(self):
-        collapsed = collapse_repeats(seq(0, "aba"))
+        collapsed = collapse_repeats(table(seq(0, "aba")))
         assert spelled(collapsed) == "aba"
 
     def test_full_run_collapses_to_one(self):
-        collapsed = collapse_repeats(seq(0, "aaaa"))
+        collapsed = collapse_repeats(table(seq(0, "aaaa")))
         assert spelled(collapsed) == "a"
         assert collapsed.timestamps.tolist() == [0]
 
     @given(st.text(alphabet=ALPHABET, min_size=1, max_size=30))
     @settings(max_examples=80, deadline=None)
     def test_idempotent(self, word):
-        once = collapse_repeats(seq(0, word))
+        once = collapse_repeats(table(seq(0, word)))
         twice = collapse_repeats(once)
         assert spelled(once) == spelled(twice)
         assert once.timestamps.tolist() == twice.timestamps.tolist()
@@ -139,7 +145,7 @@ class TestCollapseRepeats:
     @given(st.text(alphabet=ALPHABET, min_size=1, max_size=30))
     @settings(max_examples=80, deadline=None)
     def test_no_adjacent_duplicates_remain(self, word):
-        out = spelled(collapse_repeats(seq(0, word)))
+        out = spelled(collapse_repeats(table(seq(0, word))))
         assert all(x != y for x, y in zip(out, out[1:]))
 
 
@@ -148,7 +154,7 @@ CFG5 = PipelineConfig(min_seq_len=2, min_item_support=5)
 
 class TestSupportFilterCascade:
     def make_cascade(self):
-        return [seq(i, "ab") for i in range(4)] + [seq(4, "ac")]
+        return table(*[seq(i, "ab") for i in range(4)], seq(4, "ac"))
 
     def test_cascade_empties_and_raises_with_shrink_report(self):
         with pytest.raises(PreprocessError) as info:
@@ -171,7 +177,7 @@ class TestSupportFilterCascade:
         assert second.params["dropped_short_sequences"] == 5
 
     def test_stable_input_is_fixpoint_in_one_pass(self):
-        stable = [seq(i, "ab") for i in range(5)]
+        stable = table(*[seq(i, "ab") for i in range(5)])
         dataset = iterative_support_filter(stable, CFG5, INDEX)
         assert dataset.num_sequences == 5
         assert dataset.num_events == 10
@@ -179,7 +185,7 @@ class TestSupportFilterCascade:
         assert dataset.provenance[0].params["iteration"] == 1
 
     def test_output_index_is_compacted_and_sorted(self):
-        stable = [seq(i, "bf") for i in range(5)]
+        stable = table(*[seq(i, "bf") for i in range(5)])
         dataset = iterative_support_filter(stable, CFG5, INDEX)
         assert dataset.item_index.reverse == ("b", "f")
         assert dataset.sequences[0].items.tolist() == [0, 1]
@@ -189,7 +195,7 @@ class TestSupportFilterCascade:
         # Removing f from a-f-a leaves a,a which must merge again; the merged
         # event keeps the first timestamp.
         cfg = PipelineConfig(min_seq_len=2, min_item_support=4)
-        sequences = [seq(i, "afab", [0, 1, 2, 3]) for i in range(3)] + [seq(3, "ab")]
+        sequences = table(*[seq(i, "afab", [0, 1, 2, 3]) for i in range(3)], seq(3, "ab"))
         dataset = iterative_support_filter(sequences, cfg, INDEX)
         assert [spelled(s, dataset.item_index) for s in dataset.sequences] == ["ab"] * 4
         assert dataset.sequences[0].timestamps.tolist() == [0, 3]
@@ -202,8 +208,8 @@ def random_sequences(draw):
     out = []
     for sid in range(count):
         word = draw(st.text(alphabet=ALPHABET, min_size=1, max_size=10))
-        out.append(collapse_repeats(seq(sid, word)))
-    return out
+        out.append(seq(sid, word))
+    return collapse_repeats(table(*out))
 
 
 class TestSupportFilterProperties:

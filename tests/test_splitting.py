@@ -35,10 +35,7 @@ def dataset(specs):
     for sid, (word, times) in enumerate(specs):
         codes = np.array([INDEX.forward[ch] for ch in word])
         sequences.append(Sequence(sid, f"u{sid}", codes, np.array(times)))
-    support = np.zeros(len(INDEX), dtype=np.int64)
-    for seq in sequences:
-        np.add.at(support, seq.items, 1)
-    return Dataset(sequences=sequences, item_index=INDEX, item_support=support, provenance=[])
+    return Dataset.from_sequences(sequences, INDEX)
 
 
 def positions(side):
