@@ -12,7 +12,8 @@ Four independent statistics, each a pure reduction over immutable data:
   occurs in training data?  High overlap under a leave-one-out split is the
   signature of answers leaking backward in time.
 * sequentiality probe: does a model that uses event order actually beat an
-  order-agnostic one on this dataset?
+  order-agnostic one on this dataset?  The probe compares two full-ranking
+  reports; fitting and evaluating the models is the caller's business.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticsError
-from .evaluation import EvalConfig, MetricReport, enumerate_cases, evaluate
+from .evaluation import MetricReport
 from .events import RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog
-from .models import build_model
 from .preprocess import Dataset
-from .splitting import DatasetSplit
+from .splitting import STRATEGY_LOO, DatasetSplit
 
 # day-resolution data above this colliding-event share is flagged as hazardous
 COLLISION_EVENT_FRACTION_THRESHOLD = 0.10
@@ -44,6 +44,7 @@ VERDICT_WEAK = "weak_sequential_signal"
 VERDICT_PRESENT = "sequential_signal"
 
 SEQUENTIAL_BASELINES = ("markov", "session_knn")
+ORDER_AGNOSTIC_BASELINE = "cooccurrence"
 
 
 @dataclass(frozen=True)
@@ -257,18 +258,30 @@ def transition_overlap(split: DatasetSplit) -> OverlapReport:
     """Compare the split's evaluated transitions against training transitions.
 
     Test transitions are the (last prefix item, target) pairs of the split's
-    evaluation cases, which for prefix-growing splits is exactly the set of
-    adjacent pairs inside test sequences.  Both an occurrence-weighted and a
-    distinct-pair fraction are reported; they answer different questions and
-    neither dominates the other.
+    evaluation cases: for prefix-growing splits the adjacent pairs inside test
+    sequences, for leave-one-out the last item of each test sequence's
+    training prefix (matched by sequence id) followed by its one test item.
+    Both an occurrence-weighted and a distinct-pair fraction are reported;
+    they answer different questions and neither dominates the other.
     """
     train = transition_set(split.train)
-    cases = enumerate_cases(split)
-    if not cases:
+    if split.spec.strategy == STRATEGY_LOO:
+        prefixes, tests = split.train.sequences, split.test.sequences
+        missing = tests.seq_ids[~np.isin(tests.seq_ids, prefixes.seq_ids)]
+        if len(missing):
+            raise DiagnosticsError(
+                f"test sequence {missing[0]} has no training prefix to extend"
+            )
+        # for a repeated id take the last training sequence, as a dict keyed by id would
+        order = np.argsort(prefixes.seq_ids, kind="stable")
+        at = np.searchsorted(prefixes.seq_ids[order], tests.seq_ids, side="right") - 1
+        left = prefixes.items[prefixes.offsets[order[at] + 1] - 1]
+        occurrences = left * train.width + tests.items[tests.offsets[:-1]]
+    else:
+        # both sides share the catalog, so the pair keys share a width
+        occurrences = _transitions(split.test)[0]
+    if not len(occurrences):
         raise DiagnosticsError("the test side contains no transitions to compare")
-    left = np.fromiter((case.prefix[-1] for case in cases), np.int64, len(cases))
-    right = np.fromiter((case.target for case in cases), np.int64, len(cases))
-    occurrences = left * train.width + right
     distinct_test = np.unique(occurrences)
     return OverlapReport(
         occurrence_overlap=int(np.isin(occurrences, train.keys).sum()) / len(occurrences),
@@ -316,48 +329,43 @@ class SequentialityReport:
         }
 
 
-def sequentiality_probe(
-    split: DatasetSplit,
-    cutoffs: tuple[int, ...] = (1, 5, 10, 20),
-    sequential_model: str = "markov",
-    tie_policy: str = "optimistic",
-    master_seed: int = 0,
-    verdict_cutoff: int | None = None,
-    verdict_threshold: float = 0.05,
-    workers: int = 1,
-    model_params: dict | None = None,
-) -> SequentialityReport:
-    """Fit an order-aware and an order-agnostic baseline, compare full-ranking metrics.
-
-    If shuffling away the order would cost nothing, next-item evaluation on
-    this dataset is measuring popularity and co-occurrence, not sequence
-    behaviour.  Both models train on the same data and rank the full catalog.
-    """
+def probe_models(sequential_model: str = "markov") -> tuple[str, str]:
+    """Names of the order-aware and the order-agnostic model the probe compares."""
     if sequential_model not in SEQUENTIAL_BASELINES:
         raise DiagnosticsError(
             f"sequential baseline must be one of {SEQUENTIAL_BASELINES}"
         )
-    cfg = EvalConfig(
-        cutoffs=tuple(cutoffs), tie_policy=tie_policy, master_seed=master_seed
-    )
-    params = model_params or {}
-    aware = build_model(sequential_model, **params).fit(split.train)
-    agnostic = build_model("cooccurrence").fit(split.train)
-    aware_report = evaluate(
-        aware, split, cfg, workers=workers, model_name=sequential_model
-    )
-    agnostic_report = evaluate(
-        agnostic, split, cfg, workers=workers, model_name="cooccurrence"
-    )
+    return sequential_model, ORDER_AGNOSTIC_BASELINE
+
+
+def sequentiality_probe(
+    sequential: MetricReport,
+    order_agnostic: MetricReport,
+    verdict_cutoff: int | None = None,
+    verdict_threshold: float = 0.05,
+) -> SequentialityReport:
+    """Compare an order-aware and an order-agnostic model's full-ranking reports.
+
+    If shuffling away the order would cost nothing, next-item evaluation on
+    this dataset is measuring popularity and co-occurrence, not sequence
+    behaviour.  Both reports must come from the same split and evaluation
+    config, with models trained on the same data ranking the full catalog
+    (see :func:`probe_models`).
+    """
+    cutoffs = sequential.cutoffs
+    if order_agnostic.cutoffs != cutoffs:
+        raise DiagnosticsError(
+            f"cutoff grids differ: {cutoffs} vs {order_agnostic.cutoffs}"
+        )
 
     def relative(a: dict[int, float], b: dict[int, float]) -> dict[int, float | None]:
-        return {n: ((b[n] - a[n]) / a[n]) if a[n] else None for n in cfg.cutoffs}
+        return {n: ((b[n] - a[n]) / a[n]) if a[n] else None for n in cutoffs}
 
-    rel_recall = relative(aware_report.recall, agnostic_report.recall)
-    rel_mrr = relative(aware_report.mrr, agnostic_report.mrr)
-    chosen = verdict_cutoff if verdict_cutoff is not None else cfg.cutoffs[-1]
-    if chosen not in cfg.cutoffs:
-        raise DiagnosticsError(f"verdict cutoff {chosen} is not in {cfg.cutoffs}")
+    rel_recall = relative(sequential.recall, order_agnostic.recall)
+    rel_mrr = relative(sequential.mrr, order_agnostic.mrr)
+    chosen = verdict_cutoff if verdict_cutoff is not None else cutoffs[-1]
+    if chosen not in cutoffs:
+        raise DiagnosticsError(f"verdict cutoff {chosen} is not in {cutoffs}")
     probe = rel_recall[chosen]
     verdict = (
         VERDICT_WEAK
@@ -365,9 +373,9 @@ def sequentiality_probe(
         else VERDICT_PRESENT
     )
     return SequentialityReport(
-        cutoffs=cfg.cutoffs,
-        sequential=aware_report,
-        order_agnostic=agnostic_report,
+        cutoffs=cutoffs,
+        sequential=sequential,
+        order_agnostic=order_agnostic,
         relative_change_recall=rel_recall,
         relative_change_mrr=rel_mrr,
         verdict=verdict,

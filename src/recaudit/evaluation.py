@@ -14,9 +14,10 @@ the output.  Reports carry no timestamps or timing for the same reason.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-import multiprocessing
 
 import numpy as np
 
@@ -376,6 +377,13 @@ def _rank_case_range(
 _FORK_STATE: dict = {}
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _forked_rank_range(bounds: tuple[int, int]) -> tuple[int, np.ndarray]:
     start, stop = bounds
     s = _FORK_STATE
@@ -398,7 +406,9 @@ def compute_case_ranks(
 
     The result depends only on inputs and ``cfg.master_seed``; ``workers``
     changes wall time, never values.  Workers receive contiguous case blocks
-    and the parent reassembles them by position.
+    and the parent reassembles them by position.  The pool never holds more
+    processes than there are blocks or CPUs this process may run on: a fork
+    pool starts all of its processes at once, whatever the work.
     """
     support = split.train.item_support
     scoreable = support > 0
@@ -412,6 +422,7 @@ def compute_case_ranks(
                     sampler, case.target, len(support), support, embeddings, throwaway
                 )
 
+    workers = min(workers, _usable_cpus())
     ranks = np.empty(len(cases), dtype=np.int64)
     if workers <= 1 or len(cases) < 2:
         ranks[:] = _rank_case_range(
@@ -428,7 +439,9 @@ def compute_case_ranks(
     )
     try:
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(bounds)), mp_context=context
+        ) as pool:
             for start, chunk_ranks in pool.map(_forked_rank_range, bounds):
                 ranks[start : start + len(chunk_ranks)] = chunk_ranks
     finally:

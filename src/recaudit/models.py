@@ -312,24 +312,6 @@ class SessionKNNModel(RecommenderModel):
         return np.bincount(self.items_[at], weights=votes, minlength=self.catalog_size_)
 
 
-def fit_popularity(train: Dataset) -> PopularityModel:
-    return PopularityModel().fit(train)
-
-
-def fit_markov(train: Dataset, smoothing: float = 0.0) -> MarkovModel:
-    return MarkovModel(smoothing=smoothing).fit(train)
-
-
-def fit_cooccurrence(train: Dataset, window: int | None = None) -> CooccurrenceModel:
-    return CooccurrenceModel(window=window).fit(train)
-
-
-def fit_session_knn(
-    train: Dataset, k: int = 100, sample_size: int = 1000, decay: str = "linear"
-) -> SessionKNNModel:
-    return SessionKNNModel(k=k, sample_size=sample_size, decay=decay).fit(train)
-
-
 MODEL_BUILDERS = {
     "popularity": PopularityModel,
     "markov": MarkovModel,

@@ -192,6 +192,7 @@ class RunManifest:
     stage_stats: dict[str, dict] = field(default_factory=dict)
     report_paths: dict[str, str] = field(default_factory=dict)
     warnings: list[dict] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)  # skipped sections and why
     error: dict | None = None
 
     def add_warning(self, code: str, message: str) -> None:
@@ -207,6 +208,7 @@ class RunManifest:
             "stage_stats": self.stage_stats,
             "report_paths": self.report_paths,
             "warnings": self.warnings,
+            "notes": self.notes,
         }
         if self.error is not None:
             payload["error"] = self.error

@@ -8,7 +8,10 @@ import csv
 
 import numpy as np
 
+from recaudit.diagnostics import probe_models, sequentiality_probe
+from recaudit.evaluation import EvalConfig, evaluate
 from recaudit.events import SECONDS_PER_DAY, EventLog, ItemIndex, RawEvent
+from recaudit.models import build_model
 from recaudit.preprocess import Dataset, Sequence
 from recaudit.splitting import DatasetSplit, SideStats, SplitSpec, SplitStats
 
@@ -125,3 +128,23 @@ def chain_split(num_chains, length, train_copies, test_copies, shuffle_seed=None
         shuffle_seed=None if shuffle_seed is None else shuffle_seed + 1,
     )
     return build_split(index, train_rows, test_rows, split_time=boundary)
+
+
+def fit_and_probe(
+    split,
+    cutoffs=(1, 5, 10, 20),
+    sequential_model="markov",
+    tie_policy="optimistic",
+    master_seed=0,
+    verdict_cutoff=None,
+    verdict_threshold=0.05,
+):
+    """Fit and fully evaluate the probe's two models on a split, then compare them."""
+    cfg = EvalConfig(cutoffs=tuple(cutoffs), tie_policy=tie_policy, master_seed=master_seed)
+    reports = [
+        evaluate(build_model(name).fit(split.train), split, cfg, model_name=name)
+        for name in probe_models(sequential_model)
+    ]
+    return sequentiality_probe(
+        *reports, verdict_cutoff=verdict_cutoff, verdict_threshold=verdict_threshold
+    )

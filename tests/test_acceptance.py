@@ -24,7 +24,6 @@ from recaudit.diagnostics import (
     VERDICT_PRESENT,
     VERDICT_WEAK,
     collision_stats,
-    sequentiality_probe,
     transition_overlap,
 )
 from recaudit.evaluation import (
@@ -57,6 +56,7 @@ from synth import (
     build_dataset,
     build_split,
     chain_split,
+    fit_and_probe,
     log_of,
     make_index,
     write_events_csv,
@@ -382,7 +382,7 @@ class TestLeakageDiagnostic:
 class TestSequentialityProbe:
     def test_planted_chains_show_a_sequential_signal(self):
         split = chain_split(7, 8, train_copies=30, test_copies=10)
-        report = sequentiality_probe(
+        report = fit_and_probe(
             split, cutoffs=(1, 20), tie_policy="random", master_seed=3, verdict_cutoff=1
         )
         sequential = report.sequential.recall[1]
@@ -398,7 +398,7 @@ class TestSequentialityProbe:
 
     def test_shuffled_chains_show_no_signal(self):
         split = chain_split(7, 8, train_copies=60, test_copies=10, shuffle_seed=5)
-        report = sequentiality_probe(
+        report = fit_and_probe(
             split, cutoffs=(1, 20), tie_policy="random", master_seed=3
         )
         change = report.relative_change_recall[20]

@@ -6,11 +6,14 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recaudit import cli
 from recaudit.cli import main
+from recaudit.models import MarkovModel
 from synth import DAY, browsing_rows, write_events_csv
 
 REPORT_FILES = (
@@ -624,3 +627,187 @@ class TestMalformedInputFuzz:
             assert code in (0, 2)
             assert "error" not in manifest
             assert manifest["stage_stats"]["ingest"]["rejected_rows"] == bad_count
+
+
+PLANNED = {
+    "ingest": ["ingest"],
+    "preprocess": ["ingest", "preprocess"],
+    "split": ["ingest", "preprocess", "split"],
+    "diagnose": ["ingest", "preprocess", "split", "diagnose"],
+    "evaluate": ["ingest", "preprocess", "split", "evaluate"],
+    "compare": ["ingest", "preprocess", "split", "evaluate"],
+    "run": ["ingest", "preprocess", "split", "diagnose", "evaluate"],
+}
+
+
+def command_args(command):
+    return ["--models", "markov,cooccurrence"] if command == "compare" else []
+
+
+def write_config(tmp_path, **sections):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(sections))
+    return str(config)
+
+
+class TestStageRunner:
+    @pytest.mark.parametrize("command", sorted(PLANNED))
+    def test_every_command_writes_a_manifest_of_its_stages(
+        self, events_csv, tmp_path, command
+    ):
+        config = write_config(
+            tmp_path, input={"path": events_csv}, split={"strategy": "time", "test_days": 1}
+        )
+        outdir = tmp_path / "out"
+        code, payload, _ = run_cli(
+            [command, "--config", config, "--output-dir", str(outdir), "--seed", "3",
+             *command_args(command)]
+        )
+        assert code == 0
+        _, plan, _ = run_cli(
+            [command, "--config", config, "--dry-run", *command_args(command)]
+        )
+        assert plan["planned_stages"] == PLANNED[command]
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert set(manifest["stage_seconds"]) == set(PLANNED[command])
+        assert "error" not in manifest and manifest["notes"] == []
+        assert (outdir / "resolved_config.json").exists()
+        for path in manifest["report_paths"].values():
+            assert os.path.exists(path), path
+
+    @pytest.mark.parametrize("command", sorted(PLANNED))
+    def test_missing_input_fails_in_ingest_with_a_partial_manifest(
+        self, tmp_path, command
+    ):
+        outdir = tmp_path / "out"
+        code, payload, err = run_cli(
+            [command, "--config", write_config(tmp_path, input={"path": str(tmp_path / "nope.csv")}),
+             "--output-dir", str(outdir), *command_args(command)]
+        )
+        assert code == 1 and payload == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error in stage ingest: ") and "nope.csv" in err
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["error"]["stage"] == "ingest"
+        assert manifest["stage_seconds"] == {}
+
+    def test_skipped_sections_are_noted_in_the_manifest(self, tmp_path):
+        rows = [(f"u{k}", f"i{(k + j) % 5:03d}", 100 + 10 * j)
+                for k in range(30) for j in range(4)]
+        path = write_events_csv(tmp_path / "oneday.csv", rows)
+        code, _, err = run_cli(
+            ["diagnose", "--input", path, "--output-dir", str(tmp_path / "out")]
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        notes = [line[len("note: "):] for line in err.splitlines() if line.startswith("note: ")]
+        assert notes and manifest["notes"] == notes
+
+    def test_threads_below_one_is_a_usage_error(self, events_csv, tmp_path):
+        outdir = tmp_path / "out"
+        code, _, err = run_cli(
+            ["evaluate", "--input", events_csv, "--output-dir", str(outdir),
+             "--threads", "0"]
+        )
+        assert code == 1 and "--threads" in err
+        assert not outdir.exists()
+
+    def test_same_config_gives_same_numbers_in_every_command(self, events_csv, tmp_path):
+        config = write_config(
+            tmp_path,
+            input={"path": events_csv},
+            split={"strategy": "time", "test_days": 1},
+            model={"name": "markov"},
+            eval={"tie_policy": "random", "sampler": "uniform:20"},
+            seed=5,
+        )
+
+        def outputs(command, *extra, exit_code=2):
+            outdir = tmp_path / command
+            code, payload, _ = run_cli(
+                [command, "--config", config, "--output-dir", str(outdir), *extra]
+            )
+            assert code == exit_code
+            return payload, outdir
+
+        evaluated, _ = outputs("evaluate")
+        compared, _ = outputs(
+            "compare", "--models", "popularity,markov", "--samplers", "none,uniform:20"
+        )
+        diagnosed, _ = outputs("diagnose", exit_code=0)
+        _, run_dir = outputs("run")
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        assert evaluated.pop("warnings") == compared["warnings"]
+        assert metrics == evaluated
+        assert metrics in compared["reports"]
+        diagnostics = json.loads((run_dir / "diagnostics.json").read_text())
+        assert diagnosed.pop("warnings") == []
+        assert diagnostics == diagnosed
+
+    def test_run_reuses_the_probe_report_of_its_model(self, events_csv, tmp_path, monkeypatch):
+        fits, evaluated = [], []
+        fit, evaluate = MarkovModel.fit, cli.evaluate
+        monkeypatch.setattr(
+            MarkovModel, "fit", lambda model, train: fits.append(1) or fit(model, train)
+        )
+        monkeypatch.setattr(
+            cli,
+            "evaluate",
+            lambda *args, **kwargs: evaluated.append(kwargs["model_name"])
+            or evaluate(*args, **kwargs),
+        )
+        outdir = tmp_path / "out"
+        code, _, _ = run_cli(
+            ["run", "--input", events_csv, "--output-dir", str(outdir),
+             "--strategy", "time", "--test-days", "1", "--model", "markov"]
+        )
+        assert code == 0
+        assert len(fits) == 1 and evaluated == ["markov", "cooccurrence"]
+        metrics = json.loads((outdir / "metrics.json").read_text())
+        diagnostics = json.loads((outdir / "diagnostics.json").read_text())
+        assert diagnostics["sequentiality"]["sequential"] == metrics
+
+
+class TestCompareExternal:
+    @pytest.fixture()
+    def scores_tsv(self, events_csv, tmp_path):
+        code, report, _ = run_cli(
+            ["evaluate", "--input", events_csv, "--output-dir", str(tmp_path / "probe"),
+             "--strategy", "time", "--test-days", "1", "--model", "popularity"]
+        )
+        assert code == 0
+        rng = np.random.default_rng(4)
+        path = tmp_path / "scores.tsv"
+        with open(path, "w", encoding="utf-8") as handle:
+            for case in range(report["total_cases"]):
+                row = rng.random(report["catalog_size"])
+                handle.write("\t".join([str(case), *map(repr, row.tolist())]) + "\n")
+        return str(path)
+
+    def test_compare_reports_the_same_external_numbers_as_evaluate(
+        self, events_csv, tmp_path, scores_tsv
+    ):
+        common = ["--input", events_csv, "--strategy", "time", "--test-days", "1",
+                  "--config", write_config(tmp_path, model={"scores_path": scores_tsv})]
+        code, evaluated, _ = run_cli(
+            ["evaluate", *common, "--output-dir", str(tmp_path / "eval"),
+             "--model", "external"]
+        )
+        assert code == 0
+        code, compared, err = run_cli(
+            ["compare", *common, "--output-dir", str(tmp_path / "cmp"),
+             "--models", "external,markov"]
+        )
+        assert code == 0, err
+        evaluated.pop("warnings")
+        assert compared["reports"][0] == evaluated
+        assert [r["model"] for r in compared["reports"]] == ["external", "markov"]
+
+    def test_compare_naming_external_needs_scores(self, events_csv, tmp_path):
+        code, _, err = run_cli(
+            ["compare", "--input", events_csv, "--output-dir", str(tmp_path),
+             "--models", "external,markov"]
+        )
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "model.scores_path" in err and "Traceback" not in err

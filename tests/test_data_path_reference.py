@@ -41,12 +41,15 @@ from recaudit.events import (
     canonical_dump_text,
     ingest_csv,
 )
-from recaudit.preprocess import PipelineConfig, Sequence, StepRecord, preprocess
+from recaudit.preprocess import Dataset, PipelineConfig, Sequence, StepRecord, preprocess
 from recaudit.splitting import (
     SELECT_ALL,
     SELECT_MOST_RECENT,
     LeaveOneOutSelection,
+    STRATEGY_LOO,
+    DatasetSplit,
     SideStats,
+    SplitSpec,
     SplitStats,
     leave_one_out_split,
     random_split,
@@ -677,3 +680,27 @@ class TestDiagnosticsMatchLoops:
         )
         if expected is not None:
             assert report.to_dict() == expected
+
+    def test_overlap_needs_a_training_prefix_for_every_loo_test_sequence(self):
+        index = ItemIndex.from_items(["a", "b", "c"])
+        train = Dataset.from_sequences(
+            [Sequence(4, "u4", np.array([0, 1]), np.array([0, 1]))], index
+        )
+        test = Dataset.from_sequences(
+            [
+                Sequence(4, "u4", np.array([2]), np.array([2])),
+                Sequence(9, "u9", np.array([1]), np.array([3])),
+            ],
+            index,
+        )
+        split = DatasetSplit(
+            train=train,
+            test=test,
+            spec=SplitSpec(strategy=STRATEGY_LOO, selection=LeaveOneOutSelection()),
+            stats=SplitStats(SideStats(2, 1, 1), SideStats(2, 2, 2), 0, 0),
+            split_time=None,
+        )
+        with pytest.raises(KeyError):
+            ref_overlap(list(train.sequences), list(test.sequences), loo=True)
+        with pytest.raises(DiagnosticsError, match="test sequence 9 has no training prefix"):
+            transition_overlap(split)

@@ -18,7 +18,6 @@ from recaudit.diagnostics import (
     collision_stats,
     new_transition_rate,
     plot_points,
-    sequentiality_probe,
     transition_overlap,
     transition_set,
 )
@@ -31,6 +30,7 @@ from synth import (
     build_split,
     chain_split,
     day,
+    fit_and_probe,
     log_of,
     make_index,
 )
@@ -344,7 +344,7 @@ class TestTransitionOverlap:
 class TestSequentialityProbe:
     def test_planted_chains_expose_order_signal(self):
         split = chain_split(7, 8, train_copies=30, test_copies=10)
-        report = sequentiality_probe(
+        report = fit_and_probe(
             split,
             cutoffs=(1, 20),
             tie_policy="random",
@@ -363,7 +363,7 @@ class TestSequentialityProbe:
 
     def test_shuffled_chains_erase_the_gap(self):
         split = chain_split(7, 8, train_copies=60, test_copies=10, shuffle_seed=5)
-        report = sequentiality_probe(
+        report = fit_and_probe(
             split, cutoffs=(1, 20), tie_policy="random", master_seed=3
         )
         change = report.relative_change_recall[20]
@@ -378,14 +378,14 @@ class TestSequentialityProbe:
             [([0, 1], [t, t + 5]) for t in (0, 20, 40)],
             [([0, 1], [100, 105]), ([0, 1], [120, 125])],
         )
-        report = sequentiality_probe(split, cutoffs=(1, 2))
+        report = fit_and_probe(split, cutoffs=(1, 2))
         assert report.relative_change_recall[1] == 0.0
         assert report.relative_change_recall[2] == 0.0
         assert report.verdict == VERDICT_WEAK
 
     def test_session_knn_accepted_as_sequential_baseline(self):
         split = chain_split(3, 4, train_copies=5, test_copies=2)
-        report = sequentiality_probe(
+        report = fit_and_probe(
             split, cutoffs=(1,), sequential_model="session_knn"
         )
         assert report.sequential.model == "session_knn"
@@ -393,16 +393,16 @@ class TestSequentialityProbe:
     def test_unknown_baseline_rejected(self):
         split = chain_split(2, 3, train_copies=2, test_copies=1)
         with pytest.raises(DiagnosticsError, match="baseline"):
-            sequentiality_probe(split, sequential_model="transformer")
+            fit_and_probe(split, sequential_model="transformer")
 
     def test_verdict_cutoff_must_be_evaluated(self):
         split = chain_split(2, 3, train_copies=2, test_copies=1)
         with pytest.raises(DiagnosticsError, match="cutoff"):
-            sequentiality_probe(split, cutoffs=(1, 5), verdict_cutoff=7)
+            fit_and_probe(split, cutoffs=(1, 5), verdict_cutoff=7)
 
     def test_report_serializes_to_json(self):
         split = chain_split(2, 3, train_copies=3, test_copies=1)
-        report = sequentiality_probe(split, cutoffs=(1, 2))
+        report = fit_and_probe(split, cutoffs=(1, 2))
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["verdict"] in (VERDICT_WEAK, VERDICT_PRESENT)
         assert set(payload["relative_change_recall"]) == {"1", "2"}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from recaudit import evaluation
 from recaudit.errors import EvaluationError
 from recaudit.evaluation import (
     EvalConfig,
@@ -18,7 +19,7 @@ from recaudit.evaluation import (
     sample_negatives,
 )
 from recaudit.events import ItemIndex
-from recaudit.models import EmbeddingMatrix, RecommenderModel, fit_markov, fit_popularity
+from recaudit.models import EmbeddingMatrix, MarkovModel, PopularityModel, RecommenderModel
 from recaudit.preprocess import Dataset, Sequence
 from recaudit.probability import sampled_topc_probability
 from recaudit.splitting import (
@@ -257,14 +258,14 @@ class TestEvaluate:
 
     def test_planted_chain_full_recall_at_one(self):
         split = split_from(["abcd"] * 4, ["abcd", "abcd"])
-        model = fit_markov(split.train)
+        model = MarkovModel().fit(split.train)
         report = evaluate(model, split, EvalConfig(cutoffs=(1, 5)))
         assert report.recall[1] == 1.0
         assert report.mrr[1] == 1.0
 
     def test_unseen_targets_skipped_and_counted(self):
         split = split_from(["abc", "abc"], ["abh"])  # h never trains
-        model = fit_popularity(split.train)
+        model = PopularityModel().fit(split.train)
         report = evaluate(model, split, EvalConfig(cutoffs=(1, 8)))
         assert report.total_cases == 2
         assert report.skipped_unseen_target_count == 1
@@ -273,11 +274,11 @@ class TestEvaluate:
     def test_all_targets_unseen_is_an_error(self):
         split = split_from(["abc"], ["ah"])
         with pytest.raises(EvaluationError, match="no scoreable"):
-            evaluate(fit_popularity(split.train), split, EvalConfig())
+            evaluate(PopularityModel().fit(split.train), split, EvalConfig())
 
     def test_metric_monotonicity_and_bounds(self):
         split = split_from(["abcd", "bcda", "cdab"], ["abcd", "dcba", "badc"])
-        report = evaluate(fit_markov(split.train), split, EvalConfig(cutoffs=(1, 2, 4, 8)))
+        report = evaluate(MarkovModel().fit(split.train), split, EvalConfig(cutoffs=(1, 2, 4, 8)))
         values = [report.recall[n] for n in report.cutoffs]
         assert values == sorted(values)
         mrrs = [report.mrr[n] for n in report.cutoffs]
@@ -288,7 +289,7 @@ class TestEvaluate:
 
     def test_sampled_ranks_dominate_full_ranks_per_case(self):
         split = split_from(["abcd", "bcda", "cdab", "abce"], ["abcd", "dcba", "badc"])
-        model = fit_markov(split.train)
+        model = MarkovModel().fit(split.train)
         cfg = EvalConfig(cutoffs=(1, 2))
         full = evaluate(model, split, cfg)
         for text in ("uniform:3", "popularity:3", "top_popular:3"):
@@ -301,7 +302,7 @@ class TestEvaluate:
 
     def test_worker_count_cannot_change_results(self):
         split = split_from(["abcd", "bcda", "cdab"], ["abcd", "dcba", "badc", "cabd"])
-        model = fit_markov(split.train)
+        model = MarkovModel().fit(split.train)
         cfg = EvalConfig(cutoffs=(1, 5), tie_policy="random", master_seed=17)
         sampler = SamplerSpec.parse("uniform:4")
         reports = [
@@ -346,6 +347,38 @@ class TestEvaluate:
         expected = sampled_topc_probability(catalog, rank_r, samples, cutoff)
         sigma = (expected * (1 - expected) / report.case_count) ** 0.5
         assert abs(report.recall[cutoff] - expected) <= 4 * sigma
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("cpus, expected", [(3, 3), (64, 6)])
+    def test_pool_never_outgrows_cpus_or_blocks(self, monkeypatch, cpus, expected):
+        created = []
+
+        class InlinePool:
+            """Runs the blocks in this process and records the pool size asked for."""
+
+            def __init__(self, max_workers, mp_context=None):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(
+            evaluation.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+        split = split_from(["abcd", "bcda", "cdab"], ["abcd", "dcba"])  # 6 cases
+        model = MarkovModel().fit(split.train)
+        cfg = EvalConfig(cutoffs=(1, 5))
+        wide = evaluate(model, split, cfg, workers=5000)
+        assert created == [expected]
+        assert wide.ranks.tolist() == evaluate(model, split, cfg).ranks.tolist()
 
 
 def make_report(recall, cutoffs=(5, 20), model="A", sampler="none"):

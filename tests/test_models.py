@@ -18,11 +18,8 @@ from recaudit.models import (
     SessionKNNModel,
     build_model,
     derive_embeddings,
+    MODEL_BUILDERS,
     dump_embeddings,
-    fit_cooccurrence,
-    fit_markov,
-    fit_popularity,
-    fit_session_knn,
     load_embeddings,
 )
 from recaudit.preprocess import Dataset, Sequence
@@ -47,64 +44,64 @@ EMPTY = Dataset.from_sequences([], INDEX)
 
 class TestPopularity:
     def test_ranks_by_support_for_any_prefix(self):
-        model = fit_popularity(make_dataset(["ab", "ab", "ab", "ab", "ab", "b"]))
+        model = PopularityModel().fit(make_dataset(["ab", "ab", "ab", "ab", "ab", "b"]))
         for prefix in ([], [C], [B, A]):
             scores = model.score_all(np.array(prefix, dtype=np.int64))
             assert scores[B] > scores[A] > scores[C]
 
     def test_scores_are_supports(self):
-        model = fit_popularity(make_dataset(["ab", "ac"]))
+        model = PopularityModel().fit(make_dataset(["ab", "ac"]))
         scores = model.score_all(np.array([], dtype=np.int64))
         assert scores.tolist() == [2, 1, 1, 0, 0, 0]
 
     def test_returned_vector_is_a_copy(self):
-        model = fit_popularity(make_dataset(["ab"]))
+        model = PopularityModel().fit(make_dataset(["ab"]))
         model.score_all(np.array([]))[A] = 99
         assert model.score_all(np.array([]))[A] == 1
 
     def test_empty_train_is_an_error(self):
         with pytest.raises(ModelError, match="empty"):
-            fit_popularity(EMPTY)
+            PopularityModel().fit(EMPTY)
 
 
 class TestMarkov:
     def test_transition_counts_rank_successors(self):
-        model = fit_markov(make_dataset(["ab", "ab", "ab", "ac"]))
+        model = MarkovModel().fit(make_dataset(["ab", "ab", "ab", "ac"]))
         scores = model.score_all(np.array([A]))
         assert scores[B] == 3.0 and scores[C] == 1.0
         assert scores[D] == 0.0
 
     def test_last_item_drives_the_row(self):
-        model = fit_markov(make_dataset(["ab", "bc"]))
+        model = MarkovModel().fit(make_dataset(["ab", "bc"]))
         scores = model.score_all(np.array([C, D, A]))
         assert scores[B] == 1.0 and scores[C] == 0.0
 
     def test_unseen_last_item_falls_back_to_popularity(self):
         data = make_dataset(["ab", "ab", "ac"])
-        model = fit_markov(data)
+        model = MarkovModel().fit(data)
         fallback = model.score_all(np.array([F]))
         assert fallback.tolist() == data.item_support.astype(float).tolist()
 
     def test_empty_prefix_falls_back(self):
-        model = fit_markov(make_dataset(["ab"]))
+        model = MarkovModel().fit(make_dataset(["ab"]))
         assert model.score_all(np.array([], dtype=np.int64)).tolist()[A] == 1.0
 
     def test_add_one_smoothing_floors_scores(self):
-        model = fit_markov(make_dataset(["ab", "ac"]), smoothing=1.0)
+        model = MarkovModel(smoothing=1.0).fit(make_dataset(["ab", "ac"]))
         scores = model.score_all(np.array([A]))
         assert scores.min() >= 1.0
         assert scores[B] == scores[C] == 2.0
 
     def test_deterministic_chain_is_memorized(self):
-        model = fit_markov(make_dataset(["abcd"] * 3))
+        model = MarkovModel().fit(make_dataset(["abcd"] * 3))
         for prev, nxt in [(A, B), (B, C), (C, D)]:
             assert int(np.argmax(model.score_all(np.array([prev])))) == nxt
 
     def test_order_sensitivity_witness(self):
         forward = make_dataset(["abc", "abc"])
         backward = make_dataset(["cba", "cba"])
-        one = fit_markov(forward).score_all(np.array([A]))
-        other = fit_markov(backward).score_all(np.array([A]))
+        one = MarkovModel().fit(forward).score_all(np.array([A]))
+        other = MarkovModel().fit(backward).score_all(np.array([A]))
         assert one.tolist() != other.tolist()
 
     def test_negative_smoothing_rejected(self):
@@ -114,7 +111,7 @@ class TestMarkov:
 
 class TestCooccurrence:
     def test_whole_sequence_pairs(self):
-        model = fit_cooccurrence(make_dataset(["abc"]))
+        model = CooccurrenceModel().fit(make_dataset(["abc"]))
         matrix = model.counts_.toarray()
         assert matrix[A][B] == matrix[B][A] == 1
         assert matrix[A][C] == matrix[C][A] == 1
@@ -122,19 +119,19 @@ class TestCooccurrence:
         assert matrix.diagonal().tolist() == [0] * 6
 
     def test_window_limits_pair_distance(self):
-        model = fit_cooccurrence(make_dataset(["abc"]), window=1)
+        model = CooccurrenceModel(window=1).fit(make_dataset(["abc"]))
         matrix = model.counts_.toarray()
         assert matrix[A][B] == 1 and matrix[B][C] == 1
         assert matrix[A][C] == 0
 
     def test_reversing_training_sequences_changes_nothing(self):
-        forward = fit_cooccurrence(make_dataset(["abc", "bdc"]))
-        backward = fit_cooccurrence(make_dataset(["cba", "cdb"]))
+        forward = CooccurrenceModel().fit(make_dataset(["abc", "bdc"]))
+        backward = CooccurrenceModel().fit(make_dataset(["cba", "cdb"]))
         probe = np.array([A, B])
         assert forward.score_all(probe).tolist() == backward.score_all(probe).tolist()
 
     def test_scores_sum_over_prefix_items(self):
-        model = fit_cooccurrence(make_dataset(["abc", "abd"]))
+        model = CooccurrenceModel().fit(make_dataset(["abc", "abd"]))
         scores = model.score_all(np.array([A, B]))
         # c co-occurs once with a and once with b; d likewise
         assert scores[C] == 2 and scores[D] == 2
@@ -143,7 +140,7 @@ class TestCooccurrence:
 
     def test_silent_prefix_falls_back_to_popularity(self):
         data = make_dataset(["ab", "ab"])
-        model = fit_cooccurrence(data)
+        model = CooccurrenceModel().fit(data)
         scores = model.score_all(np.array([F]))
         assert scores.tolist() == data.item_support.astype(float).tolist()
 
@@ -154,7 +151,7 @@ class TestCooccurrence:
 
 class TestSessionKNN:
     def test_hand_computed_cosine_vote(self):
-        model = fit_session_knn(make_dataset(["abc"]))
+        model = SessionKNNModel().fit(make_dataset(["abc"]))
         scores = model.score_all(np.array([A, B]))
         similarity = 2 / math.sqrt(6)
         assert np.isclose(scores[C], similarity * 3 / 3)
@@ -163,31 +160,31 @@ class TestSessionKNN:
         assert scores[D] == scores[E] == scores[F] == 0
 
     def test_decay_none_weights_equally(self):
-        model = fit_session_knn(make_dataset(["abc"]), decay="none")
+        model = SessionKNNModel(decay="none").fit(make_dataset(["abc"]))
         scores = model.score_all(np.array([A, B]))
         assert np.isclose(scores[A], scores[C])
 
     def test_disjoint_prefix_falls_back(self):
         data = make_dataset(["ab", "ab"])
-        model = fit_session_knn(data)
+        model = SessionKNNModel().fit(data)
         scores = model.score_all(np.array([F]))
         assert scores.tolist() == data.item_support.astype(float).tolist()
 
     def test_k_clamps_to_candidate_count(self):
-        model = fit_session_knn(make_dataset(["ab", "ac"]), k=50)
+        model = SessionKNNModel(k=50).fit(make_dataset(["ab", "ac"]))
         assert model.score_all(np.array([A])).max() > 0
 
     def test_sample_size_keeps_most_recent_sessions(self):
         # three sessions contain a; only the two most recent may vote
         data = make_dataset(["ab", "ac", "ad"])
-        model = fit_session_knn(data, sample_size=2)
+        model = SessionKNNModel(sample_size=2).fit(data)
         scores = model.score_all(np.array([A]))
         assert scores[B] == 0
         assert scores[C] > 0 and scores[D] > 0
 
     def test_more_similar_sessions_dominate(self):
         data = make_dataset(["abc", "adef", "abc"])
-        model = fit_session_knn(data, k=1)
+        model = SessionKNNModel(k=1).fit(data)
         scores = model.score_all(np.array([A, B]))
         assert scores[C] > 0
         assert scores[E] == 0
@@ -201,7 +198,11 @@ class TestSessionKNN:
             SessionKNNModel(decay="exponential")
 
 
-ALL_FITS = [fit_popularity, fit_markov, fit_cooccurrence, fit_session_knn]
+# each model fitted with default hyperparameters, under its historical test id
+ALL_FITS = [
+    pytest.param(lambda train, model=model: model().fit(train), id=f"fit_{name}")
+    for name, model in MODEL_BUILDERS.items()
+]
 
 
 class TestSharedContract:
@@ -228,7 +229,7 @@ class TestSharedContract:
             assert one.score_all(probe).tolist() == two.score_all(probe).tolist()
 
     def test_score_case_defaults_to_score_all(self):
-        model = fit_popularity(make_dataset(["ab"]))
+        model = PopularityModel().fit(make_dataset(["ab"]))
         probe = np.array([A])
         assert model.score_case(7, probe).tolist() == model.score_all(probe).tolist()
 
