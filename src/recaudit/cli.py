@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import sys
 import time
 
 from . import __version__
-from .config import CONFIG_KEYS, RunConfig
+from .config import CONFIG_KEYS, RANDOM_SAMPLERS, RunConfig
 from .diagnostics import (
     collision_hazard, collision_stats, new_transition_rate, probe_models,
     sequentiality_probe, transition_overlap,
@@ -224,13 +225,15 @@ def _grid(cfg: RunConfig, args) -> tuple[list[str], list[SamplerSpec]]:
         samplers = [SamplerSpec.parse(text) for text in args.samplers.split(",") if text.strip()]
     except ValueError as exc:
         raise ConfigError(f"--samplers: {exc}") from exc
+    if any(sampler.strategy in RANDOM_SAMPLERS for sampler in samplers):
+        cfg.sampling_seed()
     return names, samplers
 
 
 class _Context:
     """What the stages of one command share: data, fitted models, reports, manifest."""
 
-    def __init__(self, cfg: RunConfig, args, names, samplers) -> None:
+    def __init__(self, cfg: RunConfig, args, argv, names, samplers) -> None:
         self.cfg = cfg
         self.args = args
         self.plan = PLANS[args.command]
@@ -240,7 +243,9 @@ class _Context:
         self.full_run = args.command == "run"
         self.outdir = cfg.get("output.directory")
         self.names, self.samplers = names, samplers
-        self.manifest = RunManifest(tool_version=__version__, resolved_config=cfg.resolved())
+        self.manifest = RunManifest(
+            tool_version=__version__, resolved_config=cfg.resolved(), argv=argv
+        )
         self.log = self.data = self.split = self.embeddings = None
         self.sections = (None, None, None, None)
         self.models: dict = {}  # (name, params) -> fitted model
@@ -516,7 +521,20 @@ STAGES = {
 }
 
 
-def _run(args) -> int:
+class _NoteHandler(logging.Handler):
+    """Puts each library log record in the manifest's notes and on stderr."""
+
+    def __init__(self, notes: list[str]) -> None:
+        super().__init__(logging.WARNING)
+        self.notes = notes
+
+    def emit(self, record: logging.LogRecord) -> None:
+        message = record.getMessage()
+        self.notes.append(message)
+        print(message, file=sys.stderr)
+
+
+def _run(args, argv: list[str]) -> int:
     """Walk the command's stages; write the manifest whether or not they succeed."""
     cfg = _config_from_args(args)
     names, samplers = _grid(cfg, args)
@@ -529,11 +547,13 @@ def _run(args) -> int:
             "resolved_config": cfg.resolved(),
         })
         return 0
-    ctx = _Context(cfg, args, names, samplers)
+    ctx = _Context(cfg, args, argv, names, samplers)
     manifest = ctx.manifest
     ctx.write("resolved_config", "resolved_config.json", cfg.resolved())
     manifest_path = os.path.join(ctx.outdir, "manifest.json")
     payload = None
+    logger, handler = logging.getLogger(__package__), _NoteHandler(manifest.notes)
+    logger.addHandler(handler)
     try:
         for stage in plan:
             run_stage, write = STAGES[stage]
@@ -549,6 +569,8 @@ def _run(args) -> int:
         write_json(manifest_path, manifest.to_dict())
         print(f"error in stage {stage}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
     manifest.report_paths["manifest"] = manifest_path
     write_json(manifest_path, manifest.to_dict())
     _out(manifest.to_dict() if ctx.full_run else payload)
@@ -579,9 +601,10 @@ def cmd_prob(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        return cmd_prob(args) if args.command == "prob" else _run(args)
+        return cmd_prob(args) if args.command == "prob" else _run(args, argv)
     except (_UsageError, RecauditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

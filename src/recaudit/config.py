@@ -47,6 +47,8 @@ STRATEGY_ALIASES = {"loo": STRATEGY_LOO}
 
 RANDOM_SAMPLERS = (SAMPLER_UNIFORM, SAMPLER_POPULARITY, SAMPLER_INVERSE_POPULARITY)
 
+_SEED_KEYS = ("seed", "split.seed", "eval.master_seed", "model.embedding_seed")
+
 _SCHEMA: dict[str, tuple[type, Any]] = {
     "seed": (int, None),
     "input.path": (str, None),
@@ -146,6 +148,8 @@ class RunConfig:
         strategy = values["split.strategy"]
         values["split.strategy"] = STRATEGY_ALIASES.get(strategy, strategy)
         self._values = values
+        # seeds as given: the defaults filled in later never satisfy a need for one
+        self._given_seeds = {path: values[path] for path in _SEED_KEYS}
         self._validate()
 
     @classmethod
@@ -192,9 +196,9 @@ class RunConfig:
     # ---- cross-field validation -------------------------------------------
 
     def _require_seed(self, specific_key: str, reason: str) -> int:
-        value = self._values[specific_key]
+        value = self._given_seeds[specific_key]
         if value is None:
-            value = self._values["seed"]
+            value = self._given_seeds["seed"]
         if value is None:
             raise ConfigError(
                 f"{reason} needs a seed: set {specific_key!r} or the global 'seed'"
@@ -232,7 +236,7 @@ class RunConfig:
             raise ConfigError("model.name 'external' needs model.scores_path")
         sampler = self.sampler_spec()
         if sampler.strategy in RANDOM_SAMPLERS or v["eval.tie_policy"] == TIE_RANDOM:
-            self._require_seed("eval.master_seed", "stochastic evaluation")
+            self.sampling_seed()
         if sampler.strategy in EMBEDDING_SAMPLERS and v["model.embeddings_path"] is None:
             self._require_seed("model.embedding_seed", "deriving item embeddings")
         self.eval_config()
@@ -321,6 +325,9 @@ class RunConfig:
             return SamplerSpec.parse(self._values["eval.sampler"])
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"eval.sampler: {exc}") from exc
+
+    def sampling_seed(self) -> int:
+        return self._require_seed("eval.master_seed", "stochastic evaluation")
 
     def embedding_seed(self) -> int:
         return self._require_seed("model.embedding_seed", "deriving item embeddings")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .errors import EmbeddingError, ModelError
 from .events import ItemIndex
@@ -60,6 +59,94 @@ def _popularity_vector(train: Dataset) -> np.ndarray:
     return train.item_support.astype(np.float64)
 
 
+def _flatten(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """All training items in sequence order (int32), and each sequence's CSR offsets."""
+    return train.sequences.items.astype(np.int32), train.sequences.offsets
+
+
+def _pair_keys(
+    items: np.ndarray, offsets: np.ndarray, n: int, reach: int, symmetric: bool
+) -> np.ndarray:
+    """``a * n + b`` for each item a followed within one sequence by b at distance 1..reach.
+
+    With ``symmetric`` every pair also yields ``b * n + a``.  The keys fill one
+    array allocated up front, int32 when every key fits: at most ``reach``
+    (two ways: ``2 * reach``) keys an event.  At each distance only the left
+    positions that still have a partner in their sequence are kept, so the
+    work is the number of pairs, not ``reach`` times the number of events.
+    """
+    lengths = np.diff(offsets)
+    spans = np.minimum(lengths - 1, reach)  # the distances each sequence holds
+    pairs = int(np.sum(spans * lengths - spans * (spans + 1) // 2))
+    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    keys = np.empty(2 * pairs if symmetric else pairs, dtype=dtype)
+    left = np.arange(len(items))
+    ends = np.repeat(offsets[1:], lengths)
+    at = 0
+    for d in range(1, reach + 1):
+        keep = left + d < ends
+        left, ends = left[keep], ends[keep]
+        sources, targets = items[left], items[left + d]
+        for a, b in ((sources, targets), (targets, sources))[: 1 + symmetric]:
+            block = keys[at : at + len(left)]
+            np.multiply(a, n, out=block, dtype=dtype)
+            block += b
+            at += len(left)
+    return keys
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted ``keys`` and how often each occurs (float64)."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    # run lengths, written straight into the float counts
+    counts = np.empty(len(starts), dtype=np.float64)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = len(keys) - starts[-1:]
+    del starts
+    return keys[first], counts
+
+
+@dataclass(frozen=True)
+class CountMatrix:
+    """Square matrix of pair counts in canonical CSR form.
+
+    Row r holds the columns ``indices[indptr[r]:indptr[r + 1]]``, ascending
+    and distinct, with their counts in ``data``; no stored count is zero.
+    """
+
+    indptr: np.ndarray  # int64, one more than the rows
+    indices: np.ndarray  # int32
+    data: np.ndarray  # float64
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, n: int) -> "CountMatrix":
+        """Count each ``row * n + col`` key of an n × n matrix; sorts ``keys`` in place.
+
+        Each temporary is dropped once used: the build's temporaries, not the
+        result, set a model fit's peak memory.
+        """
+        keys.sort()
+        distinct, data = _runs(keys)
+        indptr = np.empty(n + 1, dtype=np.int64)
+        indptr[:-1] = np.searchsorted(distinct, np.arange(n, dtype=keys.dtype) * n)
+        indptr[-1] = len(distinct)
+        distinct %= n
+        return cls(indptr, distinct.astype(np.int32, copy=False), data)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.indptr) - 1,) * 2
+
+    def toarray(self) -> np.ndarray:
+        n = len(self.indptr) - 1
+        dense = np.zeros((n, n), dtype=np.float64)
+        dense[np.repeat(np.arange(n), np.diff(self.indptr)), self.indices] = self.data
+        return dense
+
+
 class PopularityModel(RecommenderModel):
     """Scores every item by its training support, prefix ignored."""
 
@@ -80,35 +167,24 @@ class MarkovModel(RecommenderModel):
 
     score(j) = count(last prefix item -> j) + smoothing.  A last item with no
     outgoing observations (or an empty prefix) falls back to popularity so the
-    ranking is always defined.
+    ranking is always defined.  ``transitions_`` is a :class:`CountMatrix` of
+    the adjacent pairs.
     """
 
     def __init__(self, smoothing: float = 0.0) -> None:
         if smoothing < 0:
             raise ValueError("smoothing must be non-negative")
         self.smoothing = smoothing
-        self.transitions_: sparse.csr_matrix | None = None
+        self.transitions_: CountMatrix | None = None
         self.fallback_: np.ndarray | None = None
 
     def fit(self, train: Dataset) -> "MarkovModel":
         self.fallback_ = _popularity_vector(train)
         n = len(train.item_index)
-        sources: list[np.ndarray] = []
-        targets: list[np.ndarray] = []
-        for seq in train.sequences:
-            if len(seq) > 1:
-                sources.append(seq.items[:-1])
-                targets.append(seq.items[1:])
-        if sources:
-            rows = np.concatenate(sources)
-            cols = np.concatenate(targets)
-            matrix = sparse.coo_matrix(
-                (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(n, n)
-            )
-        else:
-            matrix = sparse.coo_matrix((n, n), dtype=np.float64)
-        self.transitions_ = matrix.tocsr()
-        self.transitions_.sum_duplicates()
+        items, offsets = _flatten(train)
+        self.transitions_ = CountMatrix.from_keys(
+            _pair_keys(items, offsets, n, reach=1, symmetric=False), n
+        )
         return self
 
     def score_all(self, prefix: np.ndarray) -> np.ndarray:
@@ -125,11 +201,6 @@ class MarkovModel(RecommenderModel):
         return scores
 
 
-def _flatten(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """All training items in sequence order (int32), and each sequence's CSR offsets."""
-    return train.sequences.items.astype(np.int32), train.sequences.offsets
-
-
 def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the given CSR rows' entries, row after row, and the row lengths."""
     starts = indptr[rows]
@@ -139,6 +210,109 @@ def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np
     return positions, lengths
 
 
+# pairs the whole-sequence co-occurrence build makes at once; its temporaries
+# take about 30 bytes a pair (a dense block up to 64), so a few MB
+_PAIR_BUDGET = 1 << 17
+
+
+def _whole_sequence_counts(
+    items: np.ndarray, offsets: np.ndarray, n: int, budget: int = _PAIR_BUDGET
+) -> CountMatrix:
+    """Co-occurrence counts of every two positions of a sequence.
+
+    Entry (a, b) sums c_a · c_b over the sequences and the diagonal sums
+    c_a · (c_a − 1), c_a being a's occurrences in the sequence: the counts
+    of ``XᵀX − diag(colsum X)`` for the sequence × item occurrence matrix X.
+    Pairs are made between a sequence's distinct items, so the work grows
+    with the sum over sequences of U², U a sequence's distinct items, and
+    not with L², L its length: one entity with 20,000 events over a
+    3,000-item catalog makes at most 9M pairs, not 4 × 10⁸.
+
+    The rows are built in blocks of consecutive items, each making at most
+    ``budget`` pairs; a single item's row that makes more is taken
+    ``budget`` pairs at a time.  The blocks fill the result in row order, so
+    the memory is the result plus a fixed amount, whatever the sequence
+    lengths.  A block with at least a quarter as many pairs as cells counts
+    them into one dense array of its cells; a sparser one sorts its keys.
+    """
+    count = len(offsets) - 1
+    # each sequence's distinct items, ascending, and their occurrences
+    keys = np.repeat(np.arange(count, dtype=np.int64) * n, np.diff(offsets))
+    keys += items
+    keys.sort()
+    keys, occurrences = _runs(keys)
+    sequence, item = np.divmod(keys, n)
+    del keys
+    item = item.astype(np.int32)
+    sequence_ptr = np.searchsorted(sequence, np.arange(count + 1))
+    # the same (sequence, item) entries item by item, and the pairs made
+    # before each entry and before each row; sorting item * entries + entry
+    # is a stable argsort of item, several times faster than numpy's
+    total = len(item)
+    by_item = np.sort(item.astype(np.int64) * total + np.arange(total)) % total
+    row_ptr = np.searchsorted(item[by_item], np.arange(n + 1))
+    made = np.zeros(len(by_item) + 1, dtype=np.int64)
+    np.cumsum(np.diff(sequence_ptr)[sequence[by_item]], out=made[1:])
+    row_made = made[row_ptr]
+
+    def pairs(lo: int, hi: int, first_row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block keys ``(row - first_row) * n + col`` and weights of entries lo..hi's pairs."""
+        entries = by_item[lo:hi]
+        partners, widths = _row_positions(sequence_ptr, sequence[entries])
+        keys = np.repeat(((item[entries] - first_row) * n).astype(np.int32), widths)
+        keys += item[partners]
+        weights = np.repeat(occurrences[entries], widths)
+        weights *= occurrences[partners]
+        # an occurrence never pairs with itself
+        own = np.cumsum(widths) - widths + (entries - sequence_ptr[sequence[entries]])
+        weights[own] -= occurrences[entries]
+        return keys, weights
+
+    # a row holds at most n entries; pages past the last one written are
+    # never touched, and resize gives them back
+    bound = int(np.minimum(np.diff(row_made), n).sum())
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices = np.empty(bound, dtype=np.int32)
+    data = np.empty(bound, dtype=np.float64)
+    span = np.iinfo(np.int32).max // n  # rows whose block keys fit int32
+    filled = r0 = 0
+    while r0 < n:
+        r1 = int(np.searchsorted(row_made, row_made[r0] + budget, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), r0 + span, n)
+        lo, hi = row_ptr[r0], row_ptr[r1]
+        cells = (r1 - r0) * n
+        if lo == hi:  # items absent from training
+            keys, counts = np.empty(0, dtype=np.int64), np.empty(0)
+        elif cells <= 4 * (made[hi] - made[lo]):
+            sums = np.zeros(cells)
+            while lo < hi:
+                mid = int(np.searchsorted(made, made[lo] + budget, side="right")) - 1
+                mid = min(max(mid, lo + 1), hi)
+                sums += np.bincount(*pairs(lo, mid, r0), minlength=cells)
+                lo = mid
+            keys = np.flatnonzero(sums)
+            counts = sums[keys]
+        else:
+            keys, weights = pairs(lo, hi, r0)
+            single = keys[weights > 0]
+            single.sort()
+            distinct, counts = _runs(single)
+            del single
+            # each key counted once so far; add what its pairs weigh beyond that
+            heavy = np.flatnonzero(weights > 1)
+            at = np.searchsorted(distinct, keys[heavy])
+            counts += np.bincount(at, weights[heavy] - 1, minlength=len(counts))
+            keys = distinct
+        indptr[r0 + 1 : r1 + 1] = filled + np.searchsorted(keys, np.arange(1, r1 - r0 + 1) * n)
+        indices[filled : filled + len(keys)] = keys % n
+        data[filled : filled + len(keys)] = counts
+        filled += len(keys)
+        r0 = r1
+    indices.resize(filled, refcheck=False)
+    data.resize(filled, refcheck=False)
+    return CountMatrix(indptr, indices, data)
+
+
 class CooccurrenceModel(RecommenderModel):
     """Symmetric within-window co-occurrence counts, order ignored.
 
@@ -146,19 +320,19 @@ class CooccurrenceModel(RecommenderModel):
     at distance <= w.  score(j) sums j's co-occurrence with each prefix item,
     so reversing every training sequence provably changes nothing.
 
-    ``counts_`` is a canonical CSR matrix.  Without a window it is
-    ``XᵀX − diag(colsum X)`` over the sequence × item occurrence-count matrix
-    X; with one, it is built from one masked pass per distance d = 1..w over
-    the flat item array.  Scoring gathers the prefix items' rows and sums them
-    with one ``bincount``.  Every sum adds integer-valued counts, so the
-    result is exact whatever the order of accumulation.
+    ``counts_`` is a :class:`CountMatrix`.  Without a window it is built by
+    :func:`_whole_sequence_counts`, over each sequence's distinct items; with
+    one, from the keys of every pair at distance 1..w in both directions.
+    Scoring gathers the prefix items' rows and sums them with one
+    ``bincount``.  Every sum adds integer-valued counts, so the result is
+    exact whatever the order of accumulation.
     """
 
     def __init__(self, window: int | None = None) -> None:
         if window is not None and window < 1:
             raise ValueError("window must be >= 1 (or None for whole-sequence)")
         self.window = window
-        self.counts_: sparse.csr_matrix | None = None
+        self.counts_: CountMatrix | None = None
         self.fallback_: np.ndarray | None = None
 
     def fit(self, train: Dataset) -> "CooccurrenceModel":
@@ -166,29 +340,12 @@ class CooccurrenceModel(RecommenderModel):
         n = len(train.item_index)
         items, offsets = _flatten(train)
         if self.window is None:
-            occurrences = sparse.csr_matrix(
-                (np.ones(len(items)), items, offsets), shape=(len(offsets) - 1, n)
-            )
-            gram = (occurrences.T @ occurrences).tocsr()
-            # an item pairs with its other occurrences, never with itself
-            matrix = gram - sparse.diags(np.bincount(items, minlength=n).astype(np.float64))
-        else:
-            lengths = np.diff(offsets)
-            sequence_of = np.repeat(np.arange(len(lengths)), lengths)
-            sources: list[np.ndarray] = []
-            targets: list[np.ndarray] = []
-            for d in range(1, min(self.window, int(lengths.max()) - 1) + 1):
-                same = sequence_of[:-d] == sequence_of[d:]
-                sources.append(items[:-d][same])
-                targets.append(items[d:][same])
-            if sources:
-                rows, cols = np.concatenate(sources), np.concatenate(targets)
-                upper = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-                matrix = (upper + upper.T).tocsr()
-            else:
-                matrix = sparse.csr_matrix((n, n), dtype=np.float64)
-        matrix.sum_duplicates()
-        self.counts_ = matrix
+            self.counts_ = _whole_sequence_counts(items, offsets, n)
+            return self
+        reach = min(self.window, int(np.diff(offsets).max()) - 1)
+        self.counts_ = CountMatrix.from_keys(
+            _pair_keys(items, offsets, n, reach, symmetric=True), n
+        )
         return self
 
     def score_all(self, prefix: np.ndarray) -> np.ndarray:
@@ -368,7 +525,19 @@ def derive_embeddings(train: Dataset, d: int, seed: int) -> EmbeddingMatrix:
     counts = CooccurrenceModel(window=None).fit(train).counts_
     rng = np.random.default_rng(seed)
     projection = rng.standard_normal((n, d))
-    vectors = np.asarray(counts @ projection, dtype=np.float64)
+    # counts @ projection, each row's products added in entry order as a CSR
+    # matrix-vector product adds them.  With the rows longest first, those
+    # holding a k-th entry are a prefix, and pass k adds to that slice.
+    lengths = np.diff(counts.indptr)
+    order = np.argsort(-lengths, kind="stable")
+    starts = counts.indptr[:-1][order]
+    holding = np.cumsum(np.bincount(lengths)[::-1])[::-1]  # rows with >= L entries
+    by_length = np.zeros((n, d), dtype=np.float64)
+    for k in range(len(holding) - 1):
+        at = starts[: holding[k + 1]] + k
+        by_length[: len(at)] += counts.data[at, None] * projection[counts.indices[at]]
+    vectors = np.empty_like(by_length)
+    vectors[order] = by_length
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     np.divide(vectors, norms, out=vectors, where=norms > 0)
     return EmbeddingMatrix(vectors=vectors, provenance="derived")

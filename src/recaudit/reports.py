@@ -187,6 +187,7 @@ class RunManifest:
 
     tool_version: str
     resolved_config: dict
+    argv: list[str] = field(default_factory=list)  # the command line, options included
     input_checksums: dict[str, str] = field(default_factory=dict)
     stage_seconds: dict[str, float] = field(default_factory=dict)
     stage_stats: dict[str, dict] = field(default_factory=dict)
@@ -203,6 +204,7 @@ class RunManifest:
         payload = {
             "tool_version": self.tool_version,
             "resolved_config": self.resolved_config,
+            "argv": self.argv,
             "input_checksums": self.input_checksums,
             "stage_seconds": self.stage_seconds,
             "stage_stats": self.stage_stats,

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -345,6 +347,30 @@ class TestCompare:
              "--models", "markov", "--samplers", "uniform:-3", "--seed", "0"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("sampler", ["uniform:10", "popularity:10", "inverse_popularity:10"])
+    def test_random_sampler_without_seed_fails_like_evaluate(
+        self, events_csv, tmp_path, sampler
+    ):
+        code, payload, err = run_cli(
+            ["compare", "--input", events_csv, "--output-dir", str(tmp_path / "out"),
+             "--models", "markov", "--samplers", f"none,{sampler}"]
+        )
+        assert code == 1 and payload == ""
+        assert err.splitlines() == [
+            "error: stochastic evaluation needs a seed: "
+            "set 'eval.master_seed' or the global 'seed'"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_records_the_command_line(self, events_csv, tmp_path):
+        argv = ["compare", "--input", events_csv, "--output-dir", str(tmp_path),
+                "--strategy", "time", "--test-days", "1", "--models", "markov,popularity",
+                "--samplers", "none,uniform:20", "--metric", "mrr", "--seed", "9"]
+        code, _, _ = run_cli(argv)
+        assert code == 2
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["argv"] == argv
 
 
 class TestRun:
@@ -703,6 +729,30 @@ class TestStageRunner:
         notes = [line[len("note: "):] for line in err.splitlines() if line.startswith("note: ")]
         assert notes and manifest["notes"] == notes
 
+    def test_ingest_rejects_are_noted_in_the_manifest(self, tmp_path):
+        path = write_events_csv(tmp_path / "events.csv", browsing_rows())
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("u999,i001,notatime\n")
+        outdir = tmp_path / "out"
+        code, _, err = run_cli(["ingest", "--input", path, "--output-dir", str(outdir)])
+        assert code == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["stage_stats"]["ingest"]["rejected_rows"] == 1
+        [note] = manifest["notes"]
+        assert note.startswith("ingest rejected 1/") and "notatime" in note
+        assert err.splitlines() == [note]
+
+    def test_event_type_filter_warning_is_noted_in_the_manifest(self, events_csv, tmp_path):
+        outdir = tmp_path / "out"
+        code, _, err = run_cli(
+            ["preprocess", "--input", events_csv, "--output-dir", str(outdir),
+             "--keep-event-type", "view"]
+        )
+        assert code == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["notes"] == ["event-type filter skipped: log carries no event types"]
+        assert err.splitlines() == manifest["notes"]
+
     def test_threads_below_one_is_a_usage_error(self, events_csv, tmp_path):
         outdir = tmp_path / "out"
         code, _, err = run_cli(
@@ -811,3 +861,37 @@ class TestCompareExternal:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert "model.scores_path" in err and "Traceback" not in err
+
+
+# Runs in a fresh interpreter: a run whose sequentiality probe fits markov and
+# cooccurrence, then an evaluation that derives item embeddings.
+SCIPY_FREE_RUN = """
+import contextlib, io, json, sys
+from recaudit.cli import main
+csv, out = sys.argv[1], sys.argv[2]
+common = ["--input", csv, "--strategy", "time", "--test-days", "1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["run", *common, "--output-dir", out + "/run", "--model", "markov"]),
+        main(["evaluate", *common, "--output-dir", out + "/evaluate",
+              "--sampler", "similar_embedding:5", "--seed", "1"]),
+    ]
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_no_command_imports_scipy(events_csv, tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RECAUDIT_")}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN, events_csv, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result == {"codes": [0, 2], "scipy": []}
+    diagnostics = json.loads((tmp_path / "run" / "diagnostics.json").read_text())
+    assert "sequentiality" in diagnostics
+    assert (tmp_path / "evaluate" / "metrics.json").exists()

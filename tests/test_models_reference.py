@@ -1,21 +1,29 @@
-"""Exact-equality oracles for the array implementations of the co-occurrence
-and session-kNN models.
+"""Exact-equality oracles for the array implementations of the markov,
+co-occurrence and session-kNN models and of derived embeddings.
 
 The reference functions below are the straightforward loop implementations
-(Python sets, ``sorted`` and one ``np.add.at`` per neighbor).  The models must
-reproduce their scores bit for bit and, for co-occurrence, the same canonical
-CSR matrix.
+(Python sets, ``sorted`` and one ``np.add.at`` per neighbor), with count
+matrices built by scipy.sparse, which only the tests use.  The models must
+reproduce their scores bit for bit and the same canonical CSR matrices.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from recaudit.events import ItemIndex
-from recaudit.models import CooccurrenceModel, SessionKNNModel, derive_embeddings
+from recaudit.models import (
+    CooccurrenceModel,
+    MarkovModel,
+    SessionKNNModel,
+    _flatten,
+    _whole_sequence_counts,
+    derive_embeddings,
+)
 from recaudit.preprocess import Dataset, Sequence
 
 
@@ -38,6 +46,29 @@ def reference_cooccurrence_counts(train, window):
         matrix = sparse.csr_matrix((n, n), dtype=np.float64)
     matrix.sum_duplicates()
     return matrix
+
+
+def reference_transitions(train):
+    n = len(train.item_index)
+    rows, cols = [], []
+    for seq in train.sequences:
+        items = seq.items.tolist()
+        rows.extend(items[:-1])
+        cols.extend(items[1:])
+    data = np.ones(len(rows), dtype=np.float64)
+    matrix = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    matrix.sum_duplicates()
+    return matrix
+
+
+def reference_embeddings(train, d, seed):
+    """Whole-sequence counts times a seeded projection, rows L2-normalized."""
+    counts = reference_cooccurrence_counts(train, None)
+    projection = np.random.default_rng(seed).standard_normal((CATALOG, d))
+    vectors = np.asarray(counts @ projection, dtype=np.float64)
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    np.divide(vectors, norms, out=vectors, where=norms > 0)
+    return vectors
 
 
 def reference_cooccurrence_scores(train, counts, prefix):
@@ -129,6 +160,21 @@ prefixes_strategy = st.lists(
 )
 
 
+class TestMarkovMatchesReference:
+    @given(sessions=sessions_strategy)
+    @example(sessions=[([3], 0), ([1], 2)])  # one-event sequences only: no pairs
+    @example(sessions=[([0, 1, 0, 1], 0), ([0, 1], 1), ([2], 1)])  # repeated pairs
+    @settings(max_examples=200, deadline=None)
+    def test_transitions_are_identical(self, sessions):
+        train = make_dataset(sessions)
+        transitions = MarkovModel().fit(train).transitions_
+        expected = reference_transitions(train)
+        assert transitions.shape == expected.shape
+        assert transitions.indptr.tolist() == expected.indptr.tolist()
+        assert transitions.indices.tolist() == expected.indices.tolist()
+        assert transitions.data.tolist() == expected.data.tolist()
+
+
 class TestCooccurrenceMatchesReference:
     @given(
         sessions=sessions_strategy,
@@ -150,6 +196,44 @@ class TestCooccurrenceMatchesReference:
                 train, expected, prefix
             ).tolist()
 
+    # small budgets split the rows into many blocks, take one item's row a few
+    # pairs at a time, and reach both the dense and the sorted block counts
+    @given(sessions=sessions_strategy, budget=st.sampled_from([1, 2, 3, 5, 8, 13, 64]))
+    @example(sessions=[([0, 0, 0, 0, 0, 0, 0], 0), ([0, 1, 0, 1, 0, 1], 1)], budget=2)
+    @example(sessions=[([5, 4], 0), ([4], 1)], budget=1)  # rows 0-3 hold nothing
+    @settings(max_examples=300, deadline=None)
+    def test_whole_sequence_blocks_are_identical(self, sessions, budget):
+        train = make_dataset(sessions)
+        items, offsets = _flatten(train)
+        counts = _whole_sequence_counts(items, offsets, CATALOG, budget)
+        expected = reference_cooccurrence_counts(train, None)
+        assert counts.indptr.tolist() == expected.indptr.tolist()
+        assert counts.indices.tolist() == expected.indices.tolist()
+        assert counts.data.tolist() == expected.data.tolist()
+        assert (counts.indptr.dtype, counts.indices.dtype) == (np.int64, np.int32)
+
+    def test_one_long_sequence_is_counted_over_its_distinct_items(self):
+        # 6000 events over 6 items: 36 item pairs, where counting every two
+        # positions would hold 36M keys (144 MB) at once
+        codes = np.arange(6000) % 6
+        train = make_dataset([(codes.tolist(), 0), ([0, 1], 1)])
+        tracemalloc.start()
+        try:
+            counts = CooccurrenceModel().fit(train).counts_
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        dense = counts.toarray()
+        # 1000 occurrences of each item: 1000 * 1000 pairs between two items,
+        # 1000 * 999 of an item with itself; the short sequence adds one 0-1 pair
+        expected = np.zeros((CATALOG, CATALOG))
+        expected[:6, :6] = 1000 * 1000
+        expected[range(6), range(6)] = 1000 * 999
+        expected[0, 1] += 1
+        expected[1, 0] += 1
+        assert dense.tolist() == expected.tolist()
+
     def test_embeddings_follow_the_reference_counts(self):
         train = make_dataset([([0, 1, 2, 0], 1), ([2, 3], 2), ([1, 4, 5, 1, 3], 2)])
         counts = reference_cooccurrence_counts(train, None)
@@ -159,6 +243,20 @@ class TestCooccurrenceMatchesReference:
         np.divide(vectors, norms, out=vectors, where=norms > 0)
         derived = derive_embeddings(train, d=4, seed=3)
         assert derived.vectors.tolist() == vectors.tolist()
+
+    # items 6 and 7 never occur in training and an item seen only in
+    # one-event sequences co-occurs with nothing: their rows stay at zero
+    @given(
+        sessions=sessions_strategy,
+        d=st.integers(1, CATALOG),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(sessions=[([4], 0), ([0, 1, 0], 1)], d=3, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_derived_embeddings_are_identical(self, sessions, d, seed):
+        train = make_dataset(sessions)
+        derived = derive_embeddings(train, d=d, seed=seed)
+        assert derived.vectors.tolist() == reference_embeddings(train, d, seed).tolist()
 
 
 class TestSessionKNNMatchesReference:
