@@ -121,9 +121,11 @@ def _env_overrides(environ: Mapping[str, str]) -> dict[str, Any]:
 
 
 def _check_type(path: str, value: Any) -> Any:
-    expected, _ = _SCHEMA[path]
+    expected, default = _SCHEMA[path]
     if value is None:
-        return None
+        if default is None:
+            return None
+        raise ConfigError(f"config key {path!r} expects {expected.__name__}, got null")
     if expected is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
     if expected is int and (isinstance(value, bool) or not isinstance(value, int)):
@@ -167,7 +169,7 @@ class RunConfig:
                     document = json.load(handle)
             except OSError as exc:
                 raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
             if not isinstance(document, dict):
                 raise ConfigError("config document must be a JSON object")
@@ -208,6 +210,13 @@ class RunConfig:
 
     def _validate(self) -> None:
         v = self._values
+        for path in _SEED_KEYS:
+            if v[path] is not None and v[path] < 0:
+                raise ConfigError(f"config key {path!r} must be non-negative, got {v[path]}")
+        if v["input.delimiter"] is not None and len(v["input.delimiter"]) != 1:
+            raise ConfigError(
+                f"input.delimiter must be one character, got {v['input.delimiter']!r}"
+            )
         if v["split.strategy"] not in (STRATEGY_TIME, STRATEGY_LOO, STRATEGY_RANDOM):
             raise ConfigError(f"split.strategy {v['split.strategy']!r} is unknown")
         if (

@@ -238,15 +238,53 @@ def _weighted_without_replacement(
     weights: np.ndarray, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Exponential-keys draw: smallest exp(1)/w keys win, zero weight never."""
-    positive = int(np.count_nonzero(weights > 0))
+    mask = weights > 0
+    keys = np.full(len(weights), np.inf)
+    keys[mask] = rng.exponential(size=int(np.count_nonzero(mask))) / weights[mask]
+    return np.argpartition(keys, count - 1)[:count]
+
+
+# rounds of with-replacement draws before the rest of a weighted sample is
+# keyed; enough that only weight piled on a few items reaches the keys
+_SUCCESSIVE_ROUNDS = 4
+
+
+def _successive_sample(
+    weights: np.ndarray, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` distinct items drawn one after another in proportion to weight.
+
+    Draws with replacement through the cumulative table and keeps first
+    occurrences in draw order: that is successive sampling without
+    replacement, zero weights never drawn.  Whatever a few rounds leave
+    short is finished with exponential keys over the items not yet chosen,
+    the exact conditional law of the rest of a successive sample.
+    ``weights`` is non-negative and is overwritten.
+    """
+    positive = int(np.count_nonzero(weights))
     if positive < count:
         raise EvaluationError(
             f"only {positive} items have positive sampling weight, need {count}"
         )
-    keys = np.full(len(weights), np.inf)
-    mask = weights > 0
-    keys[mask] = rng.exponential(size=positive) / weights[mask]
-    return np.argpartition(keys, count - 1)[:count]
+    cumulative = np.cumsum(weights)
+    # u * total < total for u in [0, 1), so no draw lands past the last
+    # positive weight, and side="right" skips every zero-width interval
+    total = cumulative[-1]
+    chosen = np.empty(0, dtype=np.intp)
+    for _ in range(_SUCCESSIVE_ROUNDS):
+        need = count - len(chosen)
+        # an eighth more than needed, so that repeats rarely force another round
+        draws = np.searchsorted(
+            cumulative, rng.random(need + need // 8 + 1) * total, side="right"
+        )
+        pool = np.concatenate((chosen, draws))
+        _, first = np.unique(pool, return_index=True)
+        chosen = pool[np.sort(first)[:count]]
+        if len(chosen) == count:
+            return chosen
+    weights[chosen] = 0.0
+    rest = _weighted_without_replacement(weights, count - len(chosen), rng)
+    return np.concatenate((chosen, rest))
 
 
 def _top_by_value(values: np.ndarray, count: int, target: int) -> np.ndarray:
@@ -268,22 +306,26 @@ def sample_negatives(
 
     The target is never a candidate.  The ``top_popular`` and embedding
     strategies are deterministic (rank by support / similarity / distance with
-    index tie-breaks); the others draw through ``rng``.
+    index tie-breaks); the others draw through ``rng``: ``uniform`` without
+    replacement over the catalog minus the target, ``popularity`` and
+    ``inverse_popularity`` successively in proportion to support or its
+    inverse, the target excluded.
     """
     count = spec.resolve_count(catalog_size)
     strategy = spec.strategy
     if strategy == SAMPLER_UNIFORM:
-        weights = np.ones(catalog_size)
-        weights[target] = 0.0
-        return _weighted_without_replacement(weights, count, rng)
+        # Floyd's algorithm over the catalog minus the target, shifted past it
+        negatives = rng.choice(catalog_size - 1, size=count, replace=False, shuffle=False)
+        negatives += negatives >= target
+        return negatives
     if strategy in (SAMPLER_POPULARITY, SAMPLER_INVERSE_POPULARITY):
-        weights = support.astype(np.float64).copy()
-        if strategy == SAMPLER_INVERSE_POPULARITY:
-            out = np.zeros_like(weights)
-            np.divide(1.0, weights, out=out, where=weights > 0)
-            weights = out
+        if strategy == SAMPLER_POPULARITY:
+            weights = support.astype(np.float64)
+        else:
+            weights = np.zeros(catalog_size)
+            np.divide(1.0, support, out=weights, where=support > 0)
         weights[target] = 0.0
-        return _weighted_without_replacement(weights, count, rng)
+        return _successive_sample(weights, count, rng)
     if strategy == SAMPLER_TOP_POPULAR:
         return _top_by_value(support.astype(np.float64), count, target)
     if strategy in EMBEDDING_SAMPLERS:

@@ -14,6 +14,7 @@ replays precomputed per-case score rows instead of computing them.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -329,7 +330,8 @@ class CooccurrenceModel(RecommenderModel):
     """
 
     def __init__(self, window: int | None = None) -> None:
-        if window is not None and window < 1:
+        # operator.index refuses a fractional window before a fit trips on it
+        if window is not None and operator.index(window) < 1:
             raise ValueError("window must be >= 1 (or None for whole-sequence)")
         self.window = window
         self.counts_: CountMatrix | None = None
@@ -390,9 +392,9 @@ class SessionKNNModel(RecommenderModel):
     """
 
     def __init__(self, k: int = 100, sample_size: int = 1000, decay: str = "linear") -> None:
-        if k < 1:
+        if operator.index(k) < 1:
             raise ValueError("k must be >= 1")
-        if sample_size < 1:
+        if operator.index(sample_size) < 1:
             raise ValueError("sample_size must be >= 1")
         if decay not in ("linear", "none"):
             raise ValueError("decay must be 'linear' or 'none'")
@@ -543,6 +545,21 @@ def derive_embeddings(train: Dataset, d: int, seed: int) -> EmbeddingMatrix:
     return EmbeddingMatrix(vectors=vectors, provenance="derived")
 
 
+def _text_lines(path: Path, error: type[Exception], what: str):
+    """(line number, line) for each non-blank line of a UTF-8 text file.
+
+    A file that cannot be opened, read or decoded raises ``error``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line:
+                    yield line_no, line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
 def load_embeddings(source, item_index: ItemIndex) -> EmbeddingMatrix:
     """Parse tab-separated ``item_id<TAB>v1..vd`` rows covering the catalog.
 
@@ -552,32 +569,24 @@ def load_embeddings(source, item_index: ItemIndex) -> EmbeddingMatrix:
     path = Path(source)
     seen: dict[int, np.ndarray] = {}
     dimension: int | None = None
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise EmbeddingError(f"cannot read embeddings {path}: {exc}") from None
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise EmbeddingError(f"{path}:{line_no}: expected item_id and values")
-            item_id = parts[0]
-            if item_id not in item_index:
-                continue
-            try:
-                values = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingError(f"{path}:{line_no}: {exc}") from None
-            if dimension is None:
-                dimension = len(values)
-            elif len(values) != dimension:
-                raise EmbeddingError(
-                    f"{path}:{line_no}: dimension {len(values)} != {dimension}"
-                )
-            seen[item_index.forward[item_id]] = values
+    for line_no, line in _text_lines(path, EmbeddingError, "embeddings"):
+        parts = line.split("\t")
+        if len(parts) < 2:
+            raise EmbeddingError(f"{path}:{line_no}: expected item_id and values")
+        item_id = parts[0]
+        if item_id not in item_index:
+            continue
+        try:
+            values = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise EmbeddingError(f"{path}:{line_no}: {exc}") from None
+        if dimension is None:
+            dimension = len(values)
+        elif len(values) != dimension:
+            raise EmbeddingError(
+                f"{path}:{line_no}: dimension {len(values)} != {dimension}"
+            )
+        seen[item_index.forward[item_id]] = values
     missing = [item for item in item_index.reverse if item_index.forward[item] not in seen]
     if missing:
         sample = ", ".join(missing[:5])
@@ -623,30 +632,24 @@ class ExternalScoresModel(RecommenderModel):
                 raise ModelError(
                     f"{path}: expected a 2-d matrix with {catalog_size} columns"
                 )
+            if matrix.dtype.kind not in "biuf":
+                raise ModelError(f"{path}: expected real-valued scores, got {matrix.dtype}")
             self.rows_ = {i: matrix[i].astype(np.float64) for i in range(matrix.shape[0])}
         else:
             rows: dict[int, np.ndarray] = {}
-            try:
-                fh = open(path, "r", encoding="utf-8")
-            except OSError as exc:
-                raise ModelError(f"cannot read scores {path}: {exc}") from None
-            with fh:
-                for line_no, line in enumerate(fh, start=1):
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    parts = line.split("\t")
-                    try:
-                        case_index = int(parts[0])
-                        values = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-                    except ValueError as exc:
-                        raise ModelError(f"{path}:{line_no}: {exc}") from None
-                    if len(values) != catalog_size:
-                        raise ModelError(
-                            f"{path}:{line_no}: {len(values)} scores for a "
-                            f"{catalog_size}-item catalog"
-                        )
-                    rows[case_index] = values
+            for line_no, line in _text_lines(path, ModelError, "scores"):
+                parts = line.split("\t")
+                try:
+                    case_index = int(parts[0])
+                    values = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+                except ValueError as exc:
+                    raise ModelError(f"{path}:{line_no}: {exc}") from None
+                if len(values) != catalog_size:
+                    raise ModelError(
+                        f"{path}:{line_no}: {len(values)} scores for a "
+                        f"{catalog_size}-item catalog"
+                    )
+                rows[case_index] = values
             self.rows_ = rows
         for row in self.rows_.values():
             if not np.isfinite(row).all():

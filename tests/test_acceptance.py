@@ -1,10 +1,11 @@
 """Ten end-to-end gates the finished harness must clear.
 
 Each test pins one numbered requirement with its tolerance stated inline:
-closed-form fidelity and oracles, sampling-bias dominance, metric-ordering
-flips under shrinking candidate sets, leakage and sequentiality audits,
-collision warnings, preprocessing fixpoints, cross-thread determinism, and
-full-catalog throughput.  Gap sizes and rates are printed alongside the
+closed-form fidelity and oracles, sampling-bias dominance and the uniform
+sampler against the closed form, metric-ordering flips under shrinking
+candidate sets, leakage and sequentiality audits, collision warnings,
+preprocessing fixpoints, cross-thread determinism, and full-catalog
+throughput.  Gap sizes and rates are printed alongside the
 asserts so a verbose run doubles as a measurement report.
 """
 
@@ -187,13 +188,11 @@ class TestFormulaOracles:
 CATALOG_10K = 10000
 
 
-def _skewed_walk_rows(count, length, seed, start_time):
+def _skewed_walk_rows(count, length, seed, start_time, catalog=CATALOG_10K):
     """Popularity-skewed walks with a planted successor function."""
     rng = np.random.default_rng(seed)
-    weights = 1.0 / (np.arange(CATALOG_10K) + 20.0)
-    popular = rng.choice(
-        CATALOG_10K, size=count * length, p=weights / weights.sum()
-    )
+    weights = 1.0 / (np.arange(catalog) + 20.0)
+    popular = rng.choice(catalog, size=count * length, p=weights / weights.sum())
     coins = rng.random((count, length))
     rows = []
     cursor = 0
@@ -203,7 +202,7 @@ def _skewed_walk_rows(count, length, seed, start_time):
         cursor += 1
         for step in range(1, length):
             if coins[s, step] < 0.6:
-                items.append((items[-1] * 7 + 13) % CATALOG_10K)
+                items.append((items[-1] * 7 + 13) % catalog)
             else:
                 items.append(int(popular[cursor]))
                 cursor += 1
@@ -255,6 +254,61 @@ class TestSamplingBiasDominance:
             f"cases x 8 strategies; uniform:100 recall@20 {uniform_report.recall[20]:.4f} "
             f"vs full {full.recall[20]:.4f} (gap +{gap:.4f})"
         )
+
+
+class TestClosedFormOracle:
+    """Uniform sampled recall matches the closed form the full ranks predict.
+
+    A case whose target has full rank r among N items (ties resolved by the
+    same policy) stays in the sampled top-C with probability P(N, r, S, C);
+    cases draw independently, so sampled recall@C has mean mean(p) and
+    variance sum(p(1 - p)) / n^2.  The small catalog makes each sample a
+    large share of it, where drawing with replacement or drawing the target
+    as its own negative moves recall by many sigma.
+    """
+
+    @pytest.mark.parametrize(
+        "catalog, tie_policy",
+        [(CATALOG_10K, "optimistic"), (150, "optimistic"), (150, "pessimistic")],
+    )
+    def test_uniform_recall_within_four_sigma_of_the_closed_form(self, catalog, tie_policy):
+        split = build_split(
+            make_index(catalog),
+            _skewed_walk_rows(3000, 5, seed=20, start_time=0, catalog=catalog),
+            _skewed_walk_rows(400, 5, seed=21, start_time=2 * DAY, catalog=catalog),
+            split_time=DAY,
+        )
+        model = MarkovModel().fit(split.train)
+        cutoffs = (1, 5, 10, 20)
+        full = evaluate(model, split, EvalConfig(cutoffs=cutoffs, tie_policy=tie_policy))
+        ranks = full.ranks[full.ranks > 0]
+        distinct, inverse = np.unique(ranks, return_inverse=True)
+        for samples in (20, 100):
+            for seed in (7, 8):
+                cfg = EvalConfig(cutoffs=cutoffs, tie_policy=tie_policy, master_seed=seed)
+                report = evaluate(
+                    model, split, cfg, SamplerSpec(strategy="uniform", sample_count=samples)
+                )
+                zs = []
+                for cutoff in cutoffs:
+                    p = np.clip([
+                        sampled_topc_probability_float(catalog, int(r), samples, cutoff)
+                        for r in distinct
+                    ], 0.0, 1.0)[inverse]  # log-space rounding can pass 1
+                    expected = float(p.mean())
+                    sigma = float(np.sqrt(np.sum(p * (1 - p)))) / len(p)
+                    observed = report.recall[cutoff]
+                    if sigma == 0:
+                        assert observed == pytest.approx(expected, abs=1e-12)
+                        zs.append(0.0)
+                        continue
+                    zs.append((observed - expected) / sigma)
+                assert max(abs(z) for z in zs) <= 4, (samples, seed, zs)
+                print(
+                    f"PASS 3b: {catalog} items, {tie_policy} ties, uniform:{samples} "
+                    f"seed {seed} on {len(ranks)} cases, z "
+                    + " ".join(f"@{c} {z:+.2f}" for c, z in zip(cutoffs, zs))
+                )
 
 
 # ---- 4. ordering flips move forward as the candidate set shrinks -------------

@@ -7,14 +7,17 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recaudit
 from recaudit import cli
 from recaudit.cli import main
+from recaudit.config import CONFIG_KEYS
 from recaudit.models import MarkovModel
 from synth import DAY, browsing_rows, write_events_csv
 
@@ -575,6 +578,13 @@ class TestUsageAndConfig:
         assert code == 0
         assert set(payload["recall"]) == {"3", "9"}
 
+    def test_package_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+            declared = tomllib.load(handle)["project"]["version"]
+        assert recaudit.__version__ == declared
+
     def test_config_file_supplies_input(self, events_csv, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -653,6 +663,260 @@ class TestMalformedInputFuzz:
             assert code in (0, 2)
             assert "error" not in manifest
             assert manifest["stage_stats"]["ingest"]["rejected_rows"] == bad_count
+
+
+def assert_failure_contract(code, err, outdir):
+    """Exit 0, 1 or 2 and no traceback; a failure prints one error line, last.
+
+    A failure inside the stage runner names its stage and leaves a manifest
+    recording it; one before the runner starts is a plain ``error:`` line.
+    """
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+    manifest_path = os.path.join(outdir, "manifest.json")
+    manifest = {}
+    if os.path.exists(manifest_path):
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    errors = [line for line in err.splitlines() if line.startswith("error")]
+    if code != 1:
+        assert errors == [] and "error" not in manifest, err
+        return
+    assert errors == err.rstrip("\n").splitlines()[-1:], err
+    if "error" in manifest:
+        assert errors[0].startswith(f"error in stage {manifest['error']['stage']}: "), err
+    else:
+        assert errors[0].startswith("error: "), err
+
+
+def fuzz_run(argv):
+    """run_cli in a fresh output directory; (exit code, stderr) after the contract check."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = os.path.join(tmp, "out")
+        code, _, err = run_cli([*argv, "--output-dir", outdir])
+        assert_failure_contract(code, err, outdir)
+    return code, err
+
+
+# tokens that mean something to some config key, so fuzzed strings are not all noise
+CONFIG_TOKENS = (
+    "uniform:3", "popularity:50%", "inverse_popularity:2", "top_popular:0", "uniform:0.0%",
+    "similar_embedding:2", "farthest_embedding:999", "uniform:x", "none", "random",
+    "pessimistic", "loo", "time", "most_recent:2", "random:1", "random:-1", "all", "gap",
+    "by_entity", "markov", "session_knn", "cooccurrence", "external", "popularity",
+    "all_sequences", "active_sequences", ",", "\t", "", "x",
+)
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from(CONFIG_TOKENS),
+    st.text(max_size=5),
+    st.lists(st.integers(-3, 40), max_size=4),
+    st.dictionaries(
+        st.sampled_from(["smoothing", "window", "k", "sample_size", "decay", "x"]),
+        st.one_of(st.integers(-3, 5), st.floats(), st.sampled_from(["none", "linear", ""])),
+        max_size=2,
+    ),
+)
+# the command line sets input and output; everything else comes from the fuzz
+FUZZED_KEYS = sorted(set(CONFIG_KEYS) - {"input.path", "output.directory"})
+FUZZ_COMMANDS = (
+    ("run",),
+    ("compare", "--models", "markov,popularity", "--samplers", "none,popularity:3"),
+)
+
+
+def nested(flat):
+    document = {}
+    for path, value in flat.items():
+        *parents, leaf = path.split(".")
+        node = document
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+    return document
+
+
+@st.composite
+def embedding_files(draw, items):
+    """(TSV bytes, whether a defect must fail the run) for a catalog's embeddings."""
+    lines = [f"{item}\t{k % 5}.5\t{k % 3}".encode() for k, item in enumerate(items)]
+    kind = draw(st.sampled_from([None, "drop", "dimension", "token", "id_only", "not_utf8"]))
+    if kind is not None:
+        at = draw(st.integers(0, len(lines) - 1))
+        if kind == "drop":
+            del lines[at]
+        elif kind == "dimension":
+            lines[at] += b"\t1"
+        elif kind == "token":
+            bad = draw(st.sampled_from([b"x", b"", b"nan", b"inf", b"1e999", b"0x1"]))
+            lines[at] = lines[at].rsplit(b"\t", 1)[0] + b"\t" + bad
+        elif kind == "id_only":
+            lines[at] = lines[at].split(b"\t", 1)[0]
+        else:
+            lines.insert(at, b"\xff\xfe\t1\t2")
+    for extra in draw(st.lists(st.sampled_from(["blank", "unknown_item"]), max_size=2)):
+        line = b"" if extra == "blank" else b"not-an-item\tx"
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    ending = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return ending.join(lines) + ending, kind is not None
+
+
+@st.composite
+def score_files(draw, catalog_size, cases):
+    """(TSV bytes, whether a defect must fail the run) for external scores."""
+    rng = np.random.default_rng(draw(st.integers(0, 3)))
+    lines = [
+        "\t".join([str(case), *map(repr, rng.random(catalog_size).tolist())]).encode()
+        for case in range(cases)
+    ]
+    kind = draw(st.sampled_from([None, "drop", "count", "token", "index", "not_utf8"]))
+    if kind is not None:
+        at = draw(st.integers(0, len(lines) - 1))
+        if kind == "drop":
+            del lines[at]
+        elif kind == "count":
+            if draw(st.booleans()):
+                lines[at] += b"\t0.5"
+            else:
+                lines[at] = lines[at].rsplit(b"\t", 1)[0]
+        elif kind == "token":
+            bad = draw(st.sampled_from([b"x", b"", b"nan", b"-inf", b"1e999"]))
+            lines[at] = lines[at].rsplit(b"\t", 1)[0] + b"\t" + bad
+        elif kind == "index":
+            bad = draw(st.sampled_from([b"x", b"1.5", b""]))
+            lines[at] = bad + b"\t" + lines[at].split(b"\t", 1)[1]
+        else:
+            lines.insert(at, b"0\t\xff")
+    for extra in draw(st.lists(st.sampled_from(["blank", "unused_case"]), max_size=2)):
+        line = b"" if extra == "blank" else (str(cases + 7) + "\t1" * catalog_size).encode()
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    # a dropped row may belong to a case whose target is unscored
+    return b"\n".join(lines) + b"\n", kind not in (None, "drop")
+
+
+NPY_DTYPES = ("f8", "f4", "i8", "?", "c16", "U3", "S3", "M8[s]", "O", "f8,f8")
+
+
+@st.composite
+def score_arrays(draw, catalog_size, cases):
+    """(.npy bytes, whether the file must fail the run) for external scores."""
+    dtype = np.dtype(draw(st.sampled_from(NPY_DTYPES)))
+    shape = draw(st.sampled_from([
+        (cases, catalog_size), (cases, catalog_size + 1), (catalog_size,),
+        (cases, catalog_size, 1), (0, catalog_size),
+    ]))
+    matrix = np.ones(shape, dtype=dtype)
+    poisoned = dtype.kind == "f" and len(shape) == 2 and shape[0] > 0 and draw(st.booleans())
+    if poisoned:
+        matrix[-1, 0] = np.nan
+    buffer = io.BytesIO()
+    np.save(buffer, matrix, allow_pickle=True)
+    data = buffer.getvalue()
+    cut = draw(st.sampled_from([None, 0, 10, len(data) // 2, len(data) - 1]))
+    if cut is not None:
+        data = data[:cut]
+    fatal = (
+        dtype.kind not in "biuf" or shape != (cases, catalog_size) or poisoned or cut is not None
+    )
+    return data, fatal
+
+
+@pytest.fixture(scope="module")
+def catalog(events_csv, tmp_path_factory):
+    """(catalog item ids, test cases) of a one-day time split of ``events_csv``."""
+    outdir = tmp_path_factory.mktemp("catalog")
+    code, report, _ = run_cli(
+        ["evaluate", "--input", events_csv, "--output-dir", str(outdir / "eval"),
+         "--model", "popularity"]
+    )
+    assert code == 0
+    code, _, _ = run_cli(
+        ["preprocess", "--input", events_csv, "--output-dir", str(outdir / "data")]
+    )
+    assert code == 0
+    with open(outdir / "data" / "dataset.tsv", encoding="utf-8") as handle:
+        items = sorted({line.split("\t")[2] for line in list(handle)[1:]})
+    assert len(items) == report["catalog_size"]
+    return items, report["total_cases"]
+
+
+class TestFailureContractFuzz:
+    @given(
+        st.dictionaries(st.sampled_from(FUZZED_KEYS), JSON_VALUES, min_size=1, max_size=3),
+        st.sampled_from(FUZZ_COMMANDS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_config_values(self, events_csv, flat, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w", encoding="utf-8") as handle:
+                json.dump(nested(flat), handle)
+            fuzz_run([*command, "--input", events_csv, "--config", config])
+
+    @given(
+        st.dictionaries(
+            st.one_of(
+                st.sampled_from(FUZZED_KEYS).map(
+                    lambda key: "RECAUDIT_" + key.upper().replace(".", "__")
+                ),
+                st.text(alphabet="ABEVL_", max_size=6).map(lambda name: "RECAUDIT_" + name),
+            ),
+            st.one_of(
+                JSON_VALUES.map(json.dumps),
+                st.sampled_from(["NaN", "-Infinity", "[1,", "{", "1e999", "nul l"]),
+                st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                        max_size=5),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from(FUZZ_COMMANDS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_environment_values(self, events_csv, environ, command):
+        with mock.patch.dict(os.environ, environ):
+            fuzz_run([*command, "--input", events_csv])
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_embeddings_files(self, events_csv, catalog, data):
+        items, _ = catalog
+        text, fatal = data.draw(embedding_files(items))
+        sampler = data.draw(st.sampled_from(["similar_embedding:3", "close_embedding:3"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "vectors.tsv")
+            with open(path, "wb") as handle:
+                handle.write(text)
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w", encoding="utf-8") as handle:
+                json.dump({"model": {"embeddings_path": path}}, handle)
+            code, err = fuzz_run(
+                ["evaluate", "--input", events_csv, "--config", config, "--sampler", sampler]
+            )
+        assert code == (1 if fatal else 2), err
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scores_files(self, events_csv, catalog, data):
+        items, cases = catalog
+        suffix = data.draw(st.sampled_from([".tsv", ".npy"]))
+        if suffix == ".tsv":
+            content, fatal = data.draw(score_files(len(items), cases))
+        else:
+            content, fatal = data.draw(score_arrays(len(items), cases))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scores" + suffix)
+            with open(path, "wb") as handle:
+                handle.write(content)
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w", encoding="utf-8") as handle:
+                json.dump({"model": {"name": "external", "scores_path": path}}, handle)
+            code, err = fuzz_run(["evaluate", "--input", events_csv, "--config", config])
+        if fatal:
+            assert code == 1, err
 
 
 PLANNED = {

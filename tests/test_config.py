@@ -109,6 +109,27 @@ class TestRejection:
         with pytest.raises(ConfigError):
             RunConfig.load(str(tmp_path / "absent.json"))
 
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            RunConfig.load(str(path))
+
+    @pytest.mark.parametrize("key", ["seed", "split.seed", "eval.master_seed"])
+    def test_negative_seed(self, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.load(overrides={key: -1}, environ={})
+
+    @pytest.mark.parametrize("delimiter", ["", ",;"])
+    def test_delimiter_is_one_character(self, delimiter):
+        with pytest.raises(ConfigError, match="delimiter"):
+            RunConfig.load(overrides={"input.delimiter": delimiter}, environ={})
+
+    def test_null_only_where_the_default_is_null(self, tmp_path):
+        RunConfig.load(write_config(tmp_path, {"split": {"seed": None}}), environ={})
+        with pytest.raises(ConfigError, match="eval.cutoffs"):
+            RunConfig.load(write_config(tmp_path, {"eval": {"cutoffs": None}}), environ={})
+
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError, match="strategy"):
             RunConfig.load(overrides={"split.strategy": "chronological"})

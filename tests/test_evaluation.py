@@ -1,5 +1,7 @@
 """Evaluator tests: ranking semantics, samplers, determinism, crossings."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,71 @@ class TestSampleNegatives:
     def test_embedding_samplers_require_embeddings(self):
         with pytest.raises(EvaluationError, match="embeddings"):
             self.draw("similar_embedding:2")
+
+
+def successive_law(weights, count):
+    """Exact probability of every ``count``-subset under successive sampling."""
+    items = [i for i, w in enumerate(weights) if w > 0]
+    total = sum(weights[i] for i in items)
+    law = {}
+    for order in itertools.permutations(items, count):
+        p, left = 1.0, total
+        for item in order:
+            p *= weights[item] / left
+            left -= weights[item]
+        key = tuple(sorted(order))
+        law[key] = law.get(key, 0.0) + p
+    return law
+
+
+class TestWeightedSamplerLaw:
+    """Every subset a weighted sampler can draw, at its exact frequency."""
+
+    TRIALS = 20_000
+    TARGET = 2
+
+    @pytest.mark.parametrize(
+        "strategy, support, keyed",
+        [
+            ("popularity", [5, 1, 9, 3, 0, 8, 2, 4], False),
+            ("inverse_popularity", [5, 1, 9, 3, 0, 8, 2, 4], False),
+            # one item holds nearly all the weight: the draws rarely find three
+            # distinct items, and the exponential keys finish the sample
+            ("popularity", [1, 2, 9, 100_000, 3, 0, 1], True),
+            ("inverse_popularity", [3000, 1, 9, 4000, 0, 2000, 5000], True),
+        ],
+    )
+    def test_subset_frequencies_match_successive_sampling(
+        self, strategy, support, keyed, monkeypatch
+    ):
+        support = np.array(support, dtype=np.int64)
+        weights = [0.0 if s == 0 else (s if strategy == "popularity" else 1.0 / s)
+                   for s in support.tolist()]
+        weights[self.TARGET] = 0.0
+        law = successive_law(weights, 3)
+        keyed_calls = []
+        keys = evaluation._weighted_without_replacement
+        monkeypatch.setattr(
+            evaluation,
+            "_weighted_without_replacement",
+            lambda *args: keyed_calls.append(1) or keys(*args),
+        )
+        spec = SamplerSpec(strategy=strategy, sample_count=3)
+        rng = case_rng(17, len(support))
+        counts = dict.fromkeys(law, 0)
+        for _ in range(self.TRIALS):
+            drawn = sample_negatives(spec, self.TARGET, len(support), support, None, rng)
+            key = tuple(sorted(drawn.tolist()))
+            assert len(set(key)) == 3
+            assert key in counts, key  # never the target, never a zero weight
+            counts[key] += 1
+        for key, p in law.items():
+            sigma = (self.TRIALS * p * (1 - p)) ** 0.5
+            assert abs(counts[key] - self.TRIALS * p) <= 4 * sigma, (key, counts[key], p)
+        if keyed:
+            assert len(keyed_calls) > self.TRIALS // 2
+        else:
+            assert len(keyed_calls) < self.TRIALS // 10
 
 
 class TestEvaluate:

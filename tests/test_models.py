@@ -147,6 +147,8 @@ class TestCooccurrence:
     def test_window_domain(self):
         with pytest.raises(ValueError):
             CooccurrenceModel(window=0)
+        with pytest.raises(TypeError):
+            CooccurrenceModel(window=1.5)
 
 
 class TestSessionKNN:
@@ -196,6 +198,10 @@ class TestSessionKNN:
             SessionKNNModel(sample_size=0)
         with pytest.raises(ValueError):
             SessionKNNModel(decay="exponential")
+        with pytest.raises(TypeError):
+            SessionKNNModel(k=2.5)
+        with pytest.raises(TypeError):
+            SessionKNNModel(sample_size=float("inf"))
 
 
 # each model fitted with default hyperparameters, under its historical test id
