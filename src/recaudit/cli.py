@@ -44,7 +44,7 @@ from .probability import (
 from .reports import (
     W_COLLISION_HIGH, W_LOO_LEAKAGE, W_RANDOM_SPLIT, W_SAMPLED_METRICS, RunManifest,
     diagnostics_document, file_checksum, json_text, key_value_csv_text, metrics_csv_text,
-    rate_csv_text, sequentiality_csv_text, write_json, write_text,
+    peak_rss_mb, rate_csv_text, sequentiality_csv_text, write_json, write_text,
 )
 from .splitting import STRATEGY_LOO, STRATEGY_RANDOM, apply_split, truncate_training_window
 
@@ -560,18 +560,21 @@ def _run(args, argv: list[str]) -> int:
             started = time.perf_counter()
             stats = run_stage(ctx)
             manifest.stage_seconds[stage] = time.perf_counter() - started
+            manifest.stage_peak_rss_mb[stage] = peak_rss_mb()
             if stats is not None:
                 manifest.stage_stats[stage] = stats
             if ctx.full_run or stage == plan[-1]:
                 payload = write(ctx)
     except RecauditError as exc:
         manifest.error = {"stage": stage, "message": str(exc)}
+        manifest.peak_rss_mb = peak_rss_mb()
         write_json(manifest_path, manifest.to_dict())
         print(f"error in stage {stage}: {exc}", file=sys.stderr)
         return 1
     finally:
         logger.removeHandler(handler)
     manifest.report_paths["manifest"] = manifest_path
+    manifest.peak_rss_mb = peak_rss_mb()
     write_json(manifest_path, manifest.to_dict())
     _out(manifest.to_dict() if ctx.full_run else payload)
     for warning in ctx.warnings:

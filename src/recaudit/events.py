@@ -22,6 +22,7 @@ import csv
 import gzip
 import io
 import logging
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import compress
@@ -90,13 +91,28 @@ class ItemIndex:
         return item_id in self.forward
 
 
-def _factorize(values: list) -> tuple[tuple[str, ...], np.ndarray]:
-    """Sorted vocabulary of the non-None values and each value's int64 code (None -> -1)."""
-    vocabulary = sorted(set(values) - {None})
-    forward = dict(zip(vocabulary, range(len(vocabulary))))
-    forward[None] = -1
-    codes = np.fromiter(map(forward.__getitem__, values), np.int64, len(values))
-    return tuple(vocabulary), codes
+# a string column as first-seen codes: each distinct string's code, and the
+# int64 code of every row (-1 for no value)
+_Coded = tuple[dict[str, int], array]
+
+
+def _code(values: Iterable[str | None]) -> _Coded:
+    """Each value's code in first-seen order (None -> -1), and the codes given out."""
+    seen: dict[str, int] = {}
+    codes = array("q", [-1 if v is None else seen.setdefault(v, len(seen)) for v in values])
+    return seen, codes
+
+
+def _sorted_codes(column: _Coded) -> tuple[tuple[str, ...], np.ndarray]:
+    """The column's sorted vocabulary and its codes renumbered into it (-1 stays -1)."""
+    seen, codes = column
+    vocabulary = sorted(seen)
+    renumber = np.empty(len(vocabulary) + 1, dtype=np.int64)
+    renumber[np.fromiter(map(seen.__getitem__, vocabulary), np.int64, len(vocabulary))] = (
+        np.arange(len(vocabulary))
+    )
+    renumber[-1] = -1  # code -1 reads the last entry
+    return tuple(vocabulary), renumber[np.asarray(codes, dtype=np.int64)]
 
 
 def _compact(codes: np.ndarray, vocabulary: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -143,14 +159,34 @@ class EventLog:
         rejected_count: int = 0,
         rejected_preview: tuple[str, ...] = (),
     ) -> "EventLog":
-        """Factorise string columns and stable-sort; equal timestamps keep input order."""
-        entity_ids, entity_codes = _factorize(entities)
-        item_ids, item_codes = _factorize(items)
+        """Code string columns and stable-sort; equal timestamps keep input order."""
+        return cls._from_codes(
+            _code(entities),
+            _code(items),
+            timestamps,
+            None if event_types is None else _code(event_types),
+            rejected_count,
+            rejected_preview,
+        )
+
+    @classmethod
+    def _from_codes(
+        cls,
+        entities: _Coded,
+        items: _Coded,
+        timestamps,
+        event_types: _Coded | None,
+        rejected_count: int,
+        rejected_preview: tuple[str, ...],
+    ) -> "EventLog":
+        """The table of first-seen coded columns, stable-sorted."""
+        entity_ids, entity_codes = _sorted_codes(entities)
+        item_ids, item_codes = _sorted_codes(items)
+        times = np.asarray(timestamps, dtype=np.int64)
         if event_types is None:
-            type_ids, type_codes = (), np.full(len(entities), -1, dtype=np.int64)
+            type_ids, type_codes = (), np.full(len(times), -1, dtype=np.int64)
         else:
-            type_ids, type_codes = _factorize(event_types)
-        times = np.array(timestamps, dtype=np.int64)
+            type_ids, type_codes = _sorted_codes(event_types)
         order = np.lexsort((times, entity_codes))
         return cls(
             entity_codes=entity_codes[order],
@@ -245,11 +281,15 @@ def _parse_timestamp(raw: str) -> int:
     except ValueError:
         pass
     else:
-        if value < 0:
-            raise ValueError(f"negative timestamp {value}")
-        if value > _MAX_TIMESTAMP:
-            raise ValueError(f"timestamp {value} does not fit in 64 bits")
-        return value
+        # epoch seconds are an optional sign and ASCII digits; int() also
+        # reads "1_000" and non-ASCII digits such as "١٢٣", which go on to
+        # ISO-8601 and its reject
+        if raw.isascii() and "_" not in raw:
+            if value < 0:
+                raise ValueError(f"negative timestamp {value}")
+            if value > _MAX_TIMESTAMP:
+                raise ValueError(f"timestamp {value} does not fit in 64 bits")
+            return value
     # ISO-8601; date-only values land on midnight UTC.
     try:
         parsed = datetime.fromisoformat(raw.replace("Z", "+00:00"))
@@ -304,10 +344,14 @@ def _read_rows(stream: TextIO, schema: ColumnMapping, delimiter: str | None):
     item_pos = positions[schema.item]
     time_pos = positions[schema.time]
 
-    entities: list[str] = []
-    items: list[str] = []
-    timestamps: list[int] = []
-    types: list[str | None] | None = [] if type_pos is not None else None
+    # each string gets an int code the first time it is seen, so one str per
+    # distinct id is kept, not one per row; _sorted_codes renumbers them
+    entities: dict[str, int] = {}
+    items: dict[str, int] = {}
+    kinds: dict[str, int] = {}
+    entity_codes, item_codes, timestamps, type_codes = (array("q") for _ in range(4))
+    entity_code, item_code = entities.setdefault, items.setdefault
+    add_entity, add_item, add_time = entity_codes.append, item_codes.append, timestamps.append
     rejects: list[str] = []
     total = 0
     reader = csv.reader(stream, delimiter=sep)
@@ -325,15 +369,16 @@ def _read_rows(stream: TextIO, schema: ColumnMapping, delimiter: str | None):
             except (IndexError, ValueError) as exc:
                 rejects.append(f"line {line_no}: {exc}")
                 continue
-            entities.append(entity)
-            items.append(item)
-            timestamps.append(timestamp)
-            if types is not None:
+            add_entity(entity_code(entity, len(entities)))
+            add_item(item_code(item, len(items)))
+            add_time(timestamp)
+            if type_pos is not None:
                 kind = row[type_pos].strip() if type_pos < len(row) else ""
-                types.append(kind or None)
+                type_codes.append(kinds.setdefault(kind, len(kinds)) if kind else -1)
     except csv.Error as exc:
         raise IngestError(f"cannot parse input near line {reader.line_num + 1}: {exc}") from None
-    return (entities, items, timestamps, types), rejects, total
+    types = (kinds, type_codes) if type_pos is not None else None
+    return ((entities, entity_codes), (items, item_codes), timestamps, types), rejects, total
 
 
 def ingest_csv(
@@ -344,7 +389,8 @@ def ingest_csv(
 ) -> EventLog:
     """Parse delimited text into an :class:`EventLog`.
 
-    Rows are parsed straight into columns; no per-row object is built.
+    Rows are parsed straight into int64 columns of first-seen codes: one
+    ``str`` is kept per distinct id, none per row.
 
     Args:
         source: File path (plain or ``.gz``), byte string, or open stream.
@@ -373,9 +419,7 @@ def ingest_csv(
         )
     if rejects:
         logger.warning("ingest rejected %d/%d rows; first: %s", len(rejects), total, rejects[0])
-    return EventLog.from_columns(
-        *columns, rejected_count=len(rejects), rejected_preview=tuple(rejects[:10])
-    )
+    return EventLog._from_codes(*columns, len(rejects), tuple(rejects[:10]))
 
 
 def dump_canonical(log: EventLog, destination) -> None:

@@ -212,8 +212,8 @@ def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np
 
 
 # pairs the whole-sequence co-occurrence build makes at once; its temporaries
-# take about 30 bytes a pair (a dense block up to 64), so a few MB
-_PAIR_BUDGET = 1 << 17
+# take about 30 bytes a pair (a dense block up to 64), so about 1-2 MB
+_PAIR_BUDGET = 1 << 15
 
 
 def _whole_sequence_counts(

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import PreprocessError
-from .events import RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog, ItemIndex, _factorize
+from .events import RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog, ItemIndex, _code, _sorted_codes
 
 logger = logging.getLogger(__name__)
 
@@ -118,7 +118,7 @@ class SequenceTable:
     @classmethod
     def from_sequences(cls, sequences: Iterable[Sequence]) -> "SequenceTable":
         sequences = list(sequences)
-        entity_ids, entity_codes = _factorize([s.entity_id for s in sequences])
+        entity_ids, entity_codes = _sorted_codes(_code(s.entity_id for s in sequences))
         offsets = np.zeros(len(sequences) + 1, dtype=np.int64)
         np.cumsum([len(s) for s in sequences], out=offsets[1:])
         empty = np.empty(0, dtype=np.int64)

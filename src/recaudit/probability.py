@@ -87,7 +87,8 @@ def sampled_topc_probability_float(
     if not log_terms:
         return 0.0
     peak = max(log_terms)
-    return math.exp(peak) * math.fsum(math.exp(t - peak) for t in log_terms)
+    # a probability, though the log-gamma rounding can carry the sum past 1
+    return min(1.0, math.exp(peak) * math.fsum(math.exp(t - peak) for t in log_terms))
 
 
 def max_rank_with_probability(

@@ -176,6 +176,23 @@ def diagnostics_document(
     return document
 
 
+def peak_rss_mb() -> float | None:
+    """This process's resident-set high-water mark in MB (``VmHWM``), or None
+    where ``/proc/self/status`` has no such line.
+
+    ``ru_maxrss`` is not used: after ``exec`` it still counts the resident
+    set of the process that launched this one.
+    """
+    try:
+        with open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return round(int(line.split()[1]) / 1024, 2)  # the line reads "<n> kB"
+    except OSError:
+        pass
+    return None
+
+
 @dataclass
 class RunManifest:
     """What a run did: inputs, stages, outputs, and anything worth flagging.
@@ -190,6 +207,9 @@ class RunManifest:
     argv: list[str] = field(default_factory=list)  # the command line, options included
     input_checksums: dict[str, str] = field(default_factory=dict)
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    # the process's peak resident set after each stage and for the whole run
+    stage_peak_rss_mb: dict[str, float | None] = field(default_factory=dict)
+    peak_rss_mb: float | None = None
     stage_stats: dict[str, dict] = field(default_factory=dict)
     report_paths: dict[str, str] = field(default_factory=dict)
     warnings: list[dict] = field(default_factory=list)
@@ -207,6 +227,8 @@ class RunManifest:
             "argv": self.argv,
             "input_checksums": self.input_checksums,
             "stage_seconds": self.stage_seconds,
+            "stage_peak_rss_mb": self.stage_peak_rss_mb,
+            "peak_rss_mb": self.peak_rss_mb,
             "stage_stats": self.stage_stats,
             "report_paths": self.report_paths,
             "warnings": self.warnings,

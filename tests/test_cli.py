@@ -77,6 +77,14 @@ class TestProb:
             payload["probability"], rel=1e-9
         )
 
+    def test_log_space_probability_is_at_most_one(self):
+        code, payload, _ = run_cli(
+            ["prob", "--catalog", "8792", "--samples", "100", "--cutoff", "20", "--rank", "2"]
+        )
+        assert code == 0
+        assert payload["probability"] == 1.0
+        assert payload["probability_log_space"] <= 1.0
+
     def test_forward_second_reference_point(self):
         code, payload, _ = run_cli(
             ["prob", "--catalog", "100000", "--rank", "14878",
@@ -960,6 +968,14 @@ class TestStageRunner:
         assert plan["planned_stages"] == PLANNED[command]
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert set(manifest["stage_seconds"]) == set(PLANNED[command])
+        assert set(manifest["stage_peak_rss_mb"]) == set(manifest["stage_seconds"])
+        # a running high-water mark, in stage order, then the whole run's
+        peaks = [manifest["stage_peak_rss_mb"][stage] for stage in PLANNED[command]]
+        peaks.append(manifest["peak_rss_mb"])
+        if manifest["peak_rss_mb"] is None:  # no VmHWM line on this platform
+            assert peaks == [None] * len(peaks)
+        else:
+            assert peaks == sorted(peaks) and peaks[0] > 0
         assert "error" not in manifest and manifest["notes"] == []
         assert (outdir / "resolved_config.json").exists()
         for path in manifest["report_paths"].values():

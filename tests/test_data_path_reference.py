@@ -534,6 +534,29 @@ class TestIngestMatchesRowLoop:
         assert canonical_dump_text(log) == ref_dump(groups)
         assert [e.item_id for e in log.iter_events()] == ["x", "z", "y", "b", "a"]
 
+    @pytest.mark.parametrize(
+        "text, fraction, events",
+        [
+            # typed, blank types among them, ties across entities
+            ("user,item,ts,kind\nu2,b,5,view\nu1,z,5,\nu2,a,7, buy \nu1,y,5,view\nu1,x,4,\n",
+             0.01, 5),
+            # every row rejected, allowed at 1.0: an empty table
+            ("user,item,ts,kind\nu1,a,soon,view\nu2,,5,\nu3,b\n", 1.0, 0),
+            ("user,item,ts,kind\nu1,a,5,view\n", 0.01, 1),
+        ],
+        ids=["typed-with-blanks", "all-rejected", "one-row"],
+    )
+    def test_explicit_logs(self, text, fraction, events):
+        groups, rejects = ref_ingest(text, MAPPING, fraction)
+        log = ingest_csv(text.encode(), MAPPING, max_reject_fraction=fraction)
+        assert log.num_events == events
+        assert canonical_dump_text(log) == ref_dump(groups)
+        assert (log.rejected_count, log.rejected_preview) == (len(rejects), tuple(rejects[:10]))
+        assert log.timestamp_resolution == ref_resolution(groups)
+        assert list(log.iter_events()) == [e for k in sorted(groups) for e in groups[k]]
+        types = {e.event_type for g in groups.values() for e in g} - {None}
+        assert log.event_type_ids == tuple(sorted(types))
+
 
 class TestPreprocessMatchesLoops:
     @given(logs(), configs)

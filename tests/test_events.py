@@ -2,6 +2,7 @@
 
 import gzip
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,24 @@ class TestRejectAccounting:
         assert log.rejected_count == 1
         assert "64 bits" in log.rejected_preview[0]
 
+    @pytest.mark.parametrize(
+        "raw", ["1_672_750_702", "\u0661\u0662\u0663", "\uff11\uff12\uff13", "+-5"]
+    )
+    def test_epoch_seconds_take_ascii_digits_only(self, raw):
+        # int() reads these as 1672750702 and 123; they are no epoch seconds
+        rows = [f"u1,i{k},{k}" for k in range(200)] + [f"u1,x,{raw}"]
+        log = ingest_csv(io.StringIO(csv_text(rows)), MAPPING)
+        assert log.num_events == 200
+        assert log.rejected_preview == (
+            f"line 202: timestamp {raw!r} is neither epoch seconds nor ISO-8601",
+        )
+
+    def test_signed_epoch_seconds_still_parse(self):
+        rows = [f"u1,i{k},{k}" for k in range(200)] + ["u1,x,+7", "u1,y, -7 "]
+        log = ingest_csv(io.StringIO(csv_text(rows)), MAPPING)
+        assert [e.timestamp for e in groups_of(log)["u1"] if e.item_id == "x"] == [7]
+        assert log.rejected_preview == ("line 203: negative timestamp -7",)
+
     def test_short_rows_rejected_not_crashing(self):
         rows = [f"u1,i{k},{k}" for k in range(200)] + ["u1,a"]
         log = ingest_csv(io.StringIO(csv_text(rows)), MAPPING)
@@ -176,6 +195,31 @@ class TestRejectAccounting:
     def test_unreadable_path_is_hard_error(self, tmp_path):
         with pytest.raises(IngestError, match="cannot read"):
             ingest_csv(tmp_path / "nope.csv", MAPPING)
+
+
+class TestIngestMemory:
+    def test_peak_follows_the_columns_not_the_rows(self, tmp_path):
+        # 50k typed rows over 300 entities, 400 items and 3 types: the codes
+        # and timestamps take 32 bytes a row, where keeping each row's id
+        # strings and timestamp as Python objects takes about 290
+        rows = 50_000
+        kinds = ("view", "buy", "")
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "user,item,ts,kind\n"
+            + "".join(
+                f"u{k % 300},i{k * 7 % 400},{1_600_000_000 + k * 7919 % 10**6},{kinds[k % 3]}\n"
+                for k in range(rows)
+            )
+        )
+        tracemalloc.start()
+        try:
+            log = ingest_csv(path, MAPPING_TYPED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (log.num_events, log.num_entities, len(log.item_ids)) == (rows, 300, 400)
+        assert peak < 128 * rows
 
 
 class TestCanonicalDump:

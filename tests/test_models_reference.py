@@ -234,6 +234,22 @@ class TestCooccurrenceMatchesReference:
         expected[1, 0] += 1
         assert dense.tolist() == expected.tolist()
 
+    def test_block_temporaries_stay_within_the_pair_budget(self):
+        # one sequence of 512 distinct items makes 512² pairs, eight blocks'
+        # worth; above the result, the blocks' temporaries (about 53 bytes a
+        # pair on this dense path) must stay under 64 bytes × 2¹⁵ pairs
+        n = 512
+        items = np.random.default_rng(0).permutation(n)
+        tracemalloc.start()
+        try:
+            counts = _whole_sequence_counts(items, np.array([0, n]), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counts.data) == n * n - n  # no item pairs with itself
+        result = counts.indptr.nbytes + counts.indices.nbytes + counts.data.nbytes
+        assert peak - result < 64 * 2**15
+
     def test_embeddings_follow_the_reference_counts(self):
         train = make_dataset([([0, 1, 2, 0], 1), ([2, 3], 2), ([1, 4, 5, 1, 3], 2)])
         counts = reference_cooccurrence_counts(train, None)

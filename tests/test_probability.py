@@ -86,6 +86,13 @@ def test_exact_and_float_paths_agree():
         assert math.isclose(exact, fast, rel_tol=1e-9)
 
 
+def test_log_space_path_never_exceeds_one():
+    # unclamped, the log-gamma rounding carries 40 of these ranks past 1
+    values = [sampled_topc_probability_float(8792, r, 100, 20) for r in range(1, 60)]
+    assert max(values) <= 1.0
+    assert values == pytest.approx([1.0] * 59, abs=1e-9)
+
+
 def test_matches_scipy_hypergeometric_cdf():
     from scipy.stats import hypergeom
 
