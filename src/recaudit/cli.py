@@ -35,7 +35,7 @@ from .errors import (
 from .evaluation import (
     EMBEDDING_SAMPLERS, SAMPLER_NONE, MetricReport, SamplerSpec, crossing_analysis, evaluate,
 )
-from .events import canonical_dump_text, ingest_csv
+from .events import dump_canonical, ingest_csv
 from .models import ExternalScoresModel, build_model, derive_embeddings, load_embeddings
 from .preprocess import preprocess
 from .probability import (
@@ -44,7 +44,7 @@ from .probability import (
 from .reports import (
     W_COLLISION_HIGH, W_LOO_LEAKAGE, W_RANDOM_SPLIT, W_SAMPLED_METRICS, RunManifest,
     diagnostics_document, file_checksum, json_text, key_value_csv_text, metrics_csv_text,
-    peak_rss_mb, rate_csv_text, sequentiality_csv_text, write_json, write_text,
+    peak_rss_mb, rate_csv_text, sequentiality_csv_text, write_dump, write_json, write_text,
 )
 from .splitting import STRATEGY_LOO, STRATEGY_RANDOM, apply_split, truncate_training_window
 
@@ -250,7 +250,8 @@ class _Context:
         self.sections = (None, None, None, None)
         self.models: dict = {}  # (name, params) -> fitted model
         self.reports: dict = {}  # (name, params, sampler, eval config) -> MetricReport
-        self.eval_seconds: dict = {}  # id(report) -> seconds its evaluation took
+        self.pass_of: dict = {}  # id(report) -> index of the pass that produced it
+        self.passes: list[tuple[int, float]] = []  # (ranked lists, seconds) per pass
         self.results: list[MetricReport] = []
 
     @property
@@ -268,6 +269,8 @@ class _Context:
         path = os.path.join(self.outdir, name)
         if isinstance(content, str):
             write_text(path, content)
+        elif callable(content):
+            write_dump(path, content)  # a dump streamed to its file
         else:
             write_json(path, content)
         self.manifest.report_paths[key] = path
@@ -278,24 +281,47 @@ class _Context:
             payload["warnings"] = self.warnings
         return payload
 
-    def report(self, name: str, params: dict, sampler: SamplerSpec) -> MetricReport:
-        """Fit (once per name and params) and evaluate (once per sampler and config)."""
-        model_key = (name, json.dumps(params, sort_keys=True))
+    def grid(self, requests: list[tuple[str, dict]], samplers: list[SamplerSpec]):
+        """Reports for each sampler × (model name, params), sampler-major.
+
+        Models are fitted once per name and params.  The cells no earlier
+        request produced are ranked in one evaluation pass over their models
+        and samplers.
+        """
         eval_cfg = self.cfg.eval_config()
-        key = (*model_key, sampler, eval_cfg)
-        if key not in self.reports:
-            if model_key not in self.models:
-                self.models[model_key] = _fit_model(self.cfg, name, params, self.split.train)
-            if sampler.strategy in EMBEDDING_SAMPLERS and self.embeddings is None:
+        model_keys = [(name, json.dumps(params, sort_keys=True)) for name, params in requests]
+        params_of = dict(zip(model_keys, (params for _, params in requests)))
+        cells = [
+            (*model_key, sampler, eval_cfg) for sampler in samplers for model_key in model_keys
+        ]
+        missing = [cell for cell in cells if cell not in self.reports]
+        if missing:
+            fitted = {}
+            for name, params_text, _, _ in missing:
+                model_key = (name, params_text)
+                if model_key not in self.models:
+                    self.models[model_key] = _fit_model(
+                        self.cfg, name, params_of[model_key], self.split.train
+                    )
+                fitted[name] = self.models[model_key]
+            pass_samplers = list(dict.fromkeys(cell[2] for cell in missing))
+            if self.embeddings is None and any(
+                sampler.strategy in EMBEDDING_SAMPLERS for sampler in pass_samplers
+            ):
                 self.embeddings = _embeddings(self.cfg, self.split.train)
             started = time.perf_counter()
-            report = evaluate(
-                self.models[model_key], self.split, eval_cfg, sampler,
-                embeddings=self.embeddings, workers=self.args.threads, model_name=name,
+            result = evaluate(
+                fitted, self.split, eval_cfg, pass_samplers,
+                embeddings=self.embeddings, workers=self.args.threads,
             )
-            self.eval_seconds[id(report)] = time.perf_counter() - started
-            self.reports[key] = report
-        return self.reports[key]
+            seconds = time.perf_counter() - started
+            lists = sum(report.case_count for report in result.reports.values())
+            for cell in missing:
+                report = result[cell[0], cell[2]]
+                self.reports[cell] = report
+                self.pass_of[id(report)] = len(self.passes)
+            self.passes.append((lists, seconds))
+        return [self.reports[cell] for cell in cells]
 
 
 def _fit_model(cfg: RunConfig, name: str, params: dict, train):
@@ -374,10 +400,8 @@ def _stage_diagnose(ctx: _Context):
         except DiagnosticsError as exc:
             ctx.note(f"skipping overlap: {exc}")
         try:
-            reports = [
-                ctx.report(name, {}, SamplerSpec())
-                for name in probe_models(cfg.get("diagnostics.sequential_baseline"))
-            ]
+            names = probe_models(cfg.get("diagnostics.sequential_baseline"))
+            reports = ctx.grid([(name, {}) for name in names], [SamplerSpec()])
             sequentiality = sequentiality_probe(
                 *reports,
                 verdict_cutoff=cfg.get("diagnostics.verdict_cutoff"),
@@ -391,17 +415,17 @@ def _stage_diagnose(ctx: _Context):
 def _stage_evaluate(ctx: _Context):
     # model.params belong to the configured model.name only
     configured, params = ctx.cfg.model_request()
-    ctx.results = [
-        ctx.report(name, params if name == configured else {}, sampler)
-        for sampler in ctx.samplers
-        for name in ctx.names
-    ]
-    scored = sum(report.case_count for report in ctx.results)
-    seconds = sum(ctx.eval_seconds[id(report)] for report in ctx.results)
+    ctx.results = ctx.grid(
+        [(name, params if name == configured else {}) for name in ctx.names], ctx.samplers
+    )
+    # throughput of the passes that ranked these reports, each counted once
+    passes = [ctx.passes[i] for i in sorted({ctx.pass_of[id(r)] for r in ctx.results})]
+    lists = sum(count for count, _ in passes)
+    seconds = sum(spent for _, spent in passes)
     return {
         "test_cases": ctx.results[0].total_cases,
-        "scored_cases": scored,
-        "scored_lists_per_second": round(scored / seconds, 2) if seconds > 0 else None,
+        "scored_cases": sum(report.case_count for report in ctx.results),
+        "scored_lists_per_second": round(lists / seconds, 2) if seconds > 0 else None,
     }
 
 
@@ -415,7 +439,8 @@ def _write_ingest(ctx: _Context):
         **ctx.manifest.stage_stats["ingest"],
         "event_types": sorted(ctx.log.event_types()),
         "canonical_path": ctx.write(
-            "canonical_events", "canonical_events.tsv", canonical_dump_text(ctx.log)
+            "canonical_events", "canonical_events.tsv",
+            lambda stream: dump_canonical(ctx.log, stream),
         ),
     }
 
@@ -428,7 +453,7 @@ def _write_preprocess(ctx: _Context):
     return {
         **ctx.manifest.stage_stats["preprocess"],
         "provenance_path": provenance_path,
-        "dataset_path": ctx.write("dataset", "dataset.tsv", data.canonical_text()),
+        "dataset_path": ctx.write("dataset", "dataset.tsv", data.dump_canonical),
     }
 
 
@@ -449,8 +474,8 @@ def _write_split(ctx: _Context):
         "stats": split.stats.to_dict(),
     }
     if not ctx.full_run:
-        payload["train_path"] = ctx.write("train", "train.tsv", split.train.canonical_text())
-        payload["test_path"] = ctx.write("test", "test.tsv", split.test.canonical_text())
+        payload["train_path"] = ctx.write("train", "train.tsv", split.train.dump_canonical)
+        payload["test_path"] = ctx.write("test", "test.tsv", split.test.dump_canonical)
     ctx.write("split", "split.json", payload)
     _warn_split(ctx)
     return ctx.embed_warnings(payload)

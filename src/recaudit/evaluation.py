@@ -1,9 +1,10 @@
 """Next-item evaluation: case enumeration, ranking, sampling, metrics.
 
-The evaluator turns a split into test cases (prefix, next item), asks the
-model for full-catalog scores per case, and ranks the true next item either
-against the whole catalog or against a set of sampled negatives.  Metrics are
-recall@N and MRR@N averaged over scoreable cases.
+The evaluator turns a split into test cases (prefix, next item), asks each
+model once per case for full-catalog scores, and ranks the true next item,
+once per candidate sampler, either against the whole catalog or against a
+set of sampled negatives.  Metrics are recall@N and MRR@N averaged over
+scoreable cases, one report per (model, sampler).
 
 Determinism is load-bearing: every case draws randomness from a generator
 seeded by (master seed, case index) alone, and parallel workers write ranks
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -288,10 +290,13 @@ def _successive_sample(
 
 
 def _top_by_value(values: np.ndarray, count: int, target: int) -> np.ndarray:
-    """Indices of the ``count`` largest values, target excluded, ties by index."""
+    """Indices of the ``count`` largest values, target excluded, ties by index.
+
+    A copy, so the catalog-size sort order is freed with the call.
+    """
     order = np.lexsort((np.arange(len(values)), -values))
     order = order[order != target]
-    return order[:count]
+    return order[:count].copy()
 
 
 def sample_negatives(
@@ -383,36 +388,67 @@ class MetricReport:
         }
 
 
+@dataclass
+class GridReport:
+    """The (model, sampler) reports of one evaluation pass over the cases.
+
+    Index it by model name and sampler (a :class:`SamplerSpec` or its CLI
+    text): ``grid["markov", "uniform:100"]``.
+    """
+
+    reports: dict[tuple[str, SamplerSpec], MetricReport]
+    total_cases: int
+
+    def __getitem__(self, key: tuple[str, SamplerSpec | str]) -> MetricReport:
+        name, sampler = key
+        if isinstance(sampler, str):
+            sampler = SamplerSpec.parse(sampler)
+        return self.reports[name, sampler]
+
+
 def _rank_case_range(
-    model: RecommenderModel,
+    models: list[RecommenderModel],
     cases: list[EvalCase],
     start: int,
     stop: int,
     cfg: EvalConfig,
-    sampler: SamplerSpec,
+    samplers: list[SamplerSpec],
     support: np.ndarray,
     embeddings: EmbeddingMatrix | None,
     scoreable: np.ndarray,
-    fixed_candidates: dict[int, np.ndarray] | None,
+    fixed_candidates: list[dict[int, np.ndarray] | None],
 ) -> np.ndarray:
-    ranks = np.empty(stop - start, dtype=np.int64)
+    """Ranks of ``cases[start:stop]`` as a (models, samplers, cases) block.
+
+    Each model scores a case once.  Each sampler builds the case's generator
+    once and draws its negatives once; with random ties every model ranks
+    from the generator's state right after that draw, restored between
+    models, so each cell sees the draws a fresh generator would give it.
+    """
+    ranks = np.full((len(models), len(samplers), stop - start), -1, dtype=np.int64)
+    restore = cfg.tie_policy == TIE_RANDOM and len(models) > 1
     for offset, case in enumerate(cases[start:stop]):
-        if not scoreable[case.target]:
-            ranks[offset] = -1
+        target = case.target
+        if not scoreable[target]:
             continue
-        rng = case_rng(cfg.master_seed, case.case_index)
-        scores = model.score_case(case.case_index, case.prefix)
-        if sampler.strategy == SAMPLER_NONE:
-            candidates = None
-        elif fixed_candidates is not None:
-            candidates = fixed_candidates[case.target]
-        else:
-            candidates = sample_negatives(
-                sampler, case.target, len(support), support, embeddings, rng
-            )
-        ranks[offset] = rank_of_target(
-            scores, case.target, cfg.tie_policy, rng, candidates
-        )
+        scores = [model.score_case(case.case_index, case.prefix) for model in models]
+        for s, (sampler, fixed) in enumerate(zip(samplers, fixed_candidates)):
+            rng = case_rng(cfg.master_seed, case.case_index)
+            if sampler.strategy == SAMPLER_NONE:
+                candidates = None
+            elif fixed is not None:
+                candidates = fixed[target]
+            else:
+                candidates = sample_negatives(
+                    sampler, target, len(support), support, embeddings, rng
+                )
+            state = rng.bit_generator.state if restore else None
+            for m, model_scores in enumerate(scores):
+                if m and restore:
+                    rng.bit_generator.state = state
+                ranks[m, s, offset] = rank_of_target(
+                    model_scores, target, cfg.tie_policy, rng, candidates
+                )
     return ranks
 
 
@@ -430,53 +466,66 @@ def _forked_rank_range(bounds: tuple[int, int]) -> tuple[int, np.ndarray]:
     start, stop = bounds
     s = _FORK_STATE
     return start, _rank_case_range(
-        s["model"], s["cases"], start, stop, s["cfg"], s["sampler"],
+        s["models"], s["cases"], start, stop, s["cfg"], s["samplers"],
         s["support"], s["embeddings"], s["scoreable"], s["fixed_candidates"],
     )
 
 
+def _fixed_candidates(
+    sampler: SamplerSpec,
+    cases: list[EvalCase],
+    support: np.ndarray,
+    scoreable: np.ndarray,
+    embeddings: EmbeddingMatrix | None,
+) -> dict[int, np.ndarray] | None:
+    """One negative set per distinct scoreable target for a deterministic sampler."""
+    if sampler.strategy not in DETERMINISTIC_SAMPLERS:
+        return None
+    throwaway = np.random.default_rng(0)
+    table: dict[int, np.ndarray] = {}
+    for case in cases:
+        if scoreable[case.target] and case.target not in table:
+            table[case.target] = sample_negatives(
+                sampler, case.target, len(support), support, embeddings, throwaway
+            )
+    return table
+
+
 def compute_case_ranks(
-    model: RecommenderModel,
+    models: list[RecommenderModel],
     cases: list[EvalCase],
     split: DatasetSplit,
     cfg: EvalConfig,
-    sampler: SamplerSpec,
+    samplers: list[SamplerSpec],
     embeddings: EmbeddingMatrix | None = None,
     workers: int = 1,
 ) -> np.ndarray:
-    """Rank the target for every case; -1 marks targets absent from train.
+    """Rank the target of every case for every (model, sampler).
 
-    The result depends only on inputs and ``cfg.master_seed``; ``workers``
-    changes wall time, never values.  Workers receive contiguous case blocks
-    and the parent reassembles them by position.  The pool never holds more
-    processes than there are blocks or CPUs this process may run on: a fork
-    pool starts all of its processes at once, whatever the work.
+    The result has shape (models, samplers, cases); -1 marks targets absent
+    from train.  It depends only on inputs and ``cfg.master_seed``;
+    ``workers`` changes wall time, never values.  Workers receive contiguous
+    case blocks and the parent reassembles them by position.  The pool never
+    holds more processes than there are blocks or CPUs this process may run
+    on: a fork pool starts all of its processes at once, whatever the work.
     """
     support = split.train.item_support
     scoreable = support > 0
-    fixed_candidates: dict[int, np.ndarray] | None = None
-    if sampler.strategy in DETERMINISTIC_SAMPLERS:
-        throwaway = np.random.default_rng(0)
-        fixed_candidates = {}
-        for case in cases:
-            if scoreable[case.target] and case.target not in fixed_candidates:
-                fixed_candidates[case.target] = sample_negatives(
-                    sampler, case.target, len(support), support, embeddings, throwaway
-                )
+    fixed_candidates = [
+        _fixed_candidates(sampler, cases, support, scoreable, embeddings)
+        for sampler in samplers
+    ]
+    args = (cfg, samplers, support, embeddings, scoreable, fixed_candidates)
 
     workers = min(workers, _usable_cpus())
-    ranks = np.empty(len(cases), dtype=np.int64)
     if workers <= 1 or len(cases) < 2:
-        ranks[:] = _rank_case_range(
-            model, cases, 0, len(cases), cfg, sampler,
-            support, embeddings, scoreable, fixed_candidates,
-        )
-        return ranks
+        return _rank_case_range(models, cases, 0, len(cases), *args)
 
+    ranks = np.empty((len(models), len(samplers), len(cases)), dtype=np.int64)
     chunk = max(1, math.ceil(len(cases) / (workers * 4)))
     bounds = [(lo, min(lo + chunk, len(cases))) for lo in range(0, len(cases), chunk)]
     _FORK_STATE.update(
-        model=model, cases=cases, cfg=cfg, sampler=sampler, support=support,
+        models=models, cases=cases, cfg=cfg, samplers=samplers, support=support,
         embeddings=embeddings, scoreable=scoreable, fixed_candidates=fixed_candidates,
     )
     try:
@@ -484,8 +533,8 @@ def compute_case_ranks(
         with ProcessPoolExecutor(
             max_workers=min(workers, len(bounds)), mp_context=context
         ) as pool:
-            for start, chunk_ranks in pool.map(_forked_rank_range, bounds):
-                ranks[start : start + len(chunk_ranks)] = chunk_ranks
+            for start, block in pool.map(_forked_rank_range, bounds):
+                ranks[:, :, start : start + block.shape[2]] = block
     finally:
         _FORK_STATE.clear()
     return ranks
@@ -506,41 +555,52 @@ def metrics_from_ranks(ranks: np.ndarray, cutoffs: tuple[int, ...]):
 
 
 def evaluate(
-    model: RecommenderModel,
+    models: Mapping[str, RecommenderModel],
     split: DatasetSplit,
     cfg: EvalConfig,
-    sampler: SamplerSpec = SamplerSpec(),
+    samplers: Iterable[SamplerSpec] = (SamplerSpec(),),
     embeddings: EmbeddingMatrix | None = None,
     workers: int = 1,
-    model_name: str | None = None,
-) -> MetricReport:
-    """Evaluate one fitted model on a split under one candidate policy.
+) -> GridReport:
+    """Evaluate fitted models, by name, on a split under each candidate policy.
 
-    Cases whose target never occurs in train are excluded from the averages
-    and reported in ``skipped_unseen_target_count`` (a collaborative model
-    cannot score them; silently including zeros would fake a penalty that
-    depends on split luck).
+    One pass over the cases gives every (model, sampler) report, each equal
+    to what evaluating that pair alone gives.  Cases whose target never
+    occurs in train are excluded from the averages and reported in
+    ``skipped_unseen_target_count`` (a collaborative model cannot score them;
+    silently including zeros would fake a penalty that depends on split luck).
     """
+    names = list(models)
+    samplers = list(dict.fromkeys(samplers))
+    if not names or not samplers:
+        raise EvaluationError("evaluation needs at least one model and one sampler")
     cases = enumerate_cases(split, cfg.prefix_start)
     if not cases:
         raise EvaluationError("the split yields no test cases")
-    ranks = compute_case_ranks(model, cases, split, cfg, sampler, embeddings, workers)
-    recall, mrr = metrics_from_ranks(ranks, cfg.cutoffs)
-    skipped = int(np.count_nonzero(ranks < 0))
-    return MetricReport(
-        model=model_name or type(model).__name__,
-        sampler=sampler.describe(),
-        tie_policy=cfg.tie_policy,
-        master_seed=cfg.master_seed,
-        cutoffs=cfg.cutoffs,
-        recall=recall,
-        mrr=mrr,
-        case_count=len(cases) - skipped,
-        skipped_unseen_target_count=skipped,
-        total_cases=len(cases),
-        catalog_size=split.train.num_items,
-        ranks=ranks,
+    ranks = compute_case_ranks(
+        [models[name] for name in names], cases, split, cfg, samplers, embeddings, workers
     )
+    reports = {}
+    for s, sampler in enumerate(samplers):
+        for m, name in enumerate(names):
+            cell = ranks[m, s]
+            recall, mrr = metrics_from_ranks(cell, cfg.cutoffs)
+            skipped = int(np.count_nonzero(cell < 0))
+            reports[name, sampler] = MetricReport(
+                model=name,
+                sampler=sampler.describe(),
+                tie_policy=cfg.tie_policy,
+                master_seed=cfg.master_seed,
+                cutoffs=cfg.cutoffs,
+                recall=recall,
+                mrr=mrr,
+                case_count=len(cases) - skipped,
+                skipped_unseen_target_count=skipped,
+                total_cases=len(cases),
+                catalog_size=split.train.num_items,
+                ranks=cell,
+            )
+    return GridReport(reports=reports, total_cases=len(cases))
 
 
 @dataclass(frozen=True)

@@ -422,11 +422,16 @@ def ingest_csv(
     return EventLog._from_codes(*columns, len(rejects), tuple(rejects[:10]))
 
 
+# rows per block a dump turns into Python objects, so its memory stays flat
+DUMP_BLOCK_ROWS = 1 << 14
+
+
 def dump_canonical(log: EventLog, destination) -> None:
     """Write the canonical tab-separated dump used for reproducible fixtures.
 
     Rows are in table order, (entity, timestamp, input order); re-ingesting
-    the dump reproduces the log byte-for-byte.
+    the dump reproduces the log byte-for-byte.  Rows are written a block at
+    a time, never held as one string.
     """
     own = isinstance(destination, (str, Path))
     stream = open(destination, "w", encoding="utf-8", newline="") if own else destination
@@ -434,14 +439,16 @@ def dump_canonical(log: EventLog, destination) -> None:
         writer = csv.writer(stream, delimiter="\t", lineterminator="\n")
         writer.writerow(["entity", "item", "timestamp", "type"])
         types = ("",) + log.event_type_ids  # code -1 (untyped) reads index 0
-        writer.writerows(
-            zip(
-                map(log.entity_ids.__getitem__, log.entity_codes.tolist()),
-                map(log.item_ids.__getitem__, log.item_codes.tolist()),
-                log.timestamps.tolist(),
-                map(types.__getitem__, (log.type_codes + 1).tolist()),
+        for lo in range(0, log.num_events, DUMP_BLOCK_ROWS):
+            block = slice(lo, lo + DUMP_BLOCK_ROWS)
+            writer.writerows(
+                zip(
+                    map(log.entity_ids.__getitem__, log.entity_codes[block].tolist()),
+                    map(log.item_ids.__getitem__, log.item_codes[block].tolist()),
+                    log.timestamps[block].tolist(),
+                    map(types.__getitem__, (log.type_codes[block] + 1).tolist()),
+                )
             )
-        )
     finally:
         if own:
             stream.close()

@@ -19,15 +19,18 @@ table without re-validating each sequence.
 
 from __future__ import annotations
 
+import io
 import logging
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .errors import PreprocessError
-from .events import RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog, ItemIndex, _code, _sorted_codes
+from .events import (
+    DUMP_BLOCK_ROWS, RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog, ItemIndex, _code, _sorted_codes,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -256,19 +259,29 @@ class Dataset:
             if np.any(self.item_support[present] < cfg.min_item_support):
                 raise AssertionError("item below minimum support survived")
 
+    def dump_canonical(self, stream: TextIO) -> None:
+        """Write the deterministic dump to ``stream``, a block of rows at a time."""
+        table = self.sequences
+        entity_codes = np.repeat(table.entity_codes, table.lengths)
+        seq_ids = np.repeat(table.seq_ids, table.lengths)
+        stream.write("seq_id\tentity\titem\ttimestamp\n")
+        for lo in range(0, table.num_events, DUMP_BLOCK_ROWS):
+            block = slice(lo, lo + DUMP_BLOCK_ROWS)
+            rows = zip(
+                seq_ids[block].tolist(),
+                map(table.entity_ids.__getitem__, entity_codes[block].tolist()),
+                map(self.item_index.reverse.__getitem__, table.items[block].tolist()),
+                table.timestamps[block].tolist(),
+            )
+            stream.writelines(
+                f"{seq_id}\t{entity}\t{item}\t{ts}\n" for seq_id, entity, item, ts in rows
+            )
+
     def canonical_text(self) -> str:
         """Deterministic dump used to compare pipeline outputs byte for byte."""
-        table = self.sequences
-        lengths = table.lengths
-        rows = zip(
-            np.repeat(table.seq_ids, lengths).tolist(),
-            map(table.entity_ids.__getitem__, np.repeat(table.entity_codes, lengths).tolist()),
-            map(self.item_index.reverse.__getitem__, table.items.tolist()),
-            table.timestamps.tolist(),
-        )
-        lines = ["seq_id\tentity\titem\ttimestamp"]
-        lines.extend(f"{seq_id}\t{entity}\t{item}\t{ts}" for seq_id, entity, item, ts in rows)
-        return "\n".join(lines) + "\n"
+        buffer = io.StringIO()
+        self.dump_canonical(buffer)
+        return buffer.getvalue()
 
     def provenance_report(self) -> list[dict]:
         return [record.to_dict() for record in self.provenance]

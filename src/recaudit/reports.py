@@ -15,7 +15,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, TextIO
 
 from .diagnostics import (
     CollisionReport,
@@ -38,13 +38,18 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def write_text(path: str, text: str) -> str:
+def write_dump(path: str, dump: Callable[[TextIO], None]) -> str:
+    """Create ``path`` (and its directory) and let ``dump`` write the text."""
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        dump(handle)
     return path
+
+
+def write_text(path: str, text: str) -> str:
+    return write_dump(path, lambda handle: handle.write(text))
 
 
 def write_json(path: str, payload) -> str:

@@ -9,7 +9,7 @@ import csv
 import numpy as np
 
 from recaudit.diagnostics import probe_models, sequentiality_probe
-from recaudit.evaluation import EvalConfig, evaluate
+from recaudit.evaluation import EvalConfig, SamplerSpec, evaluate
 from recaudit.events import SECONDS_PER_DAY, EventLog, ItemIndex, RawEvent
 from recaudit.models import build_model
 from recaudit.preprocess import Dataset, Sequence
@@ -141,10 +141,19 @@ def fit_and_probe(
 ):
     """Fit and fully evaluate the probe's two models on a split, then compare them."""
     cfg = EvalConfig(cutoffs=tuple(cutoffs), tie_policy=tie_policy, master_seed=master_seed)
-    reports = [
-        evaluate(build_model(name).fit(split.train), split, cfg, model_name=name)
-        for name in probe_models(sequential_model)
-    ]
+    names = probe_models(sequential_model)
+    grid = evaluate({name: build_model(name).fit(split.train) for name in names}, split, cfg)
     return sequentiality_probe(
-        *reports, verdict_cutoff=verdict_cutoff, verdict_threshold=verdict_threshold
+        *(grid[name, "none"] for name in names),
+        verdict_cutoff=verdict_cutoff,
+        verdict_threshold=verdict_threshold,
     )
+
+
+def evaluate_cell(
+    model, split, cfg, sampler=SamplerSpec(), embeddings=None, workers=1, model_name=None
+):
+    """The report of one (model, sampler) cell, from a one-cell evaluation grid."""
+    name = model_name or type(model).__name__
+    grid = evaluate({name: model}, split, cfg, (sampler,), embeddings, workers)
+    return grid[name, sampler]

@@ -33,7 +33,6 @@ from recaudit.evaluation import (
     SamplerSpec,
     crossing_analysis,
     enumerate_cases,
-    evaluate,
 )
 from recaudit.errors import PreprocessError
 from recaudit.events import EventLog, RawEvent
@@ -57,6 +56,7 @@ from synth import (
     build_dataset,
     build_split,
     chain_split,
+    evaluate_cell,
     fit_and_probe,
     log_of,
     make_index,
@@ -224,7 +224,7 @@ class TestSamplingBiasDominance:
         embeddings = derive_embeddings(split.train, 16, seed=3)
         cfg = EvalConfig(cutoffs=(1, 5, 10, 20), master_seed=7)
 
-        full = evaluate(model, split, cfg)
+        full = evaluate_cell(model, split, cfg)
         scoreable = full.ranks > 0
         assert int(np.count_nonzero(scoreable)) >= 1000
 
@@ -232,7 +232,7 @@ class TestSamplingBiasDominance:
         assert len(strategies) == 8
         uniform_report = None
         for strategy in strategies:
-            report = evaluate(
+            report = evaluate_cell(
                 model,
                 split,
                 cfg,
@@ -280,13 +280,13 @@ class TestClosedFormOracle:
         )
         model = MarkovModel().fit(split.train)
         cutoffs = (1, 5, 10, 20)
-        full = evaluate(model, split, EvalConfig(cutoffs=cutoffs, tie_policy=tie_policy))
+        full = evaluate_cell(model, split, EvalConfig(cutoffs=cutoffs, tie_policy=tie_policy))
         ranks = full.ranks[full.ranks > 0]
         distinct, inverse = np.unique(ranks, return_inverse=True)
         for samples in (20, 100):
             for seed in (7, 8):
                 cfg = EvalConfig(cutoffs=cutoffs, tie_policy=tie_policy, master_seed=seed)
-                report = evaluate(
+                report = evaluate_cell(
                     model, split, cfg, SamplerSpec(strategy="uniform", sample_count=samples)
                 )
                 zs = []
@@ -364,8 +364,8 @@ class TestOrderingFlip:
         positions = []
         for sampler_text in ("none", "uniform:10%", "uniform:1%", "uniform:100"):
             sampler = SamplerSpec.parse(sampler_text)
-            report_a = evaluate(top_heavy, split, cfg, sampler, model_name="top_heavy")
-            report_b = evaluate(tail_heavy, split, cfg, sampler, model_name="tail_heavy")
+            report_a = evaluate_cell(top_heavy, split, cfg, sampler, model_name="top_heavy")
+            report_b = evaluate_cell(tail_heavy, split, cfg, sampler, model_name="tail_heavy")
             crossing = crossing_analysis(report_a, report_b, metric="recall")
             assert crossing.flips, sampler_text
             positions.append(crossing.first_flip[1])
@@ -684,7 +684,7 @@ class TestThroughput:
         model = MarkovModel().fit(split.train)
         cfg = EvalConfig(cutoffs=(1, 5, 10, 20))
         started = time.perf_counter()
-        report = evaluate(model, split, cfg)
+        report = evaluate_cell(model, split, cfg)
         elapsed = time.perf_counter() - started
 
         assert report.total_cases == 100_000

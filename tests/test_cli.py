@@ -1083,8 +1083,8 @@ class TestStageRunner:
         monkeypatch.setattr(
             cli,
             "evaluate",
-            lambda *args, **kwargs: evaluated.append(kwargs["model_name"])
-            or evaluate(*args, **kwargs),
+            lambda models, *args, **kwargs: evaluated.append(list(models))
+            or evaluate(models, *args, **kwargs),
         )
         outdir = tmp_path / "out"
         code, _, _ = run_cli(
@@ -1092,7 +1092,7 @@ class TestStageRunner:
              "--strategy", "time", "--test-days", "1", "--model", "markov"]
         )
         assert code == 0
-        assert len(fits) == 1 and evaluated == ["markov", "cooccurrence"]
+        assert len(fits) == 1 and evaluated == [["markov", "cooccurrence"]]
         metrics = json.loads((outdir / "metrics.json").read_text())
         diagnostics = json.loads((outdir / "diagnostics.json").read_text())
         assert diagnostics["sequentiality"]["sequential"] == metrics

@@ -19,6 +19,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import recaudit.events
+import recaudit.preprocess
+from recaudit.cli import main
+from recaudit.config import RunConfig
 from recaudit.diagnostics import (
     RATE_DENOMINATORS,
     CollisionReport,
@@ -51,10 +55,12 @@ from recaudit.splitting import (
     SideStats,
     SplitSpec,
     SplitStats,
+    apply_split,
     leave_one_out_split,
     random_split,
     time_split,
 )
+from synth import browsing_rows, write_events_csv
 
 MAPPING = ColumnMapping(entity="user", item="item", time="ts", type="kind")
 
@@ -727,3 +733,30 @@ class TestDiagnosticsMatchLoops:
             ref_overlap(list(train.sequences), list(test.sequences), loo=True)
         with pytest.raises(DiagnosticsError, match="test sequence 9 has no training prefix"):
             transition_overlap(split)
+
+
+class TestDumpsStreamToTheirFiles:
+    def test_written_dumps_equal_the_whole_text(self, tmp_path, monkeypatch):
+        # blocks of 7 rows, so every dump crosses many block boundaries
+        monkeypatch.setattr(recaudit.events, "DUMP_BLOCK_ROWS", 7)
+        monkeypatch.setattr(recaudit.preprocess, "DUMP_BLOCK_ROWS", 7)
+        path = write_events_csv(tmp_path / "events.csv", browsing_rows())
+        split_flags = ["--strategy", "time", "--test-days", "1"]
+        for command, flags in (("ingest", []), ("preprocess", []), ("split", split_flags)):
+            argv = [command, "--input", path, "--output-dir", str(tmp_path / command), *flags]
+            assert main(argv) in (0, 2), command
+
+        cfg = RunConfig.load(overrides={"split.strategy": "time", "split.test_days": 1})
+        with open(path, encoding="utf-8") as handle:
+            groups, _ = ref_ingest(handle.read(), cfg.column_mapping(), 0.01)
+        data = preprocess(ingest_csv(path, cfg.column_mapping()), cfg.pipeline_config())
+        split = apply_split(data, cfg.split_spec())
+        expected = {
+            "ingest/canonical_events.tsv": ref_dump(groups),
+            "preprocess/dataset.tsv": ref_canonical_text(data.sequences, data.item_index),
+            "split/train.tsv": ref_canonical_text(split.train.sequences, data.item_index),
+            "split/test.tsv": ref_canonical_text(split.test.sequences, data.item_index),
+        }
+        for name, text in expected.items():
+            assert len(text.splitlines()) > 3 * 7, name
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name

@@ -1,6 +1,8 @@
 """Evaluator tests: ranking semantics, samplers, determinism, crossings."""
 
 import itertools
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +23,14 @@ from recaudit.evaluation import (
     sample_negatives,
 )
 from recaudit.events import ItemIndex
-from recaudit.models import EmbeddingMatrix, MarkovModel, PopularityModel, RecommenderModel
+from recaudit.models import (
+    EmbeddingMatrix,
+    MarkovModel,
+    PopularityModel,
+    RecommenderModel,
+    build_model,
+    derive_embeddings,
+)
 from recaudit.preprocess import Dataset, Sequence
 from recaudit.probability import sampled_topc_probability
 from recaudit.splitting import (
@@ -32,6 +41,7 @@ from recaudit.splitting import (
     DatasetSplit,
     leave_one_out_split,
 )
+from synth import build_split, evaluate_cell, make_index
 
 INDEX = ItemIndex.from_items("abcdefgh")
 A, B, C, D, E, F, G, H = range(8)
@@ -318,7 +328,7 @@ class TestEvaluate:
         scores = np.zeros(8)
         scores[[D, E]] = 5.0  # two items outrank the target
         scores[A] = 1.0
-        report = evaluate(FixedScores(scores), split, EvalConfig(cutoffs=(1, 5)))
+        report = evaluate_cell(FixedScores(scores), split, EvalConfig(cutoffs=(1, 5)))
         assert report.recall == {1: 0.0, 5: 1.0}
         assert report.mrr == {1: 0.0, 5: pytest.approx(1 / 3)}
         assert report.case_count == 1 and report.total_cases == 1
@@ -326,14 +336,14 @@ class TestEvaluate:
     def test_planted_chain_full_recall_at_one(self):
         split = split_from(["abcd"] * 4, ["abcd", "abcd"])
         model = MarkovModel().fit(split.train)
-        report = evaluate(model, split, EvalConfig(cutoffs=(1, 5)))
+        report = evaluate_cell(model, split, EvalConfig(cutoffs=(1, 5)))
         assert report.recall[1] == 1.0
         assert report.mrr[1] == 1.0
 
     def test_unseen_targets_skipped_and_counted(self):
         split = split_from(["abc", "abc"], ["abh"])  # h never trains
         model = PopularityModel().fit(split.train)
-        report = evaluate(model, split, EvalConfig(cutoffs=(1, 8)))
+        report = evaluate_cell(model, split, EvalConfig(cutoffs=(1, 8)))
         assert report.total_cases == 2
         assert report.skipped_unseen_target_count == 1
         assert report.case_count == 1
@@ -341,11 +351,12 @@ class TestEvaluate:
     def test_all_targets_unseen_is_an_error(self):
         split = split_from(["abc"], ["ah"])
         with pytest.raises(EvaluationError, match="no scoreable"):
-            evaluate(PopularityModel().fit(split.train), split, EvalConfig())
+            evaluate_cell(PopularityModel().fit(split.train), split, EvalConfig())
 
     def test_metric_monotonicity_and_bounds(self):
         split = split_from(["abcd", "bcda", "cdab"], ["abcd", "dcba", "badc"])
-        report = evaluate(MarkovModel().fit(split.train), split, EvalConfig(cutoffs=(1, 2, 4, 8)))
+        model = MarkovModel().fit(split.train)
+        report = evaluate_cell(model, split, EvalConfig(cutoffs=(1, 2, 4, 8)))
         values = [report.recall[n] for n in report.cutoffs]
         assert values == sorted(values)
         mrrs = [report.mrr[n] for n in report.cutoffs]
@@ -358,9 +369,9 @@ class TestEvaluate:
         split = split_from(["abcd", "bcda", "cdab", "abce"], ["abcd", "dcba", "badc"])
         model = MarkovModel().fit(split.train)
         cfg = EvalConfig(cutoffs=(1, 2))
-        full = evaluate(model, split, cfg)
+        full = evaluate_cell(model, split, cfg)
         for text in ("uniform:3", "popularity:3", "top_popular:3"):
-            sampled = evaluate(model, split, cfg, SamplerSpec.parse(text))
+            sampled = evaluate_cell(model, split, cfg, SamplerSpec.parse(text))
             mask = full.ranks > 0
             assert np.all(sampled.ranks[mask] <= full.ranks[mask])
             for n in cfg.cutoffs:
@@ -373,7 +384,7 @@ class TestEvaluate:
         cfg = EvalConfig(cutoffs=(1, 5), tie_policy="random", master_seed=17)
         sampler = SamplerSpec.parse("uniform:4")
         reports = [
-            evaluate(model, split, cfg, sampler, workers=w) for w in (1, 2, 4)
+            evaluate_cell(model, split, cfg, sampler, workers=w) for w in (1, 2, 4)
         ]
         for other in reports[1:]:
             assert other.to_dict() == reports[0].to_dict()
@@ -405,7 +416,7 @@ class TestEvaluate:
         )
         model = FixedScores(np.arange(catalog, 0, -1, dtype=np.float64))
         cutoff, samples = 3, 10
-        report = evaluate(
+        report = evaluate_cell(
             model,
             split,
             EvalConfig(cutoffs=(cutoff,), master_seed=5),
@@ -414,6 +425,134 @@ class TestEvaluate:
         expected = sampled_topc_probability(catalog, rank_r, samples, cutoff)
         sigma = (expected * (1 - expected) / report.case_count) ** 0.5
         assert abs(report.recall[cutoff] - expected) <= 4 * sigma
+
+
+GRID_MODELS = ("markov", "cooccurrence", "popularity")
+GRID_SAMPLERS = tuple(
+    SamplerSpec.parse(text)
+    for text in (
+        "none", "uniform:5", "popularity:5", "inverse_popularity:5", "top_popular:5",
+        "close_embedding:5",
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def grid_inputs():
+    """A split with many score ties and some unseen targets, its models and embeddings."""
+    rng = np.random.default_rng(5)
+    index = make_index(31)  # item 30 never trains: cases predicting it are unscoreable
+    train = [(rng.integers(0, 30, size=8), np.arange(8) + 100 * k) for k in range(40)]
+    test = [(rng.integers(0, 31, size=6), 10_000 + np.arange(6) + 100 * k) for k in range(12)]
+    split = build_split(index, train, test)
+    models = {name: build_model(name).fit(split.train) for name in GRID_MODELS}
+    return split, models, derive_embeddings(split.train, 4, 3)
+
+
+class Counted(RecommenderModel):
+    """Delegates scoring to a fitted model and counts the cases it scores."""
+
+    def __init__(self, inner, counts):
+        self.inner, self.counts = inner, counts
+
+    def fit(self, train):
+        return self
+
+    def score_all(self, prefix):
+        return self.inner.score_all(prefix)
+
+    def score_case(self, case_index, prefix):
+        self.counts[case_index] += 1
+        return self.inner.score_case(case_index, prefix)
+
+
+class TestGridEvaluation:
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("tie_policy", ("optimistic", "pessimistic", "random"))
+    def test_one_pass_equals_one_cell_evaluations(self, grid_inputs, tie_policy, workers):
+        split, models, embeddings = grid_inputs
+        cfg = EvalConfig(cutoffs=(1, 3, 10), tie_policy=tie_policy, master_seed=13)
+        grid = evaluate(models, split, cfg, GRID_SAMPLERS, embeddings, workers=workers)
+        cases = enumerate_cases(split)
+        assert grid.total_cases == len(cases)
+        assert len(grid.reports) == len(GRID_MODELS) * len(GRID_SAMPLERS)
+        for sampler in GRID_SAMPLERS:
+            for name, model in models.items():
+                alone = evaluate_cell(model, split, cfg, sampler, embeddings, model_name=name)
+                report = grid[name, sampler.describe()]
+                assert report.to_dict() == alone.to_dict(), (name, sampler)
+                assert report.ranks.tolist() == alone.ranks.tolist(), (name, sampler)
+        assert np.count_nonzero(report.ranks < 0) > 0  # unscoreable cases are covered
+
+    def test_each_case_is_scored_once_and_each_generator_built_once(
+        self, grid_inputs, monkeypatch
+    ):
+        split, models, embeddings = grid_inputs
+        scored = {name: Counter() for name in models}
+        counted = {name: Counted(model, scored[name]) for name, model in models.items()}
+        rngs, draws = Counter(), Counter()
+        build_rng, draw = evaluation.case_rng, evaluation.sample_negatives
+
+        def counting_rng(master_seed, case_index):
+            rngs[case_index] += 1
+            return build_rng(master_seed, case_index)
+
+        def counting_draw(spec, *args):
+            draws[spec.strategy] += 1
+            return draw(spec, *args)
+
+        monkeypatch.setattr(evaluation, "case_rng", counting_rng)
+        monkeypatch.setattr(evaluation, "sample_negatives", counting_draw)
+        cfg = EvalConfig(tie_policy="random", master_seed=2)
+        evaluate(counted, split, cfg, GRID_SAMPLERS, embeddings)
+
+        support = split.train.item_support
+        scoreable = [c for c in enumerate_cases(split) if support[c.target] > 0]
+        targets = {case.target for case in scoreable}
+        indices = [case.case_index for case in scoreable]
+        assert len(scoreable) < len(enumerate_cases(split))
+        for name in models:
+            assert scored[name] == Counter(indices), name
+        assert rngs == Counter({i: len(GRID_SAMPLERS) for i in indices})
+        # random samplers draw per case, deterministic ones once per distinct target
+        assert draws == {
+            "uniform": len(scoreable),
+            "popularity": len(scoreable),
+            "inverse_popularity": len(scoreable),
+            "top_popular": len(targets),
+            "close_embedding": len(targets),
+        }
+
+    def test_repeated_samplers_are_evaluated_once(self, grid_inputs):
+        split, models, _ = grid_inputs
+        cfg = EvalConfig(master_seed=4)
+        uniform = SamplerSpec.parse("uniform:5")
+        grid = evaluate(models, split, cfg, [uniform, SamplerSpec(), uniform])
+        assert list(grid.reports) == [
+            (name, sampler) for sampler in (uniform, SamplerSpec()) for name in models
+        ]
+
+    def test_deterministic_negatives_do_not_keep_the_catalog_sort(self):
+        # one top_popular negative set per distinct target: each must hold its
+        # few items, not a view of a catalog-size sort order
+        catalog, targets = 4000, 400
+        index = make_index(catalog)
+        train = [(np.arange(catalog), np.arange(catalog))]
+        test = [
+            (np.array([0, t]), 10_000 + np.arange(2) + 10 * t)
+            for t in range(1, targets + 1)
+        ]
+        split = build_split(index, train, test)
+        model = FixedScores(np.zeros(catalog))
+        cfg = EvalConfig(cutoffs=(1,))
+        tracemalloc.start()
+        try:
+            evaluate({"fixed": model}, split, cfg, [SamplerSpec.parse("top_popular:5")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # views would keep targets × catalog × 8 bytes (12.8 MB) alive
+        assert peak < 4 << 20
 
 
 class TestWorkerPool:
@@ -443,9 +582,9 @@ class TestWorkerPool:
         split = split_from(["abcd", "bcda", "cdab"], ["abcd", "dcba"])  # 6 cases
         model = MarkovModel().fit(split.train)
         cfg = EvalConfig(cutoffs=(1, 5))
-        wide = evaluate(model, split, cfg, workers=5000)
+        wide = evaluate_cell(model, split, cfg, workers=5000)
         assert created == [expected]
-        assert wide.ranks.tolist() == evaluate(model, split, cfg).ranks.tolist()
+        assert wide.ranks.tolist() == evaluate_cell(model, split, cfg).ranks.tolist()
 
 
 def make_report(recall, cutoffs=(5, 20), model="A", sampler="none"):
