@@ -225,6 +225,8 @@ def _grid(cfg: RunConfig, args) -> tuple[list[str], list[SamplerSpec]]:
         samplers = [SamplerSpec.parse(text) for text in args.samplers.split(",") if text.strip()]
     except ValueError as exc:
         raise ConfigError(f"--samplers: {exc}") from exc
+    if not samplers:
+        raise ConfigError("--samplers needs at least one sampler spec")
     if any(sampler.strategy in RANDOM_SAMPLERS for sampler in samplers):
         cfg.sampling_seed()
     return names, samplers

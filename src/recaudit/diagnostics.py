@@ -26,7 +26,7 @@ from .errors import DiagnosticsError
 from .evaluation import MetricReport
 from .events import RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog
 from .preprocess import Dataset
-from .splitting import STRATEGY_LOO, DatasetSplit
+from .splitting import STRATEGY_LOO, DatasetSplit, loo_prefix_rows
 
 # day-resolution data above this colliding-event share is flagged as hazardous
 COLLISION_EVENT_FRACTION_THRESHOLD = 0.10
@@ -229,11 +229,6 @@ def new_transition_rate(
     ]
 
 
-def plot_points(series: list[TransitionRatePoint]) -> list[TransitionRatePoint]:
-    """Series as plotted: the first day is dropped (everything is new on it)."""
-    return [point for point in series if point.day != 0]
-
-
 @dataclass(frozen=True)
 class OverlapReport:
     """Share of evaluated test transitions already present in training data."""
@@ -267,15 +262,13 @@ def transition_overlap(split: DatasetSplit) -> OverlapReport:
     train = transition_set(split.train)
     if split.spec.strategy == STRATEGY_LOO:
         prefixes, tests = split.train.sequences, split.test.sequences
-        missing = tests.seq_ids[~np.isin(tests.seq_ids, prefixes.seq_ids)]
+        rows = loo_prefix_rows(split)
+        missing = tests.seq_ids[rows < 0]
         if len(missing):
             raise DiagnosticsError(
                 f"test sequence {missing[0]} has no training prefix to extend"
             )
-        # for a repeated id take the last training sequence, as a dict keyed by id would
-        order = np.argsort(prefixes.seq_ids, kind="stable")
-        at = np.searchsorted(prefixes.seq_ids[order], tests.seq_ids, side="right") - 1
-        left = prefixes.items[prefixes.offsets[order[at] + 1] - 1]
+        left = prefixes.items[prefixes.offsets[rows + 1] - 1]
         occurrences = left * train.width + tests.items[tests.offsets[:-1]]
     else:
         # both sides share the catalog, so the pair keys share a width

@@ -1,10 +1,11 @@
 """Next-item evaluation: case enumeration, ranking, sampling, metrics.
 
-The evaluator turns a split into test cases (prefix, next item), asks each
-model once per case for full-catalog scores, and ranks the true next item,
-once per candidate sampler, either against the whole catalog or against a
-set of sampled negatives.  Metrics are recall@N and MRR@N averaged over
-scoreable cases, one report per (model, sampler).
+The evaluator turns a split into a columnar table of test cases (prefix
+bounds into one item column, next item), asks each model once per case for
+full-catalog scores, and ranks the true next item, once per candidate
+sampler, either against the whole catalog or against a set of sampled
+negatives.  Metrics are recall@N and MRR@N averaged over scoreable cases,
+one report per (model, sampler).
 
 Determinism is load-bearing: every case draws randomness from a generator
 seeded by (master seed, case index) alone, and parallel workers write ranks
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .models import EmbeddingMatrix, RecommenderModel
-from .splitting import STRATEGY_LOO, DatasetSplit
+from .splitting import STRATEGY_LOO, DatasetSplit, loo_prefix_rows
 
 TIE_OPTIMISTIC = "optimistic"
 TIE_PESSIMISTIC = "pessimistic"
@@ -145,17 +146,26 @@ class SamplerSpec:
         return count
 
 
-@dataclass(frozen=True)
-class EvalCase:
-    """One ranking decision: given this prefix, is the target found?"""
+@dataclass(frozen=True, eq=False)
+class CaseTable:
+    """The (prefix, next item) decisions of a split, one row per case.
 
-    case_index: int
-    seq_id: int
-    prefix: np.ndarray
-    target: int
+    Case ``i`` ranks ``targets[i]`` after the prefix
+    ``items[starts[i]:stops[i]]``; the row number is the case index.
+    ``items`` is the column the prefixes slice: the test items, or the
+    training items under leave-one-out.
+    """
+
+    items: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
+    targets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.targets)
 
 
-def enumerate_cases(split: DatasetSplit, prefix_start: int = 1) -> list[EvalCase]:
+def enumerate_cases(split: DatasetSplit, prefix_start: int = 1) -> CaseTable:
     """Deterministically list the (prefix, next item) decisions a split implies.
 
     Time and random splits grow a prefix inside each test sequence: lengths
@@ -166,35 +176,31 @@ def enumerate_cases(split: DatasetSplit, prefix_start: int = 1) -> list[EvalCase
     Case indices from this enumeration are the seeding unit for everything
     stochastic downstream, so the order is part of the contract.
     """
-    cases: list[EvalCase] = []
+    test = split.test.sequences
     if split.spec.strategy == STRATEGY_LOO:
-        prefixes = {seq.seq_id: seq for seq in split.train.sequences}
-        for seq in split.test.sequences:
-            source = prefixes.get(seq.seq_id)
-            if source is None:
-                raise EvaluationError(
-                    f"test sequence {seq.seq_id} has no training prefix to extend"
-                )
-            cases.append(
-                EvalCase(
-                    case_index=len(cases),
-                    seq_id=seq.seq_id,
-                    prefix=source.items,
-                    target=int(seq.items[0]),
-                )
+        train = split.train.sequences
+        rows = loo_prefix_rows(split)
+        missing = test.seq_ids[rows < 0]
+        if len(missing):
+            raise EvaluationError(
+                f"test sequence {missing[0]} has no training prefix to extend"
             )
-        return cases
-    for seq in split.test.sequences:
-        for length in range(prefix_start, len(seq)):
-            cases.append(
-                EvalCase(
-                    case_index=len(cases),
-                    seq_id=seq.seq_id,
-                    prefix=seq.items[:length],
-                    target=int(seq.items[length]),
-                )
-            )
-    return cases
+        return CaseTable(
+            items=train.items,
+            starts=train.offsets[rows],
+            stops=train.offsets[rows + 1],
+            targets=test.items[test.offsets[:-1]],
+        )
+    counts = np.maximum(test.lengths - prefix_start, 0)
+    # the k-th case of a sequence (case index first + k) predicts its event prefix_start + k
+    firsts = np.cumsum(counts) - counts
+    stops = np.arange(counts.sum()) + np.repeat(test.offsets[:-1] + prefix_start - firsts, counts)
+    return CaseTable(
+        items=test.items,
+        starts=np.repeat(test.offsets[:-1], counts),
+        stops=stops,
+        targets=test.items[stops],
+    )
 
 
 def case_rng(master_seed: int, case_index: int) -> np.random.Generator:
@@ -292,11 +298,14 @@ def _successive_sample(
 def _top_by_value(values: np.ndarray, count: int, target: int) -> np.ndarray:
     """Indices of the ``count`` largest values, target excluded, ties by index.
 
-    A copy, so the catalog-size sort order is freed with the call.
+    ``count`` is below ``len(values)``.  Only the pool of values at least the
+    ``count + 1``-th largest is sorted: with one target left out, it holds the
+    answer.
     """
-    order = np.lexsort((np.arange(len(values)), -values))
-    order = order[order != target]
-    return order[:count].copy()
+    keys = -values
+    pool = np.flatnonzero(keys <= np.partition(keys, count)[count])
+    pool = pool[pool != target]
+    return pool[np.lexsort((pool, keys[pool]))[:count]]
 
 
 def sample_negatives(
@@ -408,7 +417,7 @@ class GridReport:
 
 def _rank_case_range(
     models: list[RecommenderModel],
-    cases: list[EvalCase],
+    cases: CaseTable,
     start: int,
     stop: int,
     cfg: EvalConfig,
@@ -418,7 +427,7 @@ def _rank_case_range(
     scoreable: np.ndarray,
     fixed_candidates: list[dict[int, np.ndarray] | None],
 ) -> np.ndarray:
-    """Ranks of ``cases[start:stop]`` as a (models, samplers, cases) block.
+    """Ranks of cases ``start:stop`` as a (models, samplers, cases) block.
 
     Each model scores a case once.  Each sampler builds the case's generator
     once and draws its negatives once; with random ties every model ranks
@@ -427,13 +436,16 @@ def _rank_case_range(
     """
     ranks = np.full((len(models), len(samplers), stop - start), -1, dtype=np.int64)
     restore = cfg.tie_policy == TIE_RANDOM and len(models) > 1
-    for offset, case in enumerate(cases[start:stop]):
-        target = case.target
+    window = slice(start, stop)
+    columns = (cases.starts[window], cases.stops[window], cases.targets[window])
+    for offset, (lo, hi, target) in enumerate(zip(*(column.tolist() for column in columns))):
         if not scoreable[target]:
             continue
-        scores = [model.score_case(case.case_index, case.prefix) for model in models]
+        case_index = start + offset
+        prefix = cases.items[lo:hi]
+        scores = [model.score_case(case_index, prefix) for model in models]
         for s, (sampler, fixed) in enumerate(zip(samplers, fixed_candidates)):
-            rng = case_rng(cfg.master_seed, case.case_index)
+            rng = case_rng(cfg.master_seed, case_index)
             if sampler.strategy == SAMPLER_NONE:
                 candidates = None
             elif fixed is not None:
@@ -473,7 +485,7 @@ def _forked_rank_range(bounds: tuple[int, int]) -> tuple[int, np.ndarray]:
 
 def _fixed_candidates(
     sampler: SamplerSpec,
-    cases: list[EvalCase],
+    cases: CaseTable,
     support: np.ndarray,
     scoreable: np.ndarray,
     embeddings: EmbeddingMatrix | None,
@@ -482,18 +494,16 @@ def _fixed_candidates(
     if sampler.strategy not in DETERMINISTIC_SAMPLERS:
         return None
     throwaway = np.random.default_rng(0)
-    table: dict[int, np.ndarray] = {}
-    for case in cases:
-        if scoreable[case.target] and case.target not in table:
-            table[case.target] = sample_negatives(
-                sampler, case.target, len(support), support, embeddings, throwaway
-            )
-    return table
+    targets = np.unique(cases.targets)
+    return {
+        target: sample_negatives(sampler, target, len(support), support, embeddings, throwaway)
+        for target in targets[scoreable[targets]].tolist()
+    }
 
 
 def compute_case_ranks(
     models: list[RecommenderModel],
-    cases: list[EvalCase],
+    cases: CaseTable,
     split: DatasetSplit,
     cfg: EvalConfig,
     samplers: list[SamplerSpec],

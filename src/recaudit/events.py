@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -41,24 +41,6 @@ RESOLUTION_DAYS = "days"
 RESOLUTION_SECONDS = "seconds"
 
 _MAX_TIMESTAMP = np.iinfo(np.int64).max
-
-
-@dataclass(frozen=True)
-class RawEvent:
-    """A single interaction: entity did something with an item at a time."""
-
-    entity_id: str
-    item_id: str
-    timestamp: int
-    event_type: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.entity_id:
-            raise ValueError("entity_id must be non-empty")
-        if not self.item_id:
-            raise ValueError("item_id must be non-empty")
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
 
 
 @dataclass(frozen=True)
@@ -156,18 +138,10 @@ class EventLog:
         items: list[str],
         timestamps: list[int],
         event_types: list[str | None] | None = None,
-        rejected_count: int = 0,
-        rejected_preview: tuple[str, ...] = (),
     ) -> "EventLog":
         """Code string columns and stable-sort; equal timestamps keep input order."""
-        return cls._from_codes(
-            _code(entities),
-            _code(items),
-            timestamps,
-            None if event_types is None else _code(event_types),
-            rejected_count,
-            rejected_preview,
-        )
+        types = None if event_types is None else _code(event_types)
+        return cls._from_codes(_code(entities), _code(items), timestamps, types, 0, ())
 
     @classmethod
     def _from_codes(
@@ -201,24 +175,6 @@ class EventLog:
             rejected_preview=tuple(rejected_preview),
         )
 
-    @classmethod
-    def from_events(
-        cls,
-        events: Iterable[RawEvent],
-        rejected_count: int = 0,
-        rejected_preview: tuple[str, ...] = (),
-    ) -> "EventLog":
-        """Table of in-memory events; equal timestamps keep iteration order."""
-        events = list(events)
-        return cls.from_columns(
-            [e.entity_id for e in events],
-            [e.item_id for e in events],
-            [e.timestamp for e in events],
-            [e.event_type for e in events],
-            rejected_count,
-            rejected_preview,
-        )
-
     def take(self, rows: np.ndarray) -> "EventLog":
         """The rows a boolean mask keeps, vocabularies compacted, resolution re-detected.
 
@@ -246,22 +202,6 @@ class EventLog:
     @property
     def num_entities(self) -> int:
         return len(self.entity_ids)
-
-    def iter_events(self) -> Iterator[RawEvent]:
-        """The rows as :class:`RawEvent` objects, in table order."""
-        types = self.event_type_ids
-        for entity, item, timestamp, kind in zip(
-            self.entity_codes.tolist(),
-            self.item_codes.tolist(),
-            self.timestamps.tolist(),
-            self.type_codes.tolist(),
-        ):
-            yield RawEvent(
-                self.entity_ids[entity],
-                self.item_ids[item],
-                timestamp,
-                types[kind] if kind >= 0 else None,
-            )
 
     def event_types(self) -> set[str]:
         return set(self.event_type_ids)

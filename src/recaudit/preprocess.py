@@ -11,10 +11,9 @@ Every step is an array pass over one :class:`SequenceTable`: flat int64
 time, ties in input order) with CSR ``offsets`` marking where each sequence
 starts.  Items are dense integer codes throughout; the mapping back to raw
 ids travels in an :class:`~recaudit.events.ItemIndex` and is rebuilt
-(compacted) by the support filter once the catalog has settled.  Code that
-wants one sequence at a time iterates the table, which hands out
-:class:`Sequence` views: int64 slices of the flat columns, built once per
-table without re-validating each sequence.
+(compacted) by the support filter once the catalog has settled.  There is no
+per-sequence object: sequence ``k`` is the slice ``offsets[k]:offsets[k + 1]``
+of the columns, and every consumer reads the columns directly.
 """
 
 from __future__ import annotations
@@ -23,14 +22,12 @@ import io
 import logging
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .errors import PreprocessError
-from .events import (
-    DUMP_BLOCK_ROWS, RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog, ItemIndex, _code, _sorted_codes,
-)
+from .events import DUMP_BLOCK_ROWS, RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog, ItemIndex
 
 logger = logging.getLogger(__name__)
 
@@ -62,53 +59,13 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Sequence:
-    """One ordered interaction sequence with dense item codes."""
-
-    seq_id: int
-    entity_id: str
-    items: np.ndarray
-    timestamps: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", np.asarray(self.items, dtype=np.int64))
-        object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
-        if self.items.shape != self.timestamps.shape or self.items.ndim != 1:
-            raise ValueError("items and timestamps must be 1-d arrays of equal length")
-        if len(self.items) == 0:
-            raise ValueError("a sequence must hold at least one event")
-        if np.any(np.diff(self.timestamps) < 0):
-            raise ValueError("timestamps must be non-decreasing")
-
-    @classmethod
-    def view(cls, seq_id: int, entity_id: str, items: np.ndarray, timestamps: np.ndarray):
-        """A sequence over slices of a :class:`SequenceTable`, which already holds
-        its invariants, so the per-object checks are skipped."""
-        seq = object.__new__(cls)
-        seq.__dict__.update(seq_id=seq_id, entity_id=entity_id, items=items, timestamps=timestamps)
-        return seq
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def start_time(self) -> int:
-        return int(self.timestamps[0])
-
-    @property
-    def end_time(self) -> int:
-        return int(self.timestamps[-1])
-
-
-@dataclass(frozen=True, eq=False)
 class SequenceTable:
     """Sequences as flat columns with CSR offsets.
 
     Sequence ``k`` holds events ``offsets[k]:offsets[k + 1]`` of the int64
     ``items`` and ``timestamps`` columns; it is never empty and its timestamps
     never decrease.  ``seq_ids`` and ``entity_codes`` (indices into
-    ``entity_ids``) hold one int64 per sequence.  ``len``, iteration and
-    indexing see the table as a list of :class:`Sequence` views, built once.
+    ``entity_ids``) hold one int64 per sequence; ``len`` counts sequences.
     """
 
     items: np.ndarray
@@ -118,41 +75,8 @@ class SequenceTable:
     entity_codes: np.ndarray
     entity_ids: tuple[str, ...]
 
-    @classmethod
-    def from_sequences(cls, sequences: Iterable[Sequence]) -> "SequenceTable":
-        sequences = list(sequences)
-        entity_ids, entity_codes = _sorted_codes(_code(s.entity_id for s in sequences))
-        offsets = np.zeros(len(sequences) + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in sequences], out=offsets[1:])
-        empty = np.empty(0, dtype=np.int64)
-        return cls(
-            items=np.concatenate([s.items for s in sequences] or [empty]),
-            timestamps=np.concatenate([s.timestamps for s in sequences] or [empty]),
-            offsets=offsets,
-            seq_ids=np.array([s.seq_id for s in sequences], dtype=np.int64),
-            entity_codes=entity_codes,
-            entity_ids=entity_ids,
-        )
-
     def __len__(self) -> int:
         return len(self.offsets) - 1
-
-    @cached_property
-    def _views(self) -> list[Sequence]:
-        bounds = self.offsets.tolist()
-        items, times, names = self.items, self.timestamps, self.entity_ids
-        return [
-            Sequence.view(seq_id, names[entity], items[lo:hi], times[lo:hi])
-            for seq_id, entity, lo, hi in zip(
-                self.seq_ids.tolist(), self.entity_codes.tolist(), bounds[:-1], bounds[1:]
-            )
-        ]
-
-    def __iter__(self) -> Iterator[Sequence]:
-        return iter(self._views)
-
-    def __getitem__(self, position):
-        return self._views[position]
 
     @property
     def num_events(self) -> int:
@@ -225,11 +149,6 @@ class Dataset:
     sequences: SequenceTable
     item_index: ItemIndex
     provenance: list[StepRecord] = field(default_factory=list)
-
-    @classmethod
-    def from_sequences(cls, sequences: Iterable[Sequence], item_index: ItemIndex) -> "Dataset":
-        """A dataset of hand-built sequences, with an empty ledger."""
-        return cls(SequenceTable.from_sequences(sequences), item_index)
 
     @cached_property
     def item_support(self) -> np.ndarray:

@@ -83,23 +83,6 @@ def metrics_csv_text(reports: Iterable[MetricReport]) -> str:
     return buffer.getvalue()
 
 
-def parse_metrics_csv(text: str) -> list[dict]:
-    reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
-    if header != METRICS_CSV_HEADER:
-        raise ValueError(f"unexpected metrics CSV header: {header}")
-    return [
-        {
-            "model": model,
-            "sampler": sampler,
-            "cutoff": int(cutoff),
-            "recall": float(recall),
-            "mrr": float(mrr),
-        }
-        for model, sampler, cutoff, recall, mrr in reader
-    ]
-
-
 def rate_csv_text(series: Iterable[TransitionRatePoint]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -240,6 +240,22 @@ def leave_one_out_split(data: Dataset, selection: LeaveOneOutSelection) -> Datas
     return _make_split(data, train_seqs, test_seqs, spec)
 
 
+def loo_prefix_rows(split: DatasetSplit) -> np.ndarray:
+    """Row in train of each test sequence's leave-one-out prefix, -1 where none.
+
+    The prefix is the training sequence with the test sequence's id; for an
+    id repeated in train the last such row is taken.
+    """
+    train_ids, test_ids = split.train.sequences.seq_ids, split.test.sequences.seq_ids
+    order = np.argsort(train_ids, kind="stable")
+    at = np.searchsorted(train_ids[order], test_ids, side="right") - 1
+    found = at >= 0
+    found[found] = train_ids[order[at[found]]] == test_ids[found]
+    rows = np.full(len(test_ids), -1, dtype=np.int64)
+    rows[found] = order[at[found]]
+    return rows
+
+
 def random_split(data: Dataset, fraction: float, seed: int) -> DatasetSplit:
     """Assign whole sequences to test independently with the given probability."""
     spec = SplitSpec(strategy=STRATEGY_RANDOM, fraction=fraction, seed=seed)

@@ -5,14 +5,16 @@ preprocessing) so tests can pin exact sequences, timestamps, and catalogs.
 """
 
 import csv
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from recaudit.diagnostics import probe_models, sequentiality_probe
 from recaudit.evaluation import EvalConfig, SamplerSpec, evaluate
-from recaudit.events import SECONDS_PER_DAY, EventLog, ItemIndex, RawEvent
+from recaudit.events import SECONDS_PER_DAY, EventLog, ItemIndex
 from recaudit.models import build_model
-from recaudit.preprocess import Dataset, Sequence
+from recaudit.preprocess import Dataset, SequenceTable
 from recaudit.splitting import DatasetSplit, SideStats, SplitSpec, SplitStats
 
 DAY = SECONDS_PER_DAY
@@ -26,29 +28,118 @@ def make_index(n):
     return ItemIndex.from_items([f"i{k:03d}" for k in range(n)])
 
 
+class EventRecord(NamedTuple):
+    """One row of an event log, for assertions."""
+
+    entity_id: str
+    item_id: str
+    timestamp: int
+    event_type: str | None = None
+
+
+def event_log(rows):
+    """EventLog of (entity, item, timestamp[, event type]) rows; ties keep row order."""
+    records = [EventRecord(*row) for row in rows]
+    return EventLog.from_columns(
+        [r.entity_id for r in records],
+        [r.item_id for r in records],
+        [r.timestamp for r in records],
+        [r.event_type for r in records],
+    )
+
+
 def log_of(*slots):
     """EventLog from (entity, timestamp) pairs; item ids are placeholders."""
-    events = [RawEvent(entity, f"x{k}", ts) for k, (entity, ts) in enumerate(slots)]
-    return EventLog.from_events(events)
+    return event_log((entity, f"x{k}", ts) for k, (entity, ts) in enumerate(slots))
+
+
+def events_of(log):
+    """The log's rows as :class:`EventRecord` tuples, in table order."""
+    types = (None,) + log.event_type_ids  # code -1 (untyped) reads index 0
+    return [
+        EventRecord(log.entity_ids[entity], log.item_ids[item], timestamp, types[kind + 1])
+        for entity, item, timestamp, kind in zip(
+            log.entity_codes.tolist(),
+            log.item_codes.tolist(),
+            log.timestamps.tolist(),
+            log.type_codes.tolist(),
+        )
+    ]
 
 
 def groups_of(log):
-    """Per-entity lists of the log's events as RawEvent objects, in time order."""
+    """Per-entity lists of the log's rows as :class:`EventRecord` tuples, in time order."""
     groups = {}
-    for event in log.iter_events():
+    for event in events_of(log):
         groups.setdefault(event.entity_id, []).append(event)
     return groups
 
 
+def sequence_table(rows, seq_ids=None, entities=None):
+    """SequenceTable columns from (items, timestamps) rows, one sequence per row.
+
+    Row ``k`` gets sequence id ``seq_ids[k]`` (default ``k``) and entity
+    ``entities[k]`` (default ``"u<seq id>"``).
+    """
+    seq_ids = list(range(len(rows))) if seq_ids is None else list(seq_ids)
+    entities = [f"u{sid}" for sid in seq_ids] if entities is None else list(entities)
+    entity_ids = tuple(sorted(set(entities)))
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(items) for items, _ in rows], out=offsets[1:])
+
+    def column(k):
+        return np.concatenate(
+            [np.asarray(row[k], dtype=np.int64) for row in rows] or [np.empty(0, np.int64)]
+        )
+
+    return SequenceTable(
+        items=column(0),
+        timestamps=column(1),
+        offsets=offsets,
+        seq_ids=np.asarray(seq_ids, dtype=np.int64),
+        entity_codes=np.array([entity_ids.index(e) for e in entities], dtype=np.int64),
+        entity_ids=entity_ids,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class SeqRecord:
+    """One sequence of a table, read-only, for assertions."""
+
+    seq_id: int
+    entity_id: str
+    items: np.ndarray
+    timestamps: np.ndarray
+
+    def __len__(self):
+        return len(self.items)
+
+    @property
+    def start_time(self):
+        return int(self.timestamps[0])
+
+    @property
+    def end_time(self):
+        return int(self.timestamps[-1])
+
+
+def records(table):
+    """The table's sequences as :class:`SeqRecord` objects over read-only views."""
+    bounds = table.offsets.tolist()
+    out = []
+    for seq_id, entity, lo, hi in zip(
+        table.seq_ids.tolist(), table.entity_codes.tolist(), bounds[:-1], bounds[1:]
+    ):
+        items, times = table.items[lo:hi], table.timestamps[lo:hi]
+        items.flags.writeable = times.flags.writeable = False
+        out.append(SeqRecord(seq_id, table.entity_ids[entity], items, times))
+    return out
+
+
 def build_dataset(index, rows, seq_id_base=0):
     """rows: list of (items, timestamps) parallel lists."""
-    sequences = []
-    for offset, (items, times) in enumerate(rows):
-        sid = seq_id_base + offset
-        sequences.append(
-            Sequence(sid, f"u{sid}", np.asarray(items), np.asarray(times))
-        )
-    return Dataset.from_sequences(sequences, index)
+    seq_ids = range(seq_id_base, seq_id_base + len(rows))
+    return Dataset(sequence_table(rows, seq_ids), index)
 
 
 def build_split(index, train_rows, test_rows, split_time=None):

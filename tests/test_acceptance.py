@@ -35,7 +35,6 @@ from recaudit.evaluation import (
     enumerate_cases,
 )
 from recaudit.errors import PreprocessError
-from recaudit.events import EventLog, RawEvent
 from recaudit.models import MarkovModel, RecommenderModel, derive_embeddings
 from recaudit.preprocess import PipelineConfig, iterative_support_filter, preprocess
 from recaudit.probability import (
@@ -57,9 +56,11 @@ from synth import (
     build_split,
     chain_split,
     evaluate_cell,
+    event_log,
     fit_and_probe,
     log_of,
     make_index,
+    records,
     write_events_csv,
 )
 
@@ -416,7 +417,7 @@ class TestLeakageDiagnostic:
                 ),
             )
             # matched sizes: every window donates exactly one leave-one-out case
-            assert matched_loo_k(time_split) == len(enumerate_cases(loo_split, 1))
+            assert matched_loo_k(time_split) == len(enumerate_cases(loo_split, 1).targets)
 
             time_overlap = transition_overlap(time_split).occurrence_overlap
             loo_overlap = transition_overlap(loo_split).occurrence_overlap
@@ -555,29 +556,23 @@ class TestPreprocessingFixpoint:
             if mode == "by_entity":
                 t = int(rng.integers(0, 3 * DAY))
                 for _ in range(int(rng.integers(6, 13))):
-                    events.append(
-                        RawEvent(f"u{user:02d}", f"i{int(rng.integers(10)):02d}", t)
-                    )
+                    events.append((f"u{user:02d}", f"i{int(rng.integers(10)):02d}", t))
                     t += int(rng.integers(30, 900))
             else:
                 t = int(rng.integers(0, DAY))
                 for _ in range(3):
                     for _ in range(int(rng.integers(3, 7))):
-                        events.append(
-                            RawEvent(f"u{user:02d}", f"i{int(rng.integers(10)):02d}", t)
-                        )
+                        events.append((f"u{user:02d}", f"i{int(rng.integers(10)):02d}", t))
                         t += int(rng.integers(30, 600))
                     t += 7200
-        return EventLog.from_events(events)
+        return event_log(events)
 
     @staticmethod
     def _replay_log(data):
-        return EventLog.from_events(
-            [
-                RawEvent(seq.entity_id, data.item_index.reverse[code], ts)
-                for seq in data.sequences
-                for code, ts in zip(seq.items.tolist(), seq.timestamps.tolist())
-            ]
+        return event_log(
+            (seq.entity_id, data.item_index.reverse[code], ts)
+            for seq in records(data.sequences)
+            for code, ts in zip(seq.items.tolist(), seq.timestamps.tolist())
         )
 
     @staticmethod

@@ -851,7 +851,29 @@ def catalog(events_csv, tmp_path_factory):
     return items, report["total_cases"]
 
 
+# model and sampler specs, good and bad, for compare's comma-separated lists
+GRID_TOKENS = (
+    "markov", "popularity", "cooccurrence", "session_knn", "external", "nope", "none",
+    "uniform:3", "uniform:0", "uniform:-1", "uniform:x", "uniform:", "uniform:99999",
+    "popularity:50%", "uniform:0%", "uniform:100%", "uniform:nan%", "uniform:1e999%",
+    "top_popular:2", "similar_embedding:2", "bogus:3", ":3", "", " ", "\t",
+)
+GRID_LISTS = st.lists(
+    st.one_of(st.sampled_from(GRID_TOKENS), st.text(alphabet=" ,:%x1", max_size=4)),
+    max_size=4,
+).map(",".join)
+
+
 class TestFailureContractFuzz:
+    @given(GRID_LISTS, GRID_LISTS, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_compare_grids(self, events_csv, models, samplers, seeded):
+        seed = ["--seed", "3"] if seeded else []
+        fuzz_run(
+            ["compare", "--input", events_csv, f"--models={models}", f"--samplers={samplers}",
+             *seed]
+        )
+
     @given(
         st.dictionaries(st.sampled_from(FUZZED_KEYS), JSON_VALUES, min_size=1, max_size=3),
         st.sampled_from(FUZZ_COMMANDS),

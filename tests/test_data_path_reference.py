@@ -1,8 +1,8 @@
 """The columnar data path against the per-row loops it replaced.
 
 The reference functions below are the earlier implementations: ingest
-builds one ``RawEvent`` per row and groups them per entity, and every later
-step walks entities or ``Sequence`` objects one at a time.  Hypothesis logs
+builds one event record per row and groups them per entity, and every later
+step walks entities or sequence records one at a time.  Hypothesis logs
 cover timestamp ties, adjacent and non-adjacent repeats, support-filter
 cascades, gap sessions, event-type filtering, non-ASCII ids, ISO timestamps
 and rejected rows; the array passes must reproduce the loops' canonical
@@ -33,24 +33,32 @@ from recaudit.diagnostics import (
     transition_overlap,
     transition_set,
 )
-from recaudit.errors import DiagnosticsError, IngestError, PreprocessError, SplitError
+from recaudit.errors import (
+    DiagnosticsError,
+    EvaluationError,
+    IngestError,
+    PreprocessError,
+    SplitError,
+)
+from recaudit.evaluation import enumerate_cases
 from recaudit.events import (
     RESOLUTION_DAYS,
     RESOLUTION_SECONDS,
     SECONDS_PER_DAY,
     ColumnMapping,
     ItemIndex,
-    RawEvent,
     _parse_timestamp,
     canonical_dump_text,
     ingest_csv,
 )
-from recaudit.preprocess import Dataset, PipelineConfig, Sequence, StepRecord, preprocess
+from recaudit.preprocess import Dataset, PipelineConfig, StepRecord, preprocess
 from recaudit.splitting import (
     SELECT_ALL,
     SELECT_MOST_RECENT,
     LeaveOneOutSelection,
     STRATEGY_LOO,
+    STRATEGY_RANDOM,
+    STRATEGY_TIME,
     DatasetSplit,
     SideStats,
     SplitSpec,
@@ -60,7 +68,15 @@ from recaudit.splitting import (
     random_split,
     time_split,
 )
-from synth import browsing_rows, write_events_csv
+from synth import (
+    EventRecord,
+    SeqRecord,
+    browsing_rows,
+    events_of,
+    records,
+    sequence_table,
+    write_events_csv,
+)
 
 MAPPING = ColumnMapping(entity="user", item="item", time="ts", type="kind")
 
@@ -92,7 +108,7 @@ def ref_ingest(text, schema, max_reject_fraction):
             event_type = None
             if type_pos is not None and type_pos < len(row):
                 event_type = row[type_pos].strip() or None
-            events.append(RawEvent(entity, item, timestamp, event_type))
+            events.append(EventRecord(entity, item, timestamp, event_type))
         except (IndexError, ValueError) as exc:
             rejects.append(f"line {line_no}: {exc}")
     if total and len(rejects) > max_reject_fraction * total:
@@ -147,7 +163,7 @@ def ref_sessionize(groups, cfg, index):
         else:
             bounds = [0, len(group)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            sequences.append(Sequence(len(sequences), entity, codes[lo:hi], times[lo:hi]))
+            sequences.append(SeqRecord(len(sequences), entity, codes[lo:hi], times[lo:hi]))
     return sequences
 
 
@@ -156,7 +172,7 @@ def ref_collapse(seq):
         return seq
     keep = np.ones(len(seq), dtype=bool)
     keep[1:] = seq.items[1:] != seq.items[:-1]
-    return Sequence(seq.seq_id, seq.entity_id, seq.items[keep], seq.timestamps[keep])
+    return SeqRecord(seq.seq_id, seq.entity_id, seq.items[keep], seq.timestamps[keep])
 
 
 def ref_counts(sequences):
@@ -184,7 +200,7 @@ def ref_support_filter(sequences, cfg, index, records):
                 pruned.append(seq)
             elif mask.any():
                 pruned.append(ref_collapse(
-                    Sequence(seq.seq_id, seq.entity_id, seq.items[mask], seq.timestamps[mask])
+                    SeqRecord(seq.seq_id, seq.entity_id, seq.items[mask], seq.timestamps[mask])
                 ))
         after = ref_counts(pruned)
         changed = removed > 0 or len(kept) != len(current) or len(pruned) != len(kept)
@@ -214,7 +230,7 @@ def ref_support_filter(sequences, cfg, index, records):
     for code in survivors:
         remap[code] = compact.forward[index.reverse[code]]
     remapped = [
-        Sequence(s.seq_id, s.entity_id, remap[s.items], s.timestamps) for s in current
+        SeqRecord(s.seq_id, s.entity_id, remap[s.items], s.timestamps) for s in current
     ]
     return remapped, compact
 
@@ -296,7 +312,7 @@ def ref_time_split(sequences, split_time, min_seq_len=2):
             train.append(seq)
         elif cut >= min_seq_len:
             train.append(
-                Sequence(seq.seq_id, seq.entity_id, seq.items[:cut], seq.timestamps[:cut])
+                SeqRecord(seq.seq_id, seq.entity_id, seq.items[:cut], seq.timestamps[:cut])
             )
     if not train or not test:
         raise SplitError("empty side")
@@ -324,8 +340,8 @@ def ref_loo_split(sequences, selection):
     train, test = [], []
     for i, s in enumerate(sequences):
         if i in chosen:
-            train.append(Sequence(s.seq_id, s.entity_id, s.items[:-1], s.timestamps[:-1]))
-            test.append(Sequence(s.seq_id, s.entity_id, s.items[-1:], s.timestamps[-1:]))
+            train.append(SeqRecord(s.seq_id, s.entity_id, s.items[:-1], s.timestamps[:-1]))
+            test.append(SeqRecord(s.seq_id, s.entity_id, s.items[-1:], s.timestamps[-1:]))
         else:
             train.append(s)
     return train, test
@@ -426,6 +442,26 @@ def ref_overlap(train, test, loo):
         distinct_test_transitions=len(distinct),
         distinct_train_transitions=len(train_pairs),
     ).to_dict()
+
+
+def ref_enumerate_cases(split, prefix_start):
+    """(case index, prefix, target) per case: grown prefixes, or a dict of
+    training prefixes keyed by sequence id under leave-one-out."""
+    cases = []
+    if split.spec.strategy == STRATEGY_LOO:
+        prefixes = {seq.seq_id: seq for seq in records(split.train.sequences)}
+        for seq in records(split.test.sequences):
+            source = prefixes.get(seq.seq_id)
+            if source is None:
+                raise EvaluationError(
+                    f"test sequence {seq.seq_id} has no training prefix to extend"
+                )
+            cases.append((len(cases), source.items, int(seq.items[0])))
+        return cases
+    for seq in records(split.test.sequences):
+        for length in range(prefix_start, len(seq)):
+            cases.append((len(cases), seq.items[:length], int(seq.items[length])))
+    return cases
 
 
 # ---- generated logs ----------------------------------------------------------
@@ -529,16 +565,14 @@ class TestIngestMatchesRowLoop:
         assert log.rejected_preview == tuple(rejects[:10])
         assert log.timestamp_resolution == ref_resolution(groups)
         assert log.num_entities == len(groups)
-        assert [e for g in (groups[k] for k in sorted(groups)) for e in g] == list(
-            log.iter_events()
-        )
+        assert [e for g in (groups[k] for k in sorted(groups)) for e in g] == events_of(log)
 
     def test_ties_keep_input_order_across_interleaved_entities(self):
         text = "user,item,ts,kind\nu2,b,5,\nu1,z,5,\nu2,a,5,\nu1,y,5,\nu1,x,4,\n"
         log = ingest_csv(text.encode(), MAPPING)
         groups, _ = ref_ingest(text, MAPPING, 0.01)
         assert canonical_dump_text(log) == ref_dump(groups)
-        assert [e.item_id for e in log.iter_events()] == ["x", "z", "y", "b", "a"]
+        assert [e.item_id for e in events_of(log)] == ["x", "z", "y", "b", "a"]
 
     @pytest.mark.parametrize(
         "text, fraction, events",
@@ -559,7 +593,7 @@ class TestIngestMatchesRowLoop:
         assert canonical_dump_text(log) == ref_dump(groups)
         assert (log.rejected_count, log.rejected_preview) == (len(rejects), tuple(rejects[:10]))
         assert log.timestamp_resolution == ref_resolution(groups)
-        assert list(log.iter_events()) == [e for k in sorted(groups) for e in groups[k]]
+        assert events_of(log) == [e for k in sorted(groups) for e in groups[k]]
         types = {e.event_type for g in groups.values() for e in g} - {None}
         assert log.event_type_ids == tuple(sorted(types))
 
@@ -581,7 +615,7 @@ class TestPreprocessMatchesLoops:
         for seq in sequences:
             np.add.at(support, seq.items, 1)
         assert data.item_support.tolist() == support.tolist()
-        assert [s.seq_id for s in data.sequences] == [s.seq_id for s in sequences]
+        assert data.sequences.seq_ids.tolist() == [s.seq_id for s in sequences]
 
     @given(logs())
     @SETTINGS
@@ -703,7 +737,7 @@ class TestDiagnosticsMatchLoops:
                 split = time_split(data, day * SECONDS_PER_DAY)
         except SplitError:
             return
-        train, test = list(split.train.sequences), list(split.test.sequences)
+        train, test = records(split.train.sequences), records(split.test.sequences)
         expected, report = both(
             lambda: ref_overlap(train, test, loo), lambda: transition_overlap(split)
         )
@@ -712,16 +746,8 @@ class TestDiagnosticsMatchLoops:
 
     def test_overlap_needs_a_training_prefix_for_every_loo_test_sequence(self):
         index = ItemIndex.from_items(["a", "b", "c"])
-        train = Dataset.from_sequences(
-            [Sequence(4, "u4", np.array([0, 1]), np.array([0, 1]))], index
-        )
-        test = Dataset.from_sequences(
-            [
-                Sequence(4, "u4", np.array([2]), np.array([2])),
-                Sequence(9, "u9", np.array([1]), np.array([3])),
-            ],
-            index,
-        )
+        train = Dataset(sequence_table([([0, 1], [0, 1])], seq_ids=[4]), index)
+        test = Dataset(sequence_table([([2], [2]), ([1], [3])], seq_ids=[4, 9]), index)
         split = DatasetSplit(
             train=train,
             test=test,
@@ -730,9 +756,114 @@ class TestDiagnosticsMatchLoops:
             split_time=None,
         )
         with pytest.raises(KeyError):
-            ref_overlap(list(train.sequences), list(test.sequences), loo=True)
+            ref_overlap(records(train.sequences), records(test.sequences), loo=True)
         with pytest.raises(DiagnosticsError, match="test sequence 9 has no training prefix"):
             transition_overlap(split)
+        # the case table shares the prefix match and keeps its own error
+        with pytest.raises(EvaluationError, match="test sequence 9 has no training prefix"):
+            enumerate_cases(split)
+        assert_same_cases(split, 1)
+
+
+CASE_SPECS = {
+    STRATEGY_TIME: SplitSpec(strategy=STRATEGY_TIME, split_time=0),
+    STRATEGY_RANDOM: SplitSpec(strategy=STRATEGY_RANDOM, fraction=0.5, seed=0),
+    STRATEGY_LOO: SplitSpec(strategy=STRATEGY_LOO),
+}
+CASE_INDEX = ItemIndex.from_items("abcdef")
+item_rows = st.lists(st.integers(0, 5), min_size=1, max_size=6)
+
+
+@st.composite
+def hand_splits(draw):
+    """Splits assembled by hand: one-event test sequences, and under
+    leave-one-out repeated training ids and test ids with no prefix."""
+    strategy = draw(st.sampled_from(sorted(CASE_SPECS)))
+    if strategy == STRATEGY_LOO:
+        train_ids = draw(st.lists(st.integers(0, 3), max_size=8))
+        known = st.sampled_from(train_ids) if train_ids else st.integers(0, 3)
+        test_ids = draw(st.lists(st.one_of(known, st.integers(0, 4)), min_size=1, max_size=6))
+        test_rows = [[draw(st.integers(0, 5))] for _ in test_ids]
+    else:
+        train_ids = range(draw(st.integers(1, 4)))
+        test_rows = draw(st.lists(item_rows, min_size=1, max_size=5))
+        test_ids = range(len(train_ids), len(train_ids) + len(test_rows))
+    train_rows = [draw(item_rows) for _ in train_ids]
+
+    def side(rows, ids):
+        table = sequence_table([(items, range(len(items))) for items in rows], ids)
+        return Dataset(table, CASE_INDEX)
+
+    empty = SideStats(0, 0, 0)
+    return DatasetSplit(
+        train=side(train_rows, train_ids),
+        test=side(test_rows, test_ids),
+        spec=CASE_SPECS[strategy],
+        stats=SplitStats(empty, empty, 0, 0),
+    )
+
+
+def assert_same_cases(split, prefix_start):
+    """The case table lists the reference's cases, or raises its error."""
+    try:
+        expected = ref_enumerate_cases(split, prefix_start)
+    except EvaluationError as exc:
+        with pytest.raises(EvaluationError) as info:
+            enumerate_cases(split, prefix_start)
+        assert str(info.value) == str(exc)
+        return
+    cases = enumerate_cases(split, prefix_start)
+    loo = split.spec.strategy == STRATEGY_LOO
+    assert cases.items is (split.train if loo else split.test).sequences.items
+    columns = (cases.starts, cases.stops, cases.targets)
+    assert all(column.dtype == np.int64 for column in columns)
+    rows = zip(*(column.tolist() for column in columns))
+    actual = [(k, cases.items[lo:hi], target) for k, (lo, hi, target) in enumerate(rows)]
+    assert len(cases) == len(expected)
+    assert [(k, p.tolist(), t) for k, p, t in actual] == [
+        (k, p.tolist(), t) for k, p, t in expected
+    ]
+
+
+class TestCaseTableMatchesCaseLoop:
+    @given(hand_splits(), st.integers(1, 4))
+    @SETTINGS
+    def test_hand_built_splits(self, split, prefix_start):
+        assert_same_cases(split, prefix_start)
+
+    @given(logs(), st.sampled_from(["time", "random", "all", "most_recent"]), st.integers(0, 6))
+    @SETTINGS
+    def test_splits_of_generated_logs(self, text, kind, day):
+        prep = prepared(text, SPLIT_CFG)
+        if prep is None:
+            return
+        data = prep[2]
+        try:
+            if kind == "time":
+                split = time_split(data, day * SECONDS_PER_DAY)
+            elif kind == "random":
+                split = random_split(data, 0.5, day)
+            else:
+                k = None if kind == "all" else 1 + day % 3
+                split = leave_one_out_split(data, LeaveOneOutSelection(kind=kind, k=k))
+        except SplitError:
+            return
+        for prefix_start in range(1, 5):
+            assert_same_cases(split, prefix_start)
+
+    def test_a_repeated_training_id_gives_its_last_prefix(self):
+        rows = [([0], [0]), ([1, 2], [1, 2]), ([3], [3])]
+        train = Dataset(sequence_table(rows, seq_ids=[4, 5, 4]), CASE_INDEX)
+        test = Dataset(sequence_table([([5], [5]), ([2], [6])], seq_ids=[4, 5]), CASE_INDEX)
+        empty = SideStats(0, 0, 0)
+        split = DatasetSplit(train, test, CASE_SPECS[STRATEGY_LOO], SplitStats(empty, empty, 0, 0))
+        cases = enumerate_cases(split)
+        assert [cases.items[lo:hi].tolist() for lo, hi in zip(cases.starts, cases.stops)] == [
+            [3],
+            [1, 2],
+        ]
+        assert cases.targets.tolist() == [5, 2]
+        assert_same_cases(split, 1)
 
 
 class TestDumpsStreamToTheirFiles:
@@ -753,9 +884,9 @@ class TestDumpsStreamToTheirFiles:
         split = apply_split(data, cfg.split_spec())
         expected = {
             "ingest/canonical_events.tsv": ref_dump(groups),
-            "preprocess/dataset.tsv": ref_canonical_text(data.sequences, data.item_index),
-            "split/train.tsv": ref_canonical_text(split.train.sequences, data.item_index),
-            "split/test.tsv": ref_canonical_text(split.test.sequences, data.item_index),
+            "preprocess/dataset.tsv": ref_canonical_text(records(data.sequences), data.item_index),
+            "split/train.tsv": ref_canonical_text(records(split.train.sequences), data.item_index),
+            "split/test.tsv": ref_canonical_text(records(split.test.sequences), data.item_index),
         }
         for name, text in expected.items():
             assert len(text.splitlines()) > 3 * 7, name

@@ -17,7 +17,6 @@ from recaudit.diagnostics import (
     collision_hazard,
     collision_stats,
     new_transition_rate,
-    plot_points,
     transition_overlap,
     transition_set,
 )
@@ -175,11 +174,6 @@ class TestNewTransitionRate:
         rows = [([2 * d, 2 * d + 1], [day(d), day(d, 10)]) for d in range(4)]
         series = new_transition_rate(build_dataset(make_index(8), rows))
         assert [point.rate for point in series] == [1.0] * 4
-
-    def test_plot_points_drop_the_first_day(self):
-        series = new_transition_rate(self.two_day_fixture())
-        plotted = plot_points(series)
-        assert [point.day for point in plotted] == [1]
 
     def test_alternative_denominators(self):
         data = build_dataset(

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recaudit import evaluation
 from recaudit.errors import EvaluationError
@@ -31,7 +33,6 @@ from recaudit.models import (
     build_model,
     derive_embeddings,
 )
-from recaudit.preprocess import Dataset, Sequence
 from recaudit.probability import sampled_topc_probability
 from recaudit.splitting import (
     LeaveOneOutSelection,
@@ -41,20 +42,20 @@ from recaudit.splitting import (
     DatasetSplit,
     leave_one_out_split,
 )
-from synth import build_split, evaluate_cell, make_index
+from synth import build_dataset, build_split, evaluate_cell, make_index
 
 INDEX = ItemIndex.from_items("abcdefgh")
 A, B, C, D, E, F, G, H = range(8)
 
 
 def dataset_from(words, index=INDEX, t0=0, seq_id_base=0):
-    sequences = []
+    rows = []
     t = t0
-    for sid, word in enumerate(words, start=seq_id_base):
-        codes = np.array([index.forward[ch] for ch in word])
-        sequences.append(Sequence(sid, f"u{sid}", codes, np.arange(t, t + len(codes))))
+    for word in words:
+        codes = [index.forward[ch] for ch in word]
+        rows.append((codes, np.arange(t, t + len(codes))))
         t += 100
-    return Dataset.from_sequences(sequences, index)
+    return build_dataset(index, rows, seq_id_base)
 
 
 def split_from(train_words, test_words, index=INDEX):
@@ -116,25 +117,33 @@ class TestRankOfTarget:
             rank_of_target(np.array([np.inf, 2.0]), 0, "optimistic")
 
 
+def prefixes(cases):
+    """Each case's prefix, in case-index order."""
+    return [cases.items[lo:hi] for lo, hi in zip(cases.starts, cases.stops)]
+
+
 class TestEnumerateCases:
     def test_time_split_grows_prefixes(self):
         split = split_from(["abc"], ["abcd"])
         cases = enumerate_cases(split)
-        assert [(len(c.prefix), c.target) for c in cases] == [(1, B), (2, C), (3, D)]
-        assert [c.case_index for c in cases] == [0, 1, 2]
+        lengths = (cases.stops - cases.starts).tolist()
+        assert list(zip(lengths, cases.targets.tolist())) == [(1, B), (2, C), (3, D)]
+        assert len(cases) == 3  # case indices 0, 1, 2 are the rows
 
     def test_prefix_start_skips_short_prefixes(self):
         split = split_from(["abc"], ["abcd"])
         cases = enumerate_cases(split, prefix_start=2)
-        assert [(len(c.prefix), c.target) for c in cases] == [(2, C), (3, D)]
+        lengths = (cases.stops - cases.starts).tolist()
+        assert list(zip(lengths, cases.targets.tolist())) == [(2, C), (3, D)]
 
     def test_loo_pairs_training_prefix_with_target(self):
         data = dataset_from(["abc", "bcd"])
         split = leave_one_out_split(data, LeaveOneOutSelection())
         cases = enumerate_cases(split)
         assert len(cases) == 2
-        assert cases[0].prefix.tolist() == [A, B] and cases[0].target == C
-        assert cases[1].prefix.tolist() == [B, C] and cases[1].target == D
+        first, second = prefixes(cases)
+        assert first.tolist() == [A, B] and cases.targets[0] == C
+        assert second.tolist() == [B, C] and cases.targets[1] == D
 
 
 class TestSamplerSpec:
@@ -272,6 +281,57 @@ def successive_law(weights, count):
     return law
 
 
+def lexsort_top(values, count, target):
+    """The full-catalog sort that ``_top_by_value`` must agree with, in order."""
+    order = np.lexsort((np.arange(len(values)), -values))
+    return order[order != target][:count]
+
+
+@st.composite
+def top_inputs(draw):
+    """(values, count, target): normal values, few-level ties, one-decimal
+    ties or signed zeros; the target often sits on the boundary."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "levels", "decimals", "zeros"]))
+    if kind == "normal":
+        values = rng.normal(size=n)
+    elif kind == "levels":
+        values = rng.integers(0, 5, size=n).astype(np.float64)
+    elif kind == "decimals":
+        values = np.round(rng.normal(size=n), 1)
+    else:
+        values = rng.choice([0.0, -0.0, 1.0], size=n)
+    count = draw(st.one_of(st.integers(1, n - 1), st.just(n - 1)))
+    boundary = int(np.lexsort((np.arange(n), -values))[count])
+    target = draw(st.one_of(st.integers(0, n - 1), st.just(boundary)))
+    return values, count, target
+
+
+class TestTopByValue:
+    @given(top_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_sort(self, inputs):
+        values, count, target = inputs
+        top = evaluation._top_by_value(values, count, target)
+        assert top.tolist() == lexsort_top(values, count, target).tolist()
+
+    @pytest.mark.parametrize(
+        "values, count, target",
+        [
+            ([5.0, 4.0, 4.0, 4.0, 1.0], 2, 2),  # ties at the boundary, target among them
+            ([5.0, 4.0, 4.0, 4.0, 1.0], 1, 0),  # target above the boundary
+            ([2.0, 2.0, 2.0, 2.0], 3, 1),  # all tied, count = N - 1
+            ([1.0, 3.0, 2.0], 2, 1),  # count = N - 1, target the largest
+        ],
+    )
+    def test_boundary_cases(self, values, count, target):
+        values = np.array(values)
+        top = evaluation._top_by_value(values, count, target)
+        assert top.tolist() == lexsort_top(values, count, target).tolist()
+        assert target not in top.tolist() and len(top) == count
+
+
 class TestWeightedSamplerLaw:
     """Every subset a weighted sampler can draw, at its exact frequency."""
 
@@ -393,20 +453,17 @@ class TestEvaluate:
     def test_sampled_recall_matches_closed_form_probability(self):
         catalog = 50
         index = ItemIndex.from_items([f"i{k:02d}" for k in range(catalog)])
-        train = Dataset.from_sequences(
-            [
-                Sequence(0, "u0", np.arange(catalog), np.arange(catalog)),
-                Sequence(1, "u1", np.arange(catalog), np.arange(catalog) + 100),
-            ],
+        train = build_dataset(
             index,
+            [
+                (np.arange(catalog), np.arange(catalog)),
+                (np.arange(catalog), np.arange(catalog) + 100),
+            ],
         )
         rank_r = 10
         target = rank_r - 1  # scores strictly descending by index
-        test_seqs = [
-            Sequence(2 + k, f"t{k}", np.array([0, target]), np.array([1000 + k, 1001 + k]))
-            for k in range(4000)
-        ]
-        test = Dataset.from_sequences(test_seqs, index)
+        test_rows = [([0, target], [1000 + k, 1001 + k]) for k in range(4000)]
+        test = build_dataset(index, test_rows, seq_id_base=2)
         split = DatasetSplit(
             train=train,
             test=test,
@@ -507,18 +564,18 @@ class TestGridEvaluation:
         evaluate(counted, split, cfg, GRID_SAMPLERS, embeddings)
 
         support = split.train.item_support
-        scoreable = [c for c in enumerate_cases(split) if support[c.target] > 0]
-        targets = {case.target for case in scoreable}
-        indices = [case.case_index for case in scoreable]
-        assert len(scoreable) < len(enumerate_cases(split))
+        cases = enumerate_cases(split)
+        indices = np.flatnonzero(support[cases.targets] > 0).tolist()
+        targets = set(cases.targets[indices].tolist())
+        assert len(indices) < len(cases)
         for name in models:
             assert scored[name] == Counter(indices), name
         assert rngs == Counter({i: len(GRID_SAMPLERS) for i in indices})
         # random samplers draw per case, deterministic ones once per distinct target
         assert draws == {
-            "uniform": len(scoreable),
-            "popularity": len(scoreable),
-            "inverse_popularity": len(scoreable),
+            "uniform": len(indices),
+            "popularity": len(indices),
+            "inverse_popularity": len(indices),
             "top_popular": len(targets),
             "close_embedding": len(targets),
         }

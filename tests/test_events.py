@@ -12,15 +12,13 @@ from recaudit.errors import IngestError
 from recaudit.events import (
     CANONICAL_MAPPING,
     ColumnMapping,
-    EventLog,
     ItemIndex,
-    RawEvent,
     canonical_dump_text,
     detect_timestamp_resolution,
     dump_canonical,
     ingest_csv,
 )
-from synth import groups_of
+from synth import EventRecord, event_log, events_of, groups_of
 
 MAPPING = ColumnMapping(entity="user", item="item", time="ts")
 MAPPING_TYPED = ColumnMapping(entity="user", item="item", time="ts", type="kind")
@@ -117,7 +115,7 @@ class TestTimestampParsing:
 
     def test_empty_log_resolution_detection_rejected(self):
         with pytest.raises(IngestError, match="empty"):
-            detect_timestamp_resolution(EventLog.from_events([]))
+            detect_timestamp_resolution(event_log([]))
 
 
 class TestRejectAccounting:
@@ -241,7 +239,7 @@ class TestCanonicalDump:
 
 events_strategy = st.lists(
     st.builds(
-        RawEvent,
+        EventRecord,
         entity_id=st.sampled_from(["u1", "u2", "u3"]),
         item_id=st.sampled_from([f"i{k}" for k in range(8)]),
         timestamp=st.integers(min_value=0, max_value=500),
@@ -255,13 +253,13 @@ class TestProperties:
     @given(events_strategy)
     @settings(max_examples=60, deadline=None)
     def test_grouping_is_lossless(self, events):
-        log = EventLog.from_events(events)
-        assert sorted(log.iter_events(), key=repr) == sorted(events, key=repr)
+        log = event_log(events)
+        assert sorted(events_of(log), key=repr) == sorted(events, key=repr)
 
     @given(events_strategy)
     @settings(max_examples=60, deadline=None)
     def test_groups_sorted_by_timestamp(self, events):
-        log = EventLog.from_events(events)
+        log = event_log(events)
         for group in groups_of(log).values():
             times = [e.timestamp for e in group]
             assert times == sorted(times)
@@ -269,7 +267,7 @@ class TestProperties:
     @given(events_strategy.filter(lambda evs: len(evs) > 0))
     @settings(max_examples=60, deadline=None)
     def test_canonical_dump_reingests_to_itself(self, events):
-        log = EventLog.from_events(events)
+        log = event_log(events)
         text = canonical_dump_text(log)
         again = ingest_csv(text.encode(), CANONICAL_MAPPING)
         assert canonical_dump_text(again) == text
@@ -305,11 +303,3 @@ class TestItemIndex:
         assert index.forward == {"apple": 0, "fig": 1, "pear": 2}
         assert len(index) == 3
         assert "fig" in index and "kiwi" not in index
-
-    def test_raw_event_validation(self):
-        with pytest.raises(ValueError):
-            RawEvent("", "a", 1)
-        with pytest.raises(ValueError):
-            RawEvent("u", "", 1)
-        with pytest.raises(ValueError):
-            RawEvent("u", "a", -1)

@@ -22,24 +22,23 @@ from recaudit.models import (
     dump_embeddings,
     load_embeddings,
 )
-from recaudit.preprocess import Dataset, Sequence
+from synth import build_dataset
 
 INDEX = ItemIndex.from_items("abcdef")
 A, B, C, D, E, F = range(6)
 
 
 def make_dataset(words, start=0):
-    sequences = []
+    rows = []
     t = start
-    for sid, word in enumerate(words):
-        codes = np.array([INDEX.forward[ch] for ch in word])
-        times = np.arange(t, t + len(codes))
-        sequences.append(Sequence(sid, f"u{sid}", codes, times))
+    for word in words:
+        codes = [INDEX.forward[ch] for ch in word]
+        rows.append((codes, np.arange(t, t + len(codes))))
         t += 1000
-    return Dataset.from_sequences(sequences, INDEX)
+    return build_dataset(INDEX, rows)
 
 
-EMPTY = Dataset.from_sequences([], INDEX)
+EMPTY = build_dataset(INDEX, [])
 
 
 class TestPopularity:

@@ -24,13 +24,13 @@ from recaudit.models import (
     _whole_sequence_counts,
     derive_embeddings,
 )
-from recaudit.preprocess import Dataset, Sequence
+from synth import build_dataset, records
 
 
 def reference_cooccurrence_counts(train, window):
     n = len(train.item_index)
     rows, cols = [], []
-    for seq in train.sequences:
+    for seq in records(train.sequences):
         items = seq.items.tolist()
         length = len(items)
         for p in range(length):
@@ -51,7 +51,7 @@ def reference_cooccurrence_counts(train, window):
 def reference_transitions(train):
     n = len(train.item_index)
     rows, cols = [], []
-    for seq in train.sequences:
+    for seq in records(train.sequences):
         items = seq.items.tolist()
         rows.extend(items[:-1])
         cols.extend(items[1:])
@@ -86,11 +86,12 @@ def reference_cooccurrence_scores(train, counts, prefix):
 
 def reference_session_knn_scores(train, prefix, k, sample_size, decay):
     fallback = train.item_support.astype(np.float64)
-    sessions = [seq.items for seq in train.sequences]
-    session_sets = [set(seq.items.tolist()) for seq in train.sequences]
+    sequences = records(train.sequences)
+    sessions = [seq.items for seq in sequences]
+    session_sets = [set(seq.items.tolist()) for seq in sequences]
     order = sorted(
-        range(len(train.sequences)),
-        key=lambda i: (train.sequences[i].end_time, i),
+        range(len(sequences)),
+        key=lambda i: (sequences[i].end_time, i),
         reverse=True,
     )
     rank_of = {sid: pos for pos, sid in enumerate(order)}
@@ -138,11 +139,9 @@ INDEX = ItemIndex.from_items([f"i{c}" for c in range(CATALOG)])
 
 def make_dataset(sessions):
     """``sessions`` holds (items, end_time) pairs; equal end times are allowed."""
-    sequences = []
-    for sid, (items, end_time) in enumerate(sessions):
-        times = np.full(len(items), end_time)
-        sequences.append(Sequence(sid, f"u{sid}", np.array(items), times))
-    return Dataset.from_sequences(sequences, INDEX)
+    return build_dataset(
+        INDEX, [(items, np.full(len(items), end_time)) for items, end_time in sessions]
+    )
 
 
 # short sessions over few items and few end times: repeated items (also

@@ -8,40 +8,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recaudit.errors import PreprocessError
-from recaudit.events import ColumnMapping, EventLog, ItemIndex, RawEvent, ingest_csv
+from recaudit.events import ColumnMapping, ItemIndex, ingest_csv
 from recaudit.preprocess import (
     PipelineConfig,
-    Sequence,
-    SequenceTable,
     collapse_repeats,
     filter_event_type,
     iterative_support_filter,
     preprocess,
     sessionize,
 )
-from synth import groups_of
+from synth import event_log as log_of, groups_of, records, sequence_table
 
 ALPHABET = "abcdef"
 INDEX = ItemIndex.from_items(ALPHABET)
 
 
 def seq(seq_id, spelled, timestamps=None, entity="u"):
+    """(seq id, entity, (items, timestamps)): one sequence for :func:`table`."""
     codes = [INDEX.forward[ch] for ch in spelled]
     if timestamps is None:
         timestamps = list(range(len(codes)))
-    return Sequence(seq_id, entity, np.array(codes), np.array(timestamps))
+    return seq_id, entity, (codes, timestamps)
 
 
 def table(*sequences):
-    return SequenceTable.from_sequences(sequences)
+    seq_ids, entities, rows = zip(*sequences)
+    return sequence_table(rows, seq_ids, entities)
 
 
 def spelled(sequence, index=INDEX):
     return "".join(index.reverse[c] for c in sequence.items.tolist())
-
-
-def log_of(rows):
-    return EventLog.from_events([RawEvent(*row) for row in rows])
 
 
 class TestFilterEventType:
@@ -72,7 +68,7 @@ class TestSessionize:
         log = log_of([("u1", "a", 0), ("u1", "b", 100), ("u1", "c", 5000)])
         cfg = PipelineConfig(session_mode="gap", gap_seconds=3600)
         out = sessionize(log, cfg)
-        assert [s.timestamps.tolist() for s in out] == [[0, 100], [5000]]
+        assert [s.timestamps.tolist() for s in records(out)] == [[0, 100], [5000]]
 
     def test_pause_equal_to_threshold_stays_in_session(self):
         log = log_of([("u1", "a", 0), ("u1", "b", 3600)])
@@ -82,20 +78,20 @@ class TestSessionize:
     def test_by_entity_one_sequence_per_entity(self):
         log = log_of([("u1", "a", 0), ("u1", "b", 100), ("u2", "c", 5)])
         out = sessionize(log, PipelineConfig(session_mode="by_entity"))
-        assert [(s.entity_id, len(s)) for s in out] == [("u1", 2), ("u2", 1)]
-        assert [s.seq_id for s in out] == [0, 1]
+        assert [(s.entity_id, len(s)) for s in records(out)] == [("u1", 2), ("u2", 1)]
+        assert [s.seq_id for s in records(out)] == [0, 1]
 
     def test_by_session_column_groups_by_entity_key(self):
         # Entity column already holds precomputed session ids; huge pauses
         # inside one key must not split it.
         log = log_of([("s1", "a", 0), ("s1", "b", 999_999), ("s2", "c", 5)])
         out = sessionize(log, PipelineConfig(session_mode="by_session_column"))
-        assert [len(s) for s in out] == [2, 1]
+        assert [len(s) for s in records(out)] == [2, 1]
 
     def test_singletons_survive_until_filter(self):
         log = log_of([("u1", "a", 0), ("u2", "b", 50)])
         out = sessionize(log, PipelineConfig(session_mode="gap"))
-        assert [len(s) for s in out] == [1, 1]
+        assert [len(s) for s in records(out)] == [1, 1]
 
     def test_sub_day_gap_on_day_resolution_data_is_rejected(self):
         log = log_of([("u1", "a", 0), ("u1", "b", 86400)])
@@ -106,17 +102,17 @@ class TestSessionize:
     def test_day_wide_gap_on_day_resolution_data_is_allowed(self):
         log = log_of([("u1", "a", 0), ("u1", "b", 86400 * 3)])
         cfg = PipelineConfig(session_mode="gap", gap_seconds=86400)
-        assert [len(s) for s in sessionize(log, cfg)] == [1, 1]
+        assert [len(s) for s in records(sessionize(log, cfg))] == [1, 1]
 
     def test_start_time_is_first_event(self):
         log = log_of([("u1", "a", 7), ("u1", "b", 9)])
-        (only,) = sessionize(log, PipelineConfig())
+        (only,) = records(sessionize(log, PipelineConfig()))
         assert only.start_time == 7 and only.end_time == 9
 
     def test_codes_follow_supplied_index(self):
         log = log_of([("u1", "b", 0), ("u1", "a", 1)])
         out = sessionize(log, PipelineConfig(), INDEX)
-        assert out[0].items.tolist() == [INDEX.forward["b"], INDEX.forward["a"]]
+        assert records(out)[0].items.tolist() == [INDEX.forward["b"], INDEX.forward["a"]]
 
 
 class TestCollapseRepeats:
@@ -188,7 +184,7 @@ class TestSupportFilterCascade:
         stable = table(*[seq(i, "bf") for i in range(5)])
         dataset = iterative_support_filter(stable, CFG5, INDEX)
         assert dataset.item_index.reverse == ("b", "f")
-        assert dataset.sequences[0].items.tolist() == [0, 1]
+        assert records(dataset.sequences)[0].items.tolist() == [0, 1]
         assert dataset.item_support.tolist() == [5, 5]
 
     def test_item_removal_triggers_recollapse(self):
@@ -197,8 +193,8 @@ class TestSupportFilterCascade:
         cfg = PipelineConfig(min_seq_len=2, min_item_support=4)
         sequences = table(*[seq(i, "afab", [0, 1, 2, 3]) for i in range(3)], seq(3, "ab"))
         dataset = iterative_support_filter(sequences, cfg, INDEX)
-        assert [spelled(s, dataset.item_index) for s in dataset.sequences] == ["ab"] * 4
-        assert dataset.sequences[0].timestamps.tolist() == [0, 3]
+        assert [spelled(s, dataset.item_index) for s in records(dataset.sequences)] == ["ab"] * 4
+        assert records(dataset.sequences)[0].timestamps.tolist() == [0, 3]
         dataset.verify(cfg)
 
 
@@ -222,7 +218,7 @@ class TestSupportFilterProperties:
         except PreprocessError:
             return
         dataset.verify(cfg)
-        assert all(len(s) >= 2 for s in dataset.sequences)
+        assert all(len(s) >= 2 for s in records(dataset.sequences))
         assert np.all(dataset.item_support >= min_support)
 
     @given(random_sequences(), st.integers(min_value=1, max_value=3))
@@ -306,11 +302,3 @@ class TestConfigValidation:
             PipelineConfig(min_seq_len=1)
         with pytest.raises(ValueError):
             PipelineConfig(min_item_support=0)
-
-    def test_sequence_validation(self):
-        with pytest.raises(ValueError):
-            Sequence(0, "u", np.array([1, 2]), np.array([5, 4]))
-        with pytest.raises(ValueError):
-            Sequence(0, "u", np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        with pytest.raises(ValueError):
-            Sequence(0, "u", np.array([1]), np.array([1, 2]))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from recaudit.errors import SplitError
 from recaudit.events import ItemIndex
-from recaudit.preprocess import Dataset, Sequence
 from recaudit.splitting import (
     LeaveOneOutSelection,
     SplitSpec,
@@ -20,6 +19,7 @@ from recaudit.splitting import (
     time_split,
     truncate_training_window,
 )
+from synth import build_dataset, records
 
 INDEX = ItemIndex.from_items("abcdefgh")
 DAY = 86400
@@ -31,43 +31,41 @@ def day(n, offset=0):
 
 def dataset(specs):
     """specs: list of (spelled_items, timestamps)."""
-    sequences = []
-    for sid, (word, times) in enumerate(specs):
-        codes = np.array([INDEX.forward[ch] for ch in word])
-        sequences.append(Sequence(sid, f"u{sid}", codes, np.array(times)))
-    return Dataset.from_sequences(sequences, INDEX)
+    return build_dataset(
+        INDEX, [([INDEX.forward[ch] for ch in word], times) for word, times in specs]
+    )
 
 
 def positions(side):
-    return {(s.seq_id, ts) for s in side.sequences for ts in s.timestamps.tolist()}
+    return {(s.seq_id, ts) for s in records(side.sequences) for ts in s.timestamps.tolist()}
 
 
 class TestTimeSplit:
     def test_clean_separation(self):
         data = dataset([("ab", [10, 20]), ("cd", [30, 40])])
         split = time_split(data, 25)
-        assert [s.seq_id for s in split.train.sequences] == [0]
-        assert [s.seq_id for s in split.test.sequences] == [1]
+        assert [s.seq_id for s in records(split.train.sequences)] == [0]
+        assert [s.seq_id for s in records(split.test.sequences)] == [1]
 
     def test_straddler_cut_and_short_stump_dropped(self):
         data = dataset([("ab", [10, 30]), ("cd", [5, 15]), ("ef", [25, 40])])
         split = time_split(data, 20)
         # seq 0 straddles: stump [a@10] is below min length, gone entirely
-        assert [s.seq_id for s in split.train.sequences] == [1]
-        assert [s.seq_id for s in split.test.sequences] == [2]
+        assert [s.seq_id for s in records(split.train.sequences)] == [1]
+        assert [s.seq_id for s in records(split.test.sequences)] == [2]
 
     def test_straddler_with_long_stump_is_truncated(self):
         data = dataset([("abc", [10, 20, 99]), ("de", [30, 40])])
         split = time_split(data, 25)
-        (train_seq,) = split.train.sequences
+        (train_seq,) = records(split.train.sequences)
         assert train_seq.items.tolist() == [INDEX.forward["a"], INDEX.forward["b"]]
         assert train_seq.timestamps.tolist() == [10, 20]
 
     def test_sequence_starting_at_boundary_belongs_to_train(self):
         data = dataset([("abc", [25, 25, 99]), ("cd", [30, 40])])
         split = time_split(data, 25)
-        assert [s.seq_id for s in split.train.sequences] == [0]
-        assert split.train.sequences[0].timestamps.tolist() == [25, 25]
+        assert [s.seq_id for s in records(split.train.sequences)] == [0]
+        assert records(split.train.sequences)[0].timestamps.tolist() == [25, 25]
 
     def test_empty_test_is_an_error(self):
         data = dataset([("ab", [10, 20]), ("cd", [30, 40])])
@@ -84,8 +82,8 @@ class TestTimeSplit:
             [("ab", [10, 30]), ("cd", [5, 15]), ("ef", [25, 40]), ("gh", [26, 27])]
         )
         split = time_split(data, 20)
-        max_train = max(s.end_time for s in split.train.sequences)
-        min_test_start = min(s.start_time for s in split.test.sequences)
+        max_train = max(s.end_time for s in records(split.train.sequences))
+        min_test_start = min(s.start_time for s in records(split.test.sequences))
         assert max_train <= 20 < min_test_start
 
     def test_sides_share_item_index(self):
@@ -130,15 +128,15 @@ class TestChooseSplitTime:
             [("ab", [100, 200]), ("cd", [day(1, 7), day(1, 8)]), ("ef", [day(2, 5), day(2, 6)])]
         )
         split = time_split(data, choose_split_time(data, 1))
-        assert {s.seq_id for s in split.test.sequences} == {2}
+        assert {s.seq_id for s in records(split.test.sequences)} == {2}
 
 
 class TestLeaveOneOut:
     def test_single_sequence_all(self):
         data = dataset([("abc", [1, 2, 3])])
         split = leave_one_out_split(data, LeaveOneOutSelection())
-        (prefix,) = split.train.sequences
-        (target,) = split.test.sequences
+        (prefix,) = records(split.train.sequences)
+        (target,) = records(split.test.sequences)
         assert prefix.items.tolist() == [INDEX.forward["a"], INDEX.forward["b"]]
         assert target.items.tolist() == [INDEX.forward["c"]]
         assert target.timestamps.tolist() == [3]
@@ -147,13 +145,13 @@ class TestLeaveOneOut:
     def test_most_recent_selects_latest_start_times(self):
         data = dataset([("ab", [day(k), day(k, 10)]) for k in range(10)])
         split = leave_one_out_split(data, LeaveOneOutSelection("most_recent", k=3))
-        assert sorted(s.seq_id for s in split.test.sequences) == [7, 8, 9]
+        assert sorted(s.seq_id for s in records(split.test.sequences)) == [7, 8, 9]
         assert len(split.test.sequences) == 3
 
     def test_unselected_sequences_stay_whole(self):
         data = dataset([("ab", [day(k), day(k, 10)]) for k in range(10)])
         split = leave_one_out_split(data, LeaveOneOutSelection("most_recent", k=3))
-        whole = [s for s in split.train.sequences if len(s) == 2]
+        whole = [s for s in records(split.train.sequences) if len(s) == 2]
         assert sorted(s.seq_id for s in whole) == list(range(7))
 
     def test_random_selection_is_seeded(self):
@@ -161,7 +159,7 @@ class TestLeaveOneOut:
         select = LeaveOneOutSelection("random", k=4, seed=7)
         one = leave_one_out_split(data, select)
         two = leave_one_out_split(data, select)
-        assert [s.seq_id for s in one.test.sequences] == [s.seq_id for s in two.test.sequences]
+        assert one.test.sequences.seq_ids.tolist() == two.test.sequences.seq_ids.tolist()
 
     def test_k_beyond_eligible_is_an_error(self):
         data = dataset([("ab", [1, 2]), ("cd", [3, 4])])
@@ -171,9 +169,9 @@ class TestLeaveOneOut:
     def test_reassembly_reproduces_original(self):
         data = dataset([("abc", [1, 2, 3]), ("de", [4, 5]), ("fgh", [6, 7, 8])])
         split = leave_one_out_split(data, LeaveOneOutSelection())
-        targets = {s.seq_id: s for s in split.test.sequences}
-        for original in data.sequences:
-            prefix = next(s for s in split.train.sequences if s.seq_id == original.seq_id)
+        targets = {s.seq_id: s for s in records(split.test.sequences)}
+        for original in records(data.sequences):
+            prefix = next(s for s in records(split.train.sequences) if s.seq_id == original.seq_id)
             rebuilt = prefix.items.tolist() + targets[original.seq_id].items.tolist()
             assert rebuilt == original.items.tolist()
 
@@ -194,13 +192,13 @@ class TestRandomSplit:
         data = self.make(100)
         one = random_split(data, 0.3, seed=11)
         two = random_split(data, 0.3, seed=11)
-        assert [s.seq_id for s in one.test.sequences] == [s.seq_id for s in two.test.sequences]
+        assert one.test.sequences.seq_ids.tolist() == two.test.sequences.seq_ids.tolist()
 
     def test_sides_are_disjoint_and_cover(self):
         data = self.make(200)
         split = random_split(data, 0.4, seed=3)
-        train_ids = {s.seq_id for s in split.train.sequences}
-        test_ids = {s.seq_id for s in split.test.sequences}
+        train_ids = {s.seq_id for s in records(split.train.sequences)}
+        test_ids = {s.seq_id for s in records(split.test.sequences)}
         assert train_ids.isdisjoint(test_ids)
         assert train_ids | test_ids == set(range(200))
 
@@ -232,19 +230,19 @@ class TestTruncateWindow:
     def test_window_covering_span_changes_nothing(self):
         split = self.make_split()
         narrowed = truncate_training_window(split, 90)
-        assert [s.seq_id for s in narrowed.train.sequences] == [
-            s.seq_id for s in split.train.sequences
+        assert [s.seq_id for s in records(narrowed.train.sequences)] == [
+            s.seq_id for s in records(split.train.sequences)
         ]
         assert narrowed.window_days == 90
 
     def test_window_keeps_only_recent_days(self):
         split = self.make_split()
         narrowed = truncate_training_window(split, 14)
-        starts = [s.start_time for s in narrowed.train.sequences]
+        starts = [s.start_time for s in records(narrowed.train.sequences)]
         assert min(starts) >= day(30) - 14 * DAY
         assert len(narrowed.train.sequences) == 14
-        assert [s.seq_id for s in narrowed.test.sequences] == [
-            s.seq_id for s in split.test.sequences
+        assert [s.seq_id for s in records(narrowed.test.sequences)] == [
+            s.seq_id for s in records(split.test.sequences)
         ]
 
     def test_straddling_sequence_cut_at_window_start(self):
@@ -252,7 +250,7 @@ class TestTruncateWindow:
                  ("fg", [day(4, 10), day(4, 20)])]
         split = time_split(dataset(specs), day(4))
         narrowed = truncate_training_window(split, 2)
-        cut = next(s for s in narrowed.train.sequences if s.seq_id == 0)
+        cut = next(s for s in records(narrowed.train.sequences) if s.seq_id == 0)
         assert cut.timestamps.tolist() == [day(3), day(3, 60)]
 
     def test_empty_window_is_an_error(self):
@@ -275,8 +273,8 @@ class TestValidationAndSpecs:
         spec = SplitSpec(strategy="time", test_days=1)
         outer = apply_split(data, spec)
         inner = make_validation(outer.train, spec)
-        max_val_train = max(s.end_time for s in inner.train.sequences)
-        min_val_test = min(s.start_time for s in inner.test.sequences)
+        max_val_train = max(s.end_time for s in records(inner.train.sequences))
+        min_val_test = min(s.start_time for s in records(inner.test.sequences))
         assert max_val_train < min_val_test < outer.split_time
 
     def test_time_validation_without_test_days_is_an_error(self):
@@ -290,7 +288,7 @@ class TestValidationAndSpecs:
         outer = leave_one_out_split(data, LeaveOneOutSelection())
         inner = make_validation(outer.train, outer.spec)
         # the ab prefix shrank to one event and cannot donate again
-        assert [s.seq_id for s in inner.test.sequences] == [1]
+        assert [s.seq_id for s in records(inner.test.sequences)] == [1]
 
     def test_apply_split_dispatches(self):
         data = dataset([("ab", [10, 20]), ("cd", [day(1, 10), day(1, 20)])])
@@ -348,9 +346,9 @@ class TestSplitProperties:
         except SplitError:
             return
         assert positions(split.train).isdisjoint(positions(split.test))
-        max_train = max(s.end_time for s in split.train.sequences)
+        max_train = max(s.end_time for s in records(split.train.sequences))
         assert max_train <= split_time
-        for seq in split.test.sequences:
+        for seq in records(split.test.sequences):
             assert seq.start_time > split_time
 
     @given(random_dataset())
@@ -360,7 +358,7 @@ class TestSplitProperties:
         train_pos = positions(split.train)
         test_pos = positions(split.test)
         assert train_pos.isdisjoint(test_pos)
-        assert len(test_pos | train_pos) == sum(len(s) for s in data.sequences)
+        assert len(test_pos | train_pos) == sum(len(s) for s in records(data.sequences))
 
     @given(random_dataset(), st.floats(min_value=0.1, max_value=0.9), st.integers(0, 99))
     @settings(max_examples=60, deadline=None)
@@ -369,7 +367,7 @@ class TestSplitProperties:
             split = random_split(data, fraction, seed)
         except SplitError:
             return
-        train_ids = {s.seq_id for s in split.train.sequences}
-        test_ids = {s.seq_id for s in split.test.sequences}
+        train_ids = {s.seq_id for s in records(split.train.sequences)}
+        test_ids = {s.seq_id for s in records(split.test.sequences)}
         assert train_ids.isdisjoint(test_ids)
         assert len(train_ids) + len(test_ids) == len(data.sequences)
