@@ -16,7 +16,6 @@ Exit codes: 0 clean success, 1 hard error, 2 success with audit warnings
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -44,7 +43,8 @@ from .probability import (
 from .reports import (
     W_COLLISION_HIGH, W_LOO_LEAKAGE, W_RANDOM_SPLIT, W_SAMPLED_METRICS, RunManifest,
     diagnostics_document, file_checksum, json_text, key_value_csv_text, metrics_csv_text,
-    peak_rss_mb, rate_csv_text, sequentiality_csv_text, write_dump, write_json, write_text,
+    peak_rss_mb, plain, rate_csv_text, sequentiality_csv_text, write_dump, write_json,
+    write_text,
 )
 from .splitting import STRATEGY_LOO, STRATEGY_RANDOM, apply_split, truncate_training_window
 
@@ -212,6 +212,13 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig.load(path=args.config, overrides=overrides)
 
 
+def _no_repeats(flag: str, entries: list, label=str) -> None:
+    """Reject a list in which an entry equals an earlier one."""
+    for k, entry in enumerate(entries):
+        if entry in entries[:k]:
+            raise ConfigError(f"{flag} lists {label(entry)!r} twice")
+
+
 def _grid(cfg: RunConfig, args) -> tuple[list[str], list[SamplerSpec]]:
     """The models and samplers the evaluate stage crosses."""
     if args.command != "compare":
@@ -219,14 +226,16 @@ def _grid(cfg: RunConfig, args) -> tuple[list[str], list[SamplerSpec]]:
     names = [name.strip() for name in args.models.split(",") if name.strip()]
     if not names:
         raise ConfigError("--models needs at least one model name")
-    if "external" in names and cfg.get("model.scores_path") is None:
-        raise ConfigError("model 'external' needs model.scores_path")
+    for name in names:
+        cfg.check_model(name, "model")
+    _no_repeats("--models", names)
     try:
         samplers = [SamplerSpec.parse(text) for text in args.samplers.split(",") if text.strip()]
     except ValueError as exc:
         raise ConfigError(f"--samplers: {exc}") from exc
     if not samplers:
         raise ConfigError("--samplers needs at least one sampler spec")
+    _no_repeats("--samplers", samplers, SamplerSpec.describe)
     if any(sampler.strategy in RANDOM_SAMPLERS for sampler in samplers):
         cfg.sampling_seed()
     return names, samplers
@@ -449,7 +458,7 @@ def _write_ingest(ctx: _Context):
 
 def _write_preprocess(ctx: _Context):
     data = ctx.data
-    provenance_path = ctx.write("provenance", "provenance.json", data.provenance_report())
+    provenance_path = ctx.write("provenance", "provenance.json", plain(data.provenance))
     if ctx.full_run:
         return None
     return {
@@ -470,10 +479,10 @@ def _warn_split(ctx: _Context) -> None:
 def _write_split(ctx: _Context):
     split = ctx.split
     payload = {
-        "spec": dataclasses.asdict(split.spec),
+        "spec": plain(split.spec),
         "split_time": split.split_time,
         "window_days": split.window_days,
-        "stats": split.stats.to_dict(),
+        "stats": plain(split.stats),
     }
     if not ctx.full_run:
         payload["train_path"] = ctx.write("train", "train.tsv", split.train.dump_canonical)
@@ -497,11 +506,11 @@ def _write_diagnose(ctx: _Context):
     )
     ctx.write("diagnostics", "diagnostics.json", document)
     if ctx.cfg.get("output.csv"):
-        texts = {"collisions": key_value_csv_text(collisions.to_dict())}
+        texts = {"collisions": key_value_csv_text(plain(collisions))}
         if rate is not None:
             texts["rate"] = rate_csv_text(rate)
         if overlap is not None:
-            texts["overlap"] = key_value_csv_text(overlap.to_dict())
+            texts["overlap"] = key_value_csv_text(plain(overlap))
         if sequentiality is not None:
             texts["sequentiality"] = sequentiality_csv_text(sequentiality)
         for key, text in texts.items():
@@ -515,7 +524,7 @@ def _write_evaluate(ctx: _Context):
         ctx.warn(W_SAMPLED_METRICS)
     reports, csv = ctx.results, ctx.cfg.get("output.csv")
     if ctx.args.command != "compare":
-        payload = ctx.embed_warnings(reports[0].to_dict())
+        payload = ctx.embed_warnings(plain(reports[0]))
         ctx.write("metrics", "metrics.json", payload)
         if csv:
             ctx.write("metrics_csv", "metrics.csv", metrics_csv_text(reports))
@@ -529,8 +538,8 @@ def _write_evaluate(ctx: _Context):
     ]
     payload = {
         "metric": metric,
-        "reports": [r.to_dict() for r in reports],
-        "crossings": [c.to_dict() for c in crossings],
+        "reports": plain(reports),
+        "crossings": plain(crossings),
         "warnings": ctx.warnings,
     }
     ctx.write("comparison", "comparison.json", payload)
@@ -595,15 +604,15 @@ def _run(args, argv: list[str]) -> int:
     except RecauditError as exc:
         manifest.error = {"stage": stage, "message": str(exc)}
         manifest.peak_rss_mb = peak_rss_mb()
-        write_json(manifest_path, manifest.to_dict())
+        write_json(manifest_path, plain(manifest))
         print(f"error in stage {stage}: {exc}", file=sys.stderr)
         return 1
     finally:
         logger.removeHandler(handler)
     manifest.report_paths["manifest"] = manifest_path
     manifest.peak_rss_mb = peak_rss_mb()
-    write_json(manifest_path, manifest.to_dict())
-    _out(manifest.to_dict() if ctx.full_run else payload)
+    write_json(manifest_path, plain(manifest))
+    _out(plain(manifest) if ctx.full_run else payload)
     for warning in ctx.warnings:
         print(f"{warning['code']}: {warning['message']}", file=sys.stderr)
     return 2 if ctx.warnings else 0

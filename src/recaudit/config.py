@@ -238,11 +238,7 @@ class RunConfig:
             raise ConfigError(
                 f"diagnostics.sequential_baseline must be one of {SEQUENTIAL_BASELINES}"
             )
-        if v["model.name"] not in MODEL_BUILDERS and v["model.name"] != "external":
-            known = ", ".join(sorted(MODEL_BUILDERS) + ["external"])
-            raise ConfigError(f"model.name {v['model.name']!r} is unknown (have {known})")
-        if v["model.name"] == "external" and v["model.scores_path"] is None:
-            raise ConfigError("model.name 'external' needs model.scores_path")
+        self.check_model(v["model.name"])
         sampler = self.sampler_spec()
         if sampler.strategy in RANDOM_SAMPLERS or v["eval.tie_policy"] == TIE_RANDOM:
             self.sampling_seed()
@@ -328,6 +324,14 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"eval.*: {exc}") from exc
+
+    def check_model(self, name: str, key: str = "model.name") -> None:
+        """Reject a model name nothing builds, and 'external' without its scores."""
+        if name not in MODEL_BUILDERS and name != "external":
+            known = ", ".join(sorted(MODEL_BUILDERS) + ["external"])
+            raise ConfigError(f"{key} {name!r} is unknown (have {known})")
+        if name == "external" and self._values["model.scores_path"] is None:
+            raise ConfigError(f"{key} 'external' needs model.scores_path")
 
     def sampler_spec(self) -> SamplerSpec:
         try:

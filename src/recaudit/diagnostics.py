@@ -57,18 +57,6 @@ class CollisionReport:
     total_events: int
     total_pairs: int
 
-    def to_dict(self) -> dict:
-        return {
-            "colliding_pair_fraction": self.colliding_pair_fraction,
-            "colliding_event_fraction": self.colliding_event_fraction,
-            "collision_size_histogram": {
-                str(size): self.collision_size_histogram[size]
-                for size in sorted(self.collision_size_histogram)
-            },
-            "total_events": self.total_events,
-            "total_pairs": self.total_pairs,
-        }
-
 
 def collision_stats(log: EventLog) -> CollisionReport:
     """Count events sharing an (entity, timestamp) slot.
@@ -162,14 +150,6 @@ class TransitionRatePoint:
     denominator: int
     rate: float | None  # None when the denominator is empty
 
-    def to_dict(self) -> dict:
-        return {
-            "day": self.day,
-            "new_transitions": self.new_transitions,
-            "denominator": self.denominator,
-            "rate": self.rate,
-        }
-
 
 def new_transition_rate(
     data: Dataset, denominator: str = DENOMINATOR_ACTIVE_SEQUENCES
@@ -239,15 +219,6 @@ class OverlapReport:
     distinct_test_transitions: int
     distinct_train_transitions: int
 
-    def to_dict(self) -> dict:
-        return {
-            "occurrence_overlap": self.occurrence_overlap,
-            "distinct_overlap": self.distinct_overlap,
-            "test_transition_count": self.test_transition_count,
-            "distinct_test_transitions": self.distinct_test_transitions,
-            "distinct_train_transitions": self.distinct_train_transitions,
-        }
-
 
 def transition_overlap(split: DatasetSplit) -> OverlapReport:
     """Compare the split's evaluated transitions against training transitions.
@@ -304,22 +275,6 @@ class SequentialityReport:
     verdict: str
     verdict_cutoff: int
     verdict_threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "cutoffs": list(self.cutoffs),
-            "sequential": self.sequential.to_dict(),
-            "order_agnostic": self.order_agnostic.to_dict(),
-            "relative_change_recall": {
-                str(n): self.relative_change_recall[n] for n in self.cutoffs
-            },
-            "relative_change_mrr": {
-                str(n): self.relative_change_mrr[n] for n in self.cutoffs
-            },
-            "verdict": self.verdict,
-            "verdict_cutoff": self.verdict_cutoff,
-            "verdict_threshold": self.verdict_threshold,
-        }
 
 
 def probe_models(sequential_model: str = "markov") -> tuple[str, str]:

@@ -378,23 +378,9 @@ class MetricReport:
     skipped_unseen_target_count: int
     total_cases: int
     catalog_size: int
-    ranks: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        """JSON-ready payload; per-case ranks and any timing stay out."""
-        return {
-            "model": self.model,
-            "sampler": self.sampler,
-            "tie_policy": self.tie_policy,
-            "master_seed": self.master_seed,
-            "cutoffs": list(self.cutoffs),
-            "recall": {str(n): self.recall[n] for n in self.cutoffs},
-            "mrr": {str(n): self.mrr[n] for n in self.cutoffs},
-            "case_count": self.case_count,
-            "skipped_unseen_target_count": self.skipped_unseen_target_count,
-            "total_cases": self.total_cases,
-            "catalog_size": self.catalog_size,
-        }
+    ranks: np.ndarray | None = field(
+        default=None, repr=False, compare=False, metadata={"report": False}
+    )
 
 
 @dataclass
@@ -629,20 +615,6 @@ class CrossingReport:
     @property
     def first_flip(self) -> tuple[int, int] | None:
         return self.flips[0] if self.flips else None
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "model_a": self.model_a,
-            "model_b": self.model_b,
-            "sampler": self.sampler,
-            "cutoffs": list(self.cutoffs),
-            "difference": {str(n): self.difference[n] for n in self.cutoffs},
-            "relative_difference": {
-                str(n): self.relative_difference[n] for n in self.cutoffs
-            },
-            "flips": [list(pair) for pair in self.flips],
-        }
 
 
 def crossing_analysis(

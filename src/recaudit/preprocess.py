@@ -129,17 +129,13 @@ class StepRecord:
     items_before: int
     items_after: int
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "params": dict(self.params),
-            "events_before": self.events_before,
-            "events_after": self.events_after,
-            "sequences_before": self.sequences_before,
-            "sequences_after": self.sequences_after,
-            "items_before": self.items_before,
-            "items_after": self.items_after,
-        }
+    @classmethod
+    def counted(
+        cls, step: str, params: dict, before: tuple[int, int, int], after: tuple[int, int, int]
+    ) -> StepRecord:
+        """A record from (events, sequences, items) counts before and after the step."""
+        events, sequences, items = zip(before, after)
+        return cls(step, params, *events, *sequences, *items)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +197,6 @@ class Dataset:
         buffer = io.StringIO()
         self.dump_canonical(buffer)
         return buffer.getvalue()
-
-    def provenance_report(self) -> list[dict]:
-        return [record.to_dict() for record in self.provenance]
 
 
 def _table_counts(table: SequenceTable) -> tuple[int, int, int]:
@@ -315,36 +308,26 @@ def iterative_support_filter(
     iteration = 0
     while True:
         iteration += 1
-        events_before, seqs_before, items_before = _table_counts(current)
+        before = _table_counts(current)
         kept = current.select(current.lengths >= cfg.min_seq_len)
         support = np.bincount(kept.items, minlength=len(index))
         weak = (support > 0) & (support < cfg.min_item_support)
         removed_items = int(np.count_nonzero(weak))
         # fully emptied sequences vanish in take()
         pruned = collapse_repeats(kept.take(~weak[kept.items])) if removed_items else kept
-        events_after, seqs_after, items_after = _table_counts(pruned)
+        after = _table_counts(pruned)
         changed = removed_items > 0 or len(kept) != len(current) or len(pruned) != len(kept)
-        records.append(
-            StepRecord(
-                step="support_filter",
-                params={
-                    "iteration": iteration,
-                    "min_seq_len": cfg.min_seq_len,
-                    "min_item_support": cfg.min_item_support,
-                    "dropped_short_sequences": len(current) - len(kept),
-                    "removed_items": removed_items,
-                },
-                events_before=events_before,
-                events_after=events_after,
-                sequences_before=seqs_before,
-                sequences_after=seqs_after,
-                items_before=items_before,
-                items_after=items_after,
-            )
-        )
+        params = {
+            "iteration": iteration,
+            "min_seq_len": cfg.min_seq_len,
+            "min_item_support": cfg.min_item_support,
+            "dropped_short_sequences": len(current) - len(kept),
+            "removed_items": removed_items,
+        }
+        records.append(StepRecord.counted("support_filter", params, before, after))
+        shrink = zip(("events", "sequences", "items"), before, after)
         shrink_rows.append(
-            f"pass {iteration}: events {events_before}->{events_after}, "
-            f"sequences {seqs_before}->{seqs_after}, items {items_before}->{items_after}"
+            f"pass {iteration}: " + ", ".join(f"{what} {b}->{a}" for what, b, a in shrink)
         )
         current = pruned
         if not changed or not current:
@@ -369,53 +352,21 @@ def preprocess(log: EventLog, cfg: PipelineConfig) -> Dataset:
     if cfg.keep_event_type is not None:
         before = _log_counts(log)
         log = filter_event_type(log, cfg.keep_event_type)
-        after = _log_counts(log)
-        provenance.append(
-            StepRecord(
-                step="filter_event_type",
-                params={"keep": cfg.keep_event_type},
-                events_before=before[0],
-                events_after=after[0],
-                sequences_before=before[1],
-                sequences_after=after[1],
-                items_before=before[2],
-                items_after=after[2],
-            )
-        )
+        provenance.append(StepRecord.counted(
+            "filter_event_type", {"keep": cfg.keep_event_type}, before, _log_counts(log)
+        ))
 
     index = ItemIndex.from_items(log.item_ids)
-    log_counts = _log_counts(log)
     sequences = sessionize(log, cfg, index)
     params: dict = {"mode": cfg.session_mode}
     if cfg.session_mode == SESSION_GAP:
         params["gap_seconds"] = cfg.gap_seconds
-    events, seqs, items = _table_counts(sequences)
-    provenance.append(
-        StepRecord(
-            step="sessionize",
-            params=params,
-            events_before=log_counts[0],
-            events_after=events,
-            sequences_before=log_counts[1],
-            sequences_after=seqs,
-            items_before=log_counts[2],
-            items_after=items,
-        )
-    )
+    counts = _table_counts(sequences)
+    provenance.append(StepRecord.counted("sessionize", params, _log_counts(log), counts))
 
     collapsed = collapse_repeats(sequences)
-    events_c, seqs_c, items_c = _table_counts(collapsed)
     provenance.append(
-        StepRecord(
-            step="collapse_repeats",
-            params={},
-            events_before=events,
-            events_after=events_c,
-            sequences_before=seqs,
-            sequences_after=seqs_c,
-            items_before=items,
-            items_after=items_c,
-        )
+        StepRecord.counted("collapse_repeats", {}, counts, _table_counts(collapsed))
     )
 
     return iterative_support_filter(collapsed, cfg, index, provenance)

@@ -1,15 +1,18 @@
 """Report serialization and the run manifest.
 
-Everything written here is deterministic for identical inputs: JSON is
-emitted with sorted keys and fixed indentation, CSV floats use ``repr`` so
-parsing them back is lossless, and nothing in a report carries wall-clock
-information.  Timing lives only in the manifest, which is expected to differ
-between reruns; the reports are expected not to.
+Two functions format every report: :func:`plain` turns a report (or a list
+of them) into its JSON form, and :func:`csv_text` writes every CSV
+projection.  Everything written here is deterministic for identical inputs:
+JSON is emitted with sorted keys and fixed indentation, CSV floats use
+``repr`` so parsing them back is lossless, and nothing in a report carries
+wall-clock information.  Timing lives only in the manifest, which is
+expected to differ between reruns; the reports are expected not to.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -64,85 +67,78 @@ def file_checksum(path: str) -> str:
     return f"sha256:{digest.hexdigest()}"
 
 
-def metrics_csv_text(reports: Iterable[MetricReport]) -> str:
-    """Flat cutoff-by-model-by-sampler matrix; floats survive a roundtrip."""
+def plain(value):
+    """The JSON form of a report: a dataclass becomes a dict of its fields
+    (less those marked ``metadata={"report": False}``), dict keys become
+    ``str`` and tuples become lists.  A report whose shape differs from its
+    fields says so in its own ``to_dict``.
+
+    Keys become ``str`` before :func:`json_text` sorts them, so cutoffs sort
+    as text ("1", "10", "20", "5"), not as numbers.
+    """
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            item.name: plain(getattr(value, item.name))
+            for item in dataclasses.fields(value)
+            if item.metadata.get("report", True)
+        }
+    if isinstance(value, dict):
+        return {str(key): plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
+    """A header row and data rows, one per line.  ``csv.writer`` writes a
+    float by ``repr``, so it survives a roundtrip, and None as an empty field."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(METRICS_CSV_HEADER)
-    for report in reports:
-        for cutoff in report.cutoffs:
-            writer.writerow(
-                [
-                    report.model,
-                    report.sampler,
-                    cutoff,
-                    repr(report.recall[cutoff]),
-                    repr(report.mrr[cutoff]),
-                ]
-            )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+def metrics_csv_text(reports: Iterable[MetricReport]) -> str:
+    """Flat cutoff-by-model-by-sampler matrix."""
+    return csv_text(METRICS_CSV_HEADER, (
+        (report.model, report.sampler, n, report.recall[n], report.mrr[n])
+        for report in reports for n in report.cutoffs
+    ))
 
 
 def rate_csv_text(series: Iterable[TransitionRatePoint]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("day", "new_transitions", "denominator", "rate"))
-    for point in series:
-        writer.writerow(
-            [
-                point.day,
-                point.new_transitions,
-                point.denominator,
-                "" if point.rate is None else repr(point.rate),
-            ]
-        )
-    return buffer.getvalue()
+    return csv_text(
+        ("day", "new_transitions", "denominator", "rate"),
+        ((p.day, p.new_transitions, p.denominator, p.rate) for p in series),
+    )
 
 
 def key_value_csv_text(payload: dict) -> str:
     """Flat two-column projection for scalar report sections."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("key", "value"))
+    rows = []
     for key in sorted(payload):
         value = payload[key]
         if isinstance(value, dict):
-            for sub in sorted(value):
-                writer.writerow((f"{key}.{sub}", value[sub]))
+            rows.extend((f"{key}.{sub}", value[sub]) for sub in sorted(value))
         else:
-            writer.writerow((key, value))
-    return buffer.getvalue()
+            rows.append((key, value))
+    return csv_text(("key", "value"), rows)
 
 
 def sequentiality_csv_text(report: SequentialityReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
+    aware, agnostic = report.sequential, report.order_agnostic
+    return csv_text(
+        ("cutoff", "sequential_recall", "order_agnostic_recall", "relative_change_recall",
+         "sequential_mrr", "order_agnostic_mrr", "relative_change_mrr"),
         (
-            "cutoff",
-            "sequential_recall",
-            "order_agnostic_recall",
-            "relative_change_recall",
-            "sequential_mrr",
-            "order_agnostic_mrr",
-            "relative_change_mrr",
-        )
+            (n, aware.recall[n], agnostic.recall[n], report.relative_change_recall[n],
+             aware.mrr[n], agnostic.mrr[n], report.relative_change_mrr[n])
+            for n in report.cutoffs
+        ),
     )
-    for cutoff in report.cutoffs:
-        rel_r = report.relative_change_recall[cutoff]
-        rel_m = report.relative_change_mrr[cutoff]
-        writer.writerow(
-            [
-                cutoff,
-                repr(report.sequential.recall[cutoff]),
-                repr(report.order_agnostic.recall[cutoff]),
-                "" if rel_r is None else repr(rel_r),
-                repr(report.sequential.mrr[cutoff]),
-                repr(report.order_agnostic.mrr[cutoff]),
-                "" if rel_m is None else repr(rel_m),
-            ]
-        )
-    return buffer.getvalue()
 
 
 def diagnostics_document(
@@ -152,16 +148,13 @@ def diagnostics_document(
     sequentiality: SequentialityReport | None = None,
 ) -> dict:
     """Assemble the diagnose payload; absent sections are omitted, never null."""
-    document: dict = {}
-    if collisions is not None:
-        document["collisions"] = collisions.to_dict()
-    if rate is not None:
-        document["new_transition_rate"] = [point.to_dict() for point in rate]
-    if overlap is not None:
-        document["overlap"] = overlap.to_dict()
-    if sequentiality is not None:
-        document["sequentiality"] = sequentiality.to_dict()
-    return document
+    sections = {
+        "collisions": collisions,
+        "new_transition_rate": rate,
+        "overlap": overlap,
+        "sequentiality": sequentiality,
+    }
+    return {key: plain(section) for key, section in sections.items() if section is not None}
 
 
 def peak_rss_mb() -> float | None:
@@ -209,19 +202,7 @@ class RunManifest:
             self.warnings.append({"code": code, "message": message})
 
     def to_dict(self) -> dict:
-        payload = {
-            "tool_version": self.tool_version,
-            "resolved_config": self.resolved_config,
-            "argv": self.argv,
-            "input_checksums": self.input_checksums,
-            "stage_seconds": self.stage_seconds,
-            "stage_peak_rss_mb": self.stage_peak_rss_mb,
-            "peak_rss_mb": self.peak_rss_mb,
-            "stage_stats": self.stage_stats,
-            "report_paths": self.report_paths,
-            "warnings": self.warnings,
-            "notes": self.notes,
-        }
-        if self.error is not None:
-            payload["error"] = self.error
+        payload = dataclasses.asdict(self)
+        if self.error is None:
+            del payload["error"]
         return payload

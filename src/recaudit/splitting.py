@@ -13,7 +13,7 @@ will skip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -83,9 +83,6 @@ class SideStats:
     sequences: int
     days: int
 
-    def to_dict(self) -> dict:
-        return {"events": self.events, "sequences": self.sequences, "days": self.days}
-
 
 @dataclass(frozen=True)
 class SplitStats:
@@ -95,10 +92,9 @@ class SplitStats:
     unseen_items: int
 
     def to_dict(self) -> dict:
-        out = {"train": self.train.to_dict(), "test": self.test.to_dict()}
-        out["test"]["unseen_item_events"] = self.unseen_item_events
-        out["test"]["unseen_items"] = self.unseen_items
-        return out
+        """The unseen-item counts describe the test side and nest under it."""
+        unseen = {"unseen_item_events": self.unseen_item_events, "unseen_items": self.unseen_items}
+        return {"train": asdict(self.train), "test": {**asdict(self.test), **unseen}}
 
 
 @dataclass(frozen=True)

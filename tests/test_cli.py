@@ -18,6 +18,7 @@ import recaudit
 from recaudit import cli
 from recaudit.cli import main
 from recaudit.config import CONFIG_KEYS
+from recaudit.evaluation import SamplerSpec
 from recaudit.models import MarkovModel
 from synth import DAY, browsing_rows, write_events_csv
 
@@ -372,6 +373,35 @@ class TestCompare:
             "error: stochastic evaluation needs a seed: "
             "set 'eval.master_seed' or the global 'seed'"
         ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    @pytest.mark.parametrize(
+        "models, samplers, message",
+        [
+            ("markov,nope", "none",
+             "error: model 'nope' is unknown "
+             "(have cooccurrence, markov, popularity, session_knn, external)"),
+            ("markov,markov", "none", "error: --models lists 'markov' twice"),
+            (" markov,popularity, markov", "none", "error: --models lists 'markov' twice"),
+            ("markov", "top_popular,top_popular:100",
+             "error: --samplers lists 'top_popular:100' twice"),
+            ("markov", "none,uniform:10%, uniform:10.0%",
+             "error: --samplers lists 'uniform:10%' twice"),
+            ("markov", "none,none", "error: --samplers lists 'none' twice"),
+        ],
+        ids=["unknown-model", "repeated-model", "repeated-model-spaced",
+             "sampler-default-count", "sampler-percent-spelling", "repeated-none"],
+    )
+    def test_bad_grid_is_rejected_before_any_stage(
+        self, events_csv, tmp_path, models, samplers, message, dry_run
+    ):
+        code, payload, err = run_cli(
+            ["compare", "--input", events_csv, "--output-dir", str(tmp_path / "out"),
+             f"--models={models}", f"--samplers={samplers}", "--seed", "1", *dry_run]
+        )
+        assert code == 1 and payload == ""
+        assert err.splitlines() == [message]
         assert not (tmp_path / "out").exists()
 
     def test_manifest_records_the_command_line(self, events_csv, tmp_path):
@@ -857,6 +887,8 @@ GRID_TOKENS = (
     "uniform:3", "uniform:0", "uniform:-1", "uniform:x", "uniform:", "uniform:99999",
     "popularity:50%", "uniform:0%", "uniform:100%", "uniform:nan%", "uniform:1e999%",
     "top_popular:2", "similar_embedding:2", "bogus:3", ":3", "", " ", "\t",
+    # equal entries in different spellings
+    " markov ", "none ", "top_popular", "top_popular:100", "uniform:3.0%", "uniform:3%",
 )
 GRID_LISTS = st.lists(
     st.one_of(st.sampled_from(GRID_TOKENS), st.text(alphabet=" ,:%x1", max_size=4)),
@@ -864,15 +896,27 @@ GRID_LISTS = st.lists(
 ).map(",".join)
 
 
+def grid_entries(text, parse=str.strip):
+    """The parsed entries of a --models/--samplers list, or None if one does not parse."""
+    try:
+        return [parse(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        return None
+
+
 class TestFailureContractFuzz:
     @given(GRID_LISTS, GRID_LISTS, st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_compare_grids(self, events_csv, models, samplers, seeded):
         seed = ["--seed", "3"] if seeded else []
-        fuzz_run(
+        code, err = fuzz_run(
             ["compare", "--input", events_csv, f"--models={models}", f"--samplers={samplers}",
              *seed]
         )
+        # no grid with a repeated model or sampler gets past the command line
+        names, specs = grid_entries(models), grid_entries(samplers, SamplerSpec.parse)
+        if len(set(names)) < len(names) or (specs is not None and len(set(specs)) < len(specs)):
+            assert code == 1, err
 
     @given(
         st.dictionaries(st.sampled_from(FUZZED_KEYS), JSON_VALUES, min_size=1, max_size=3),

@@ -7,10 +7,15 @@ cover timestamp ties, adjacent and non-adjacent repeats, support-filter
 cascades, gap sessions, event-type filtering, non-ASCII ids, ISO timestamps
 and rejected rows; the array passes must reproduce the loops' canonical
 dumps, provenance ledgers, split statistics and diagnostics exactly.
+
+The last section keeps the hand-written ``to_dict`` methods and CSV writers
+that :func:`recaudit.reports.plain` and :func:`recaudit.reports.csv_text`
+replaced; generated reports must serialize to the same bytes through both.
 """
 
 import csv
 import io
+import json
 from collections import Counter
 from datetime import datetime, timezone
 
@@ -25,8 +30,11 @@ from recaudit.cli import main
 from recaudit.config import RunConfig
 from recaudit.diagnostics import (
     RATE_DENOMINATORS,
+    VERDICT_PRESENT,
+    VERDICT_WEAK,
     CollisionReport,
     OverlapReport,
+    SequentialityReport,
     TransitionRatePoint,
     collision_stats,
     new_transition_rate,
@@ -40,7 +48,7 @@ from recaudit.errors import (
     PreprocessError,
     SplitError,
 )
-from recaudit.evaluation import enumerate_cases
+from recaudit.evaluation import CrossingReport, MetricReport, enumerate_cases
 from recaudit.events import (
     RESOLUTION_DAYS,
     RESOLUTION_SECONDS,
@@ -52,6 +60,17 @@ from recaudit.events import (
     ingest_csv,
 )
 from recaudit.preprocess import Dataset, PipelineConfig, StepRecord, preprocess
+from recaudit.reports import (
+    METRICS_CSV_HEADER,
+    RunManifest,
+    diagnostics_document,
+    json_text,
+    key_value_csv_text,
+    metrics_csv_text,
+    plain,
+    rate_csv_text,
+    sequentiality_csv_text,
+)
 from recaudit.splitting import (
     SELECT_ALL,
     SELECT_MOST_RECENT,
@@ -368,13 +387,13 @@ def ref_collision_stats(groups):
         colliding_events += int(big.sum())
         for size in big:
             histogram[int(size)] += 1
-    return CollisionReport(
+    return plain(CollisionReport(
         colliding_pair_fraction=colliding_pairs / total_pairs if total_pairs else 0.0,
         colliding_event_fraction=colliding_events / total_events if total_events else 0.0,
         collision_size_histogram=dict(histogram),
         total_events=total_events,
         total_pairs=total_pairs,
-    ).to_dict()
+    ))
 
 
 def ref_transition_set(sequences):
@@ -413,9 +432,9 @@ def ref_new_transition_rate(sequences, denominator):
             "day_transitions": len(occurring.get(day, ())),
         }[denominator]
         new = new_per_day.get(day, 0)
-        series.append(TransitionRatePoint(
+        series.append(plain(TransitionRatePoint(
             day - first_day, new, denom, new / denom if denom else None
-        ).to_dict())
+        )))
     return series
 
 
@@ -435,13 +454,13 @@ def ref_overlap(train, test, loo):
     if not occurrences:
         raise DiagnosticsError("no transitions")
     distinct = set(occurrences)
-    return OverlapReport(
+    return plain(OverlapReport(
         occurrence_overlap=sum(p in train_pairs for p in occurrences) / len(occurrences),
         distinct_overlap=len(distinct & train_pairs) / len(distinct),
         test_transition_count=len(occurrences),
         distinct_test_transitions=len(distinct),
         distinct_train_transitions=len(train_pairs),
-    ).to_dict()
+    ))
 
 
 def ref_enumerate_cases(split, prefix_start):
@@ -609,7 +628,7 @@ class TestPreprocessMatchesLoops:
             return
         sequences, index, records = expected
         assert data.canonical_text() == ref_canonical_text(sequences, index)
-        assert data.provenance_report() == [r.to_dict() for r in records]
+        assert plain(data.provenance) == plain(records)
         assert data.item_index == index
         support = np.zeros(len(index), dtype=np.int64)
         for seq in sequences:
@@ -714,14 +733,14 @@ class TestDiagnosticsMatchLoops:
         if prep is None:
             return
         log, groups, data, sequences, _ = prep
-        assert collision_stats(log).to_dict() == ref_collision_stats(groups)
+        assert plain(collision_stats(log)) == ref_collision_stats(groups)
         assert transition_set(data).first_seen_day == ref_transition_set(sequences)
         expected, series = both(
             lambda: ref_new_transition_rate(sequences, denominator),
             lambda: new_transition_rate(data, denominator),
         )
         if expected is not None:
-            assert [point.to_dict() for point in series] == expected
+            assert plain(series) == expected
 
     @given(logs(), st.booleans(), st.integers(0, 6))
     @SETTINGS
@@ -742,7 +761,7 @@ class TestDiagnosticsMatchLoops:
             lambda: ref_overlap(train, test, loo), lambda: transition_overlap(split)
         )
         if expected is not None:
-            assert report.to_dict() == expected
+            assert plain(report) == expected
 
     def test_overlap_needs_a_training_prefix_for_every_loo_test_sequence(self):
         index = ItemIndex.from_items(["a", "b", "c"])
@@ -891,3 +910,371 @@ class TestDumpsStreamToTheirFiles:
         for name, text in expected.items():
             assert len(text.splitlines()) > 3 * 7, name
             assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+
+
+# ---- the hand-written report serializers that plain() and csv_text() replaced
+
+
+def ref_collision_dict(r):
+    return {
+        "colliding_pair_fraction": r.colliding_pair_fraction,
+        "colliding_event_fraction": r.colliding_event_fraction,
+        "collision_size_histogram": {
+            str(size): r.collision_size_histogram[size]
+            for size in sorted(r.collision_size_histogram)
+        },
+        "total_events": r.total_events,
+        "total_pairs": r.total_pairs,
+    }
+
+
+def ref_rate_point_dict(p):
+    return {
+        "day": p.day,
+        "new_transitions": p.new_transitions,
+        "denominator": p.denominator,
+        "rate": p.rate,
+    }
+
+
+def ref_overlap_dict(r):
+    return {
+        "occurrence_overlap": r.occurrence_overlap,
+        "distinct_overlap": r.distinct_overlap,
+        "test_transition_count": r.test_transition_count,
+        "distinct_test_transitions": r.distinct_test_transitions,
+        "distinct_train_transitions": r.distinct_train_transitions,
+    }
+
+
+def ref_metric_dict(r):
+    return {
+        "model": r.model,
+        "sampler": r.sampler,
+        "tie_policy": r.tie_policy,
+        "master_seed": r.master_seed,
+        "cutoffs": list(r.cutoffs),
+        "recall": {str(n): r.recall[n] for n in r.cutoffs},
+        "mrr": {str(n): r.mrr[n] for n in r.cutoffs},
+        "case_count": r.case_count,
+        "skipped_unseen_target_count": r.skipped_unseen_target_count,
+        "total_cases": r.total_cases,
+        "catalog_size": r.catalog_size,
+    }
+
+
+def ref_sequentiality_dict(r):
+    return {
+        "cutoffs": list(r.cutoffs),
+        "sequential": ref_metric_dict(r.sequential),
+        "order_agnostic": ref_metric_dict(r.order_agnostic),
+        "relative_change_recall": {str(n): r.relative_change_recall[n] for n in r.cutoffs},
+        "relative_change_mrr": {str(n): r.relative_change_mrr[n] for n in r.cutoffs},
+        "verdict": r.verdict,
+        "verdict_cutoff": r.verdict_cutoff,
+        "verdict_threshold": r.verdict_threshold,
+    }
+
+
+def ref_crossing_dict(r):
+    return {
+        "metric": r.metric,
+        "model_a": r.model_a,
+        "model_b": r.model_b,
+        "sampler": r.sampler,
+        "cutoffs": list(r.cutoffs),
+        "difference": {str(n): r.difference[n] for n in r.cutoffs},
+        "relative_difference": {str(n): r.relative_difference[n] for n in r.cutoffs},
+        "flips": [list(pair) for pair in r.flips],
+    }
+
+
+def ref_step_dict(r):
+    return {
+        "step": r.step,
+        "params": dict(r.params),
+        "events_before": r.events_before,
+        "events_after": r.events_after,
+        "sequences_before": r.sequences_before,
+        "sequences_after": r.sequences_after,
+        "items_before": r.items_before,
+        "items_after": r.items_after,
+    }
+
+
+def ref_side_dict(s):
+    return {"events": s.events, "sequences": s.sequences, "days": s.days}
+
+
+def ref_split_stats_dict(s):
+    out = {"train": ref_side_dict(s.train), "test": ref_side_dict(s.test)}
+    out["test"]["unseen_item_events"] = s.unseen_item_events
+    out["test"]["unseen_items"] = s.unseen_items
+    return out
+
+
+def ref_manifest_dict(m):
+    payload = {
+        "tool_version": m.tool_version,
+        "resolved_config": m.resolved_config,
+        "argv": m.argv,
+        "input_checksums": m.input_checksums,
+        "stage_seconds": m.stage_seconds,
+        "stage_peak_rss_mb": m.stage_peak_rss_mb,
+        "peak_rss_mb": m.peak_rss_mb,
+        "stage_stats": m.stage_stats,
+        "report_paths": m.report_paths,
+        "warnings": m.warnings,
+        "notes": m.notes,
+    }
+    if m.error is not None:
+        payload["error"] = m.error
+    return payload
+
+
+def ref_metrics_csv_text(reports):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(METRICS_CSV_HEADER)
+    for report in reports:
+        for cutoff in report.cutoffs:
+            writer.writerow([
+                report.model,
+                report.sampler,
+                cutoff,
+                repr(report.recall[cutoff]),
+                repr(report.mrr[cutoff]),
+            ])
+    return buffer.getvalue()
+
+
+def ref_rate_csv_text(series):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("day", "new_transitions", "denominator", "rate"))
+    for point in series:
+        writer.writerow([
+            point.day,
+            point.new_transitions,
+            point.denominator,
+            "" if point.rate is None else repr(point.rate),
+        ])
+    return buffer.getvalue()
+
+
+def ref_key_value_csv_text(payload):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("key", "value"))
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, dict):
+            for sub in sorted(value):
+                writer.writerow((f"{key}.{sub}", value[sub]))
+        else:
+            writer.writerow((key, value))
+    return buffer.getvalue()
+
+
+def ref_sequentiality_csv_text(report):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow((
+        "cutoff",
+        "sequential_recall",
+        "order_agnostic_recall",
+        "relative_change_recall",
+        "sequential_mrr",
+        "order_agnostic_mrr",
+        "relative_change_mrr",
+    ))
+    for cutoff in report.cutoffs:
+        rel_r = report.relative_change_recall[cutoff]
+        rel_m = report.relative_change_mrr[cutoff]
+        writer.writerow([
+            cutoff,
+            repr(report.sequential.recall[cutoff]),
+            repr(report.order_agnostic.recall[cutoff]),
+            "" if rel_r is None else repr(rel_r),
+            repr(report.sequential.mrr[cutoff]),
+            repr(report.order_agnostic.mrr[cutoff]),
+            "" if rel_m is None else repr(rel_m),
+        ])
+    return buffer.getvalue()
+
+
+# cutoffs mix one- and two-digit values, so text order differs from number order
+CUTOFF_GRIDS = st.lists(
+    st.sampled_from([1, 2, 5, 10, 20, 50, 100]), min_size=1, max_size=5, unique=True
+).map(lambda grid: tuple(sorted(grid)))
+FLOATS = st.floats()
+MAYBE_FLOATS = st.none() | st.floats()
+NAMES = st.text(max_size=8)  # commas, quotes and line breaks test CSV quoting
+COUNTS = st.integers(0, 10**6)
+
+
+def per_cutoff(draw, cutoffs, values):
+    return {n: draw(values) for n in cutoffs}
+
+
+@st.composite
+def metric_reports(draw, cutoffs=None):
+    cutoffs = cutoffs if cutoffs is not None else draw(CUTOFF_GRIDS)
+    ranks = draw(st.none() | st.lists(st.integers(-1, 50), max_size=5).map(np.array))
+    return MetricReport(
+        model=draw(NAMES),
+        sampler=draw(NAMES),
+        tie_policy=draw(st.sampled_from(["optimistic", "pessimistic", "random"])),
+        master_seed=draw(st.none() | st.integers(0, 2**63 - 1)),
+        cutoffs=cutoffs,
+        recall=per_cutoff(draw, cutoffs, FLOATS),
+        mrr=per_cutoff(draw, cutoffs, FLOATS),
+        case_count=draw(COUNTS),
+        skipped_unseen_target_count=draw(COUNTS),
+        total_cases=draw(COUNTS),
+        catalog_size=draw(COUNTS),
+        ranks=ranks,
+    )
+
+
+@st.composite
+def sequentiality_reports(draw):
+    cutoffs = draw(CUTOFF_GRIDS)
+    return SequentialityReport(
+        cutoffs=cutoffs,
+        sequential=draw(metric_reports(cutoffs)),
+        order_agnostic=draw(metric_reports(cutoffs)),
+        relative_change_recall=per_cutoff(draw, cutoffs, MAYBE_FLOATS),
+        relative_change_mrr=per_cutoff(draw, cutoffs, MAYBE_FLOATS),
+        verdict=draw(st.sampled_from([VERDICT_WEAK, VERDICT_PRESENT])),
+        verdict_cutoff=draw(st.sampled_from(cutoffs)),
+        verdict_threshold=draw(FLOATS),
+    )
+
+
+@st.composite
+def crossing_reports(draw):
+    cutoffs = draw(CUTOFF_GRIDS)
+    pairs = list(zip(cutoffs, cutoffs[1:]))
+    flips = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return CrossingReport(
+        metric=draw(st.sampled_from(["recall", "mrr"])),
+        model_a=draw(NAMES),
+        model_b=draw(NAMES),
+        sampler=draw(NAMES),
+        cutoffs=cutoffs,
+        difference=per_cutoff(draw, cutoffs, FLOATS),
+        relative_difference=per_cutoff(draw, cutoffs, MAYBE_FLOATS),
+        flips=tuple(sorted(flips)),
+    )
+
+
+collision_reports = st.builds(
+    CollisionReport,
+    colliding_pair_fraction=FLOATS,
+    colliding_event_fraction=FLOATS,
+    collision_size_histogram=st.dictionaries(st.integers(2, 120), COUNTS, max_size=6),
+    total_events=COUNTS,
+    total_pairs=COUNTS,
+)
+rate_series = st.lists(st.builds(
+    TransitionRatePoint, day=COUNTS, new_transitions=COUNTS, denominator=COUNTS, rate=MAYBE_FLOATS
+), max_size=5)
+overlap_reports = st.builds(
+    OverlapReport,
+    occurrence_overlap=FLOATS,
+    distinct_overlap=FLOATS,
+    test_transition_count=COUNTS,
+    distinct_test_transitions=COUNTS,
+    distinct_train_transitions=COUNTS,
+)
+step_records = st.builds(
+    StepRecord,
+    step=NAMES,
+    params=st.dictionaries(NAMES, st.integers() | NAMES, max_size=4),
+    events_before=COUNTS,
+    events_after=COUNTS,
+    sequences_before=COUNTS,
+    sequences_after=COUNTS,
+    items_before=COUNTS,
+    items_after=COUNTS,
+)
+side_stats = st.builds(SideStats, events=COUNTS, sequences=COUNTS, days=COUNTS)
+split_stats = st.builds(
+    SplitStats, train=side_stats, test=side_stats, unseen_item_events=COUNTS, unseen_items=COUNTS
+)
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | FLOATS | NAMES
+manifests = st.builds(
+    RunManifest,
+    tool_version=NAMES,
+    resolved_config=st.dictionaries(NAMES, st.dictionaries(NAMES, JSON_LEAVES, max_size=3)),
+    argv=st.lists(NAMES, max_size=4),
+    input_checksums=st.dictionaries(NAMES, NAMES, max_size=2),
+    stage_seconds=st.dictionaries(NAMES, FLOATS, max_size=3),
+    stage_peak_rss_mb=st.dictionaries(NAMES, MAYBE_FLOATS, max_size=3),
+    peak_rss_mb=MAYBE_FLOATS,
+    stage_stats=st.dictionaries(NAMES, st.dictionaries(NAMES, JSON_LEAVES, max_size=3)),
+    report_paths=st.dictionaries(NAMES, NAMES, max_size=3),
+    warnings=st.lists(st.fixed_dictionaries({"code": NAMES, "message": NAMES}), max_size=2),
+    notes=st.lists(NAMES, max_size=2),
+    error=st.none() | st.fixed_dictionaries({"stage": NAMES, "message": NAMES}),
+)
+
+
+class TestSerializerMatchesHandWrittenForms:
+    """``json_text(plain(report))`` and every CSV projection give the bytes
+    the per-class ``to_dict`` methods and per-report CSV writers gave."""
+
+    @pytest.mark.parametrize(
+        "reports, reference",
+        [
+            (metric_reports(), ref_metric_dict),
+            (sequentiality_reports(), ref_sequentiality_dict),
+            (crossing_reports(), ref_crossing_dict),
+            (collision_reports, ref_collision_dict),
+            (rate_series, lambda series: [ref_rate_point_dict(p) for p in series]),
+            (overlap_reports, ref_overlap_dict),
+            (step_records, ref_step_dict),
+            (split_stats, ref_split_stats_dict),
+            (manifests, ref_manifest_dict),
+        ],
+        ids=["metric", "sequentiality", "crossing", "collisions", "rate", "overlap", "step",
+             "split-stats", "manifest"],
+    )
+    @given(data=st.data())
+    @SETTINGS
+    def test_json_of_every_report(self, reports, reference, data):
+        report = data.draw(reports)
+        assert json_text(plain(report)) == json_text(reference(report))
+
+    @given(st.lists(metric_reports(), max_size=4), sequentiality_reports(), rate_series,
+           collision_reports, overlap_reports)
+    @SETTINGS
+    def test_csv_projections(self, reports, sequentiality, series, collisions, overlap):
+        assert metrics_csv_text(reports) == ref_metrics_csv_text(reports)
+        assert sequentiality_csv_text(sequentiality) == ref_sequentiality_csv_text(sequentiality)
+        assert rate_csv_text(series) == ref_rate_csv_text(series)
+        for report, reference in ((collisions, ref_collision_dict), (overlap, ref_overlap_dict)):
+            assert key_value_csv_text(plain(report)) == ref_key_value_csv_text(reference(report))
+
+    @given(sequentiality_reports(), collision_reports, rate_series, overlap_reports)
+    @SETTINGS
+    def test_diagnostics_document(self, sequentiality, collisions, series, overlap):
+        assert json_text(diagnostics_document(collisions, series, overlap, sequentiality)) == (
+            json_text({
+                "collisions": ref_collision_dict(collisions),
+                "new_transition_rate": [ref_rate_point_dict(p) for p in series],
+                "overlap": ref_overlap_dict(overlap),
+                "sequentiality": ref_sequentiality_dict(sequentiality),
+            })
+        )
+        assert diagnostics_document(collisions) == {"collisions": ref_collision_dict(collisions)}
+
+    def test_ranks_stay_out_and_cutoff_keys_sort_as_text(self):
+        report = MetricReport(
+            "m", "none", "optimistic", 0, (1, 5, 10, 20), {1: 0.1, 5: 0.5, 10: 0.7, 20: 0.9},
+            {1: 0.1, 5: 0.2, 10: 0.3, 20: 0.4}, 4, 0, 4, 9, ranks=np.array([1, 2, 3, 4]),
+        )
+        payload = plain(report)
+        assert "ranks" not in payload
+        assert list(json.loads(json_text(payload))["recall"]) == ["1", "10", "20", "5"]

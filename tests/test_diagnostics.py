@@ -22,6 +22,7 @@ from recaudit.diagnostics import (
 )
 from recaudit.errors import DiagnosticsError
 from recaudit.events import RESOLUTION_DAYS, RESOLUTION_SECONDS
+from recaudit.reports import plain
 from recaudit.splitting import LeaveOneOutSelection, leave_one_out_split
 
 from synth import (
@@ -397,6 +398,6 @@ class TestSequentialityProbe:
     def test_report_serializes_to_json(self):
         split = chain_split(2, 3, train_copies=3, test_copies=1)
         report = fit_and_probe(split, cutoffs=(1, 2))
-        payload = json.loads(json.dumps(report.to_dict()))
+        payload = json.loads(json.dumps(plain(report)))
         assert payload["verdict"] in (VERDICT_WEAK, VERDICT_PRESENT)
         assert set(payload["relative_change_recall"]) == {"1", "2"}

@@ -34,6 +34,7 @@ from recaudit.models import (
     derive_embeddings,
 )
 from recaudit.probability import sampled_topc_probability
+from recaudit.reports import plain
 from recaudit.splitting import (
     LeaveOneOutSelection,
     SideStats,
@@ -447,7 +448,7 @@ class TestEvaluate:
             evaluate_cell(model, split, cfg, sampler, workers=w) for w in (1, 2, 4)
         ]
         for other in reports[1:]:
-            assert other.to_dict() == reports[0].to_dict()
+            assert plain(other) == plain(reports[0])
             assert np.array_equal(other.ranks, reports[0].ranks)
 
     def test_sampled_recall_matches_closed_form_probability(self):
@@ -537,7 +538,7 @@ class TestGridEvaluation:
             for name, model in models.items():
                 alone = evaluate_cell(model, split, cfg, sampler, embeddings, model_name=name)
                 report = grid[name, sampler.describe()]
-                assert report.to_dict() == alone.to_dict(), (name, sampler)
+                assert plain(report) == plain(alone), (name, sampler)
                 assert report.ranks.tolist() == alone.ranks.tolist(), (name, sampler)
         assert np.count_nonzero(report.ranks < 0) > 0  # unscoreable cases are covered
 

@@ -17,6 +17,7 @@ from recaudit.preprocess import (
     preprocess,
     sessionize,
 )
+from recaudit.reports import plain
 from synth import event_log as log_of, groups_of, records, sequence_table
 
 ALPHABET = "abcdef"
@@ -279,7 +280,7 @@ class TestFullPipeline:
         assert steps[1] == "sessionize"
         assert steps[2] == "collapse_repeats"
         assert set(steps[3:]) == {"support_filter"}
-        report = dataset.provenance_report()
+        report = plain(dataset.provenance)
         assert report[0]["events_before"] == 12
         assert report[0]["events_after"] == 11
 
