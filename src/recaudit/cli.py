@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import __version__
-from .config import CONFIG_KEYS, RANDOM_SAMPLERS, RunConfig
+from .config import CONFIG_KEYS, RunConfig
 from .diagnostics import (
     collision_hazard, collision_stats, new_transition_rate, probe_models,
     sequentiality_probe, transition_overlap,
@@ -32,7 +32,8 @@ from .errors import (
     ConfigError, DiagnosticsError, EvaluationError, ModelError, RecauditError, SplitError,
 )
 from .evaluation import (
-    EMBEDDING_SAMPLERS, SAMPLER_NONE, MetricReport, SamplerSpec, crossing_analysis, evaluate,
+    EMBEDDING_SAMPLERS, RANDOM_SAMPLERS, SAMPLER_NONE, MetricReport, SamplerSpec,
+    crossing_analysis, evaluate,
 )
 from .events import dump_canonical, ingest_csv
 from .models import ExternalScoresModel, build_model, derive_embeddings, load_embeddings
@@ -260,8 +261,7 @@ class _Context:
         self.log = self.data = self.split = self.embeddings = None
         self.sections = (None, None, None, None)
         self.models: dict = {}  # (name, params) -> fitted model
-        self.reports: dict = {}  # (name, params, sampler, eval config) -> MetricReport
-        self.pass_of: dict = {}  # id(report) -> index of the pass that produced it
+        self.reports: dict = {}  # (name, params, sampler) -> (MetricReport, pass index)
         self.passes: list[tuple[int, float]] = []  # (ranked lists, seconds) per pass
         self.results: list[MetricReport] = []
 
@@ -293,22 +293,19 @@ class _Context:
         return payload
 
     def grid(self, requests: list[tuple[str, dict]], samplers: list[SamplerSpec]):
-        """Reports for each sampler × (model name, params), sampler-major.
+        """(report, pass index) for each sampler × (model name, params), sampler-major.
 
         Models are fitted once per name and params.  The cells no earlier
         request produced are ranked in one evaluation pass over their models
-        and samplers.
+        and samplers; ``passes[i]`` holds the work of pass ``i``.
         """
-        eval_cfg = self.cfg.eval_config()
         model_keys = [(name, json.dumps(params, sort_keys=True)) for name, params in requests]
         params_of = dict(zip(model_keys, (params for _, params in requests)))
-        cells = [
-            (*model_key, sampler, eval_cfg) for sampler in samplers for model_key in model_keys
-        ]
+        cells = [(*model_key, sampler) for sampler in samplers for model_key in model_keys]
         missing = [cell for cell in cells if cell not in self.reports]
         if missing:
             fitted = {}
-            for name, params_text, _, _ in missing:
+            for name, params_text, _ in missing:
                 model_key = (name, params_text)
                 if model_key not in self.models:
                     self.models[model_key] = _fit_model(
@@ -322,15 +319,13 @@ class _Context:
                 self.embeddings = _embeddings(self.cfg, self.split.train)
             started = time.perf_counter()
             result = evaluate(
-                fitted, self.split, eval_cfg, pass_samplers,
+                fitted, self.split, self.cfg.eval_config(), pass_samplers,
                 embeddings=self.embeddings, workers=self.args.threads,
             )
             seconds = time.perf_counter() - started
             lists = sum(report.case_count for report in result.reports.values())
             for cell in missing:
-                report = result[cell[0], cell[2]]
-                self.reports[cell] = report
-                self.pass_of[id(report)] = len(self.passes)
+                self.reports[cell] = (result[cell[0], cell[2]], len(self.passes))
             self.passes.append((lists, seconds))
         return [self.reports[cell] for cell in cells]
 
@@ -384,7 +379,7 @@ def _stage_preprocess(ctx: _Context):
 def _stage_split(ctx: _Context):
     cfg = ctx.cfg
     try:
-        split = apply_split(ctx.data, cfg.split_spec())
+        split = apply_split(ctx.data, cfg.split_spec(), cfg.get("split.min_seq_len"))
         window = cfg.get("split.window_days")
         if window is not None:
             split = truncate_training_window(split, window, cfg.get("split.min_seq_len"))
@@ -412,9 +407,9 @@ def _stage_diagnose(ctx: _Context):
             ctx.note(f"skipping overlap: {exc}")
         try:
             names = probe_models(cfg.get("diagnostics.sequential_baseline"))
-            reports = ctx.grid([(name, {}) for name in names], [SamplerSpec()])
+            cells = ctx.grid([(name, {}) for name in names], [SamplerSpec()])
             sequentiality = sequentiality_probe(
-                *reports,
+                *(report for report, _ in cells),
                 verdict_cutoff=cfg.get("diagnostics.verdict_cutoff"),
                 verdict_threshold=cfg.get("diagnostics.verdict_threshold"),
             )
@@ -426,11 +421,12 @@ def _stage_diagnose(ctx: _Context):
 def _stage_evaluate(ctx: _Context):
     # model.params belong to the configured model.name only
     configured, params = ctx.cfg.model_request()
-    ctx.results = ctx.grid(
+    cells = ctx.grid(
         [(name, params if name == configured else {}) for name in ctx.names], ctx.samplers
     )
+    ctx.results = [report for report, _ in cells]
     # throughput of the passes that ranked these reports, each counted once
-    passes = [ctx.passes[i] for i in sorted({ctx.pass_of[id(r)] for r in ctx.results})]
+    passes = [ctx.passes[i] for i in sorted({index for _, index in cells})]
     lists = sum(count for count, _ in passes)
     seconds = sum(spent for _, spent in passes)
     return {

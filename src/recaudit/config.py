@@ -16,14 +16,14 @@ import json
 import os
 from typing import Any, Mapping
 
-from .diagnostics import RATE_DENOMINATORS, SEQUENTIAL_BASELINES
+from .diagnostics import (
+    COLLISION_EVENT_FRACTION_THRESHOLD, RATE_DENOMINATORS, SEQUENTIAL_BASELINES,
+)
 from .errors import ConfigError
 from .evaluation import (
     SAMPLER_NONE,
-    SAMPLER_POPULARITY,
-    SAMPLER_INVERSE_POPULARITY,
-    SAMPLER_UNIFORM,
     EMBEDDING_SAMPLERS,
+    RANDOM_SAMPLERS,
     TIE_RANDOM,
     EvalConfig,
     SamplerSpec,
@@ -44,8 +44,6 @@ ENV_PREFIX = "RECAUDIT_"
 
 # accepted in configs and on the command line for the long strategy name
 STRATEGY_ALIASES = {"loo": STRATEGY_LOO}
-
-RANDOM_SAMPLERS = (SAMPLER_UNIFORM, SAMPLER_POPULARITY, SAMPLER_INVERSE_POPULARITY)
 
 _SEED_KEYS = ("seed", "split.seed", "eval.master_seed", "model.embedding_seed")
 
@@ -71,7 +69,7 @@ _SCHEMA: dict[str, tuple[type, Any]] = {
     "split.seed": (int, None),
     "split.window_days": (int, None),
     "split.min_seq_len": (int, 2),
-    "diagnostics.collision_threshold": (float, 0.10),
+    "diagnostics.collision_threshold": (float, COLLISION_EVENT_FRACTION_THRESHOLD),
     "diagnostics.rate_denominator": (str, "active_sequences"),
     "diagnostics.sequential_baseline": (str, "markov"),
     "diagnostics.verdict_threshold": (float, 0.05),

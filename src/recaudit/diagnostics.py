@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticsError
-from .evaluation import MetricReport
+from .errors import DiagnosticsError, EvaluationError
+from .evaluation import MetricReport, enumerate_cases
 from .events import RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog
 from .preprocess import Dataset
-from .splitting import STRATEGY_LOO, DatasetSplit, loo_prefix_rows
+from .splitting import DatasetSplit
 
 # day-resolution data above this colliding-event share is flagged as hazardous
 COLLISION_EVENT_FRACTION_THRESHOLD = 0.10
@@ -107,15 +107,6 @@ class TransitionSet:
     keys: np.ndarray
     first_day: np.ndarray
     width: int
-
-    @property
-    def first_seen_day(self) -> dict[tuple[int, int], int]:
-        left, right = np.divmod(self.keys, self.width)
-        return dict(zip(zip(left.tolist(), right.tolist()), self.first_day.tolist()))
-
-    @property
-    def pairs(self) -> set[tuple[int, int]]:
-        return set(self.first_seen_day)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -223,27 +214,18 @@ class OverlapReport:
 def transition_overlap(split: DatasetSplit) -> OverlapReport:
     """Compare the split's evaluated transitions against training transitions.
 
-    Test transitions are the (last prefix item, target) pairs of the split's
-    evaluation cases: for prefix-growing splits the adjacent pairs inside test
-    sequences, for leave-one-out the last item of each test sequence's
-    training prefix (matched by sequence id) followed by its one test item.
+    Test transitions are the (last prefix item, target) pairs of the cases
+    :func:`~recaudit.evaluation.enumerate_cases` lists from prefix length 1.
     Both an occurrence-weighted and a distinct-pair fraction are reported;
     they answer different questions and neither dominates the other.
     """
     train = transition_set(split.train)
-    if split.spec.strategy == STRATEGY_LOO:
-        prefixes, tests = split.train.sequences, split.test.sequences
-        rows = loo_prefix_rows(split)
-        missing = tests.seq_ids[rows < 0]
-        if len(missing):
-            raise DiagnosticsError(
-                f"test sequence {missing[0]} has no training prefix to extend"
-            )
-        left = prefixes.items[prefixes.offsets[rows + 1] - 1]
-        occurrences = left * train.width + tests.items[tests.offsets[:-1]]
-    else:
-        # both sides share the catalog, so the pair keys share a width
-        occurrences = _transitions(split.test)[0]
+    try:
+        cases = enumerate_cases(split)
+    except EvaluationError as exc:
+        raise DiagnosticsError(str(exc)) from exc
+    # both sides share the catalog, so the pair keys share a width
+    occurrences = cases.items[cases.stops - 1] * train.width + cases.targets
     if not len(occurrences):
         raise DiagnosticsError("the test side contains no transitions to compare")
     distinct_test = np.unique(occurrences)

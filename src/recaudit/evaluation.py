@@ -65,6 +65,9 @@ EMBEDDING_SAMPLERS = (
 # strategies whose candidate set depends only on the target, not the rng
 DETERMINISTIC_SAMPLERS = (SAMPLER_TOP_POPULAR,) + EMBEDDING_SAMPLERS
 
+# strategies that draw their candidates from the case's generator
+RANDOM_SAMPLERS = (SAMPLER_UNIFORM, SAMPLER_POPULARITY, SAMPLER_INVERSE_POPULARITY)
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -611,10 +614,6 @@ class CrossingReport:
     difference: dict[int, float]
     relative_difference: dict[int, float | None]
     flips: tuple[tuple[int, int], ...]
-
-    @property
-    def first_flip(self) -> tuple[int, int] | None:
-        return self.flips[0] if self.flips else None
 
 
 def crossing_analysis(

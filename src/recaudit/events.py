@@ -207,13 +207,6 @@ class EventLog:
         return set(self.event_type_ids)
 
 
-def detect_timestamp_resolution(log: EventLog) -> str:
-    """Return ``days`` iff every timestamp sits on a day boundary, else ``seconds``."""
-    if not log.num_events:
-        raise IngestError("cannot detect timestamp resolution of an empty log")
-    return _resolution(log.timestamps)
-
-
 def _parse_timestamp(raw: str) -> int:
     raw = raw.strip()
     try:
@@ -366,39 +359,23 @@ def ingest_csv(
 DUMP_BLOCK_ROWS = 1 << 14
 
 
-def dump_canonical(log: EventLog, destination) -> None:
+def dump_canonical(log: EventLog, stream: TextIO) -> None:
     """Write the canonical tab-separated dump used for reproducible fixtures.
 
     Rows are in table order, (entity, timestamp, input order); re-ingesting
     the dump reproduces the log byte-for-byte.  Rows are written a block at
     a time, never held as one string.
     """
-    own = isinstance(destination, (str, Path))
-    stream = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
-        writer = csv.writer(stream, delimiter="\t", lineterminator="\n")
-        writer.writerow(["entity", "item", "timestamp", "type"])
-        types = ("",) + log.event_type_ids  # code -1 (untyped) reads index 0
-        for lo in range(0, log.num_events, DUMP_BLOCK_ROWS):
-            block = slice(lo, lo + DUMP_BLOCK_ROWS)
-            writer.writerows(
-                zip(
-                    map(log.entity_ids.__getitem__, log.entity_codes[block].tolist()),
-                    map(log.item_ids.__getitem__, log.item_codes[block].tolist()),
-                    log.timestamps[block].tolist(),
-                    map(types.__getitem__, (log.type_codes[block] + 1).tolist()),
-                )
+    writer = csv.writer(stream, delimiter="\t", lineterminator="\n")
+    writer.writerow(["entity", "item", "timestamp", "type"])
+    types = ("",) + log.event_type_ids  # code -1 (untyped) reads index 0
+    for lo in range(0, log.num_events, DUMP_BLOCK_ROWS):
+        block = slice(lo, lo + DUMP_BLOCK_ROWS)
+        writer.writerows(
+            zip(
+                map(log.entity_ids.__getitem__, log.entity_codes[block].tolist()),
+                map(log.item_ids.__getitem__, log.item_codes[block].tolist()),
+                log.timestamps[block].tolist(),
+                map(types.__getitem__, (log.type_codes[block] + 1).tolist()),
             )
-    finally:
-        if own:
-            stream.close()
-
-
-def canonical_dump_text(log: EventLog) -> str:
-    """The canonical dump as a string (handy for determinism checks)."""
-    buffer = io.StringIO()
-    dump_canonical(log, buffer)
-    return buffer.getvalue()
-
-
-CANONICAL_MAPPING = ColumnMapping(entity="entity", item="item", time="timestamp", type="type")
+        )

@@ -141,12 +141,6 @@ class CountMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.indptr) - 1,) * 2
 
-    def toarray(self) -> np.ndarray:
-        n = len(self.indptr) - 1
-        dense = np.zeros((n, n), dtype=np.float64)
-        dense[np.repeat(np.arange(n), np.diff(self.indptr)), self.indices] = self.data
-        return dense
-
 
 class PopularityModel(RecommenderModel):
     """Scores every item by its training support, prefix ignored."""
@@ -503,10 +497,6 @@ class EmbeddingMatrix:
         if not np.isfinite(self.vectors).all():
             raise EmbeddingError("embedding matrix contains non-finite entries")
 
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[1]
-
     def check_catalog(self, catalog_size: int) -> None:
         if self.vectors.shape[0] != catalog_size:
             raise EmbeddingError(
@@ -599,15 +589,6 @@ def load_embeddings(source, item_index: ItemIndex) -> EmbeddingMatrix:
     for code, values in seen.items():
         vectors[code] = values
     return EmbeddingMatrix(vectors=vectors, provenance="loaded")
-
-
-def dump_embeddings(matrix: EmbeddingMatrix, item_index: ItemIndex, destination) -> None:
-    """Write embeddings in the format ``load_embeddings`` reads, losslessly."""
-    matrix.check_catalog(len(item_index))
-    with open(destination, "w", encoding="utf-8") as fh:
-        for code, item_id in enumerate(item_index.reverse):
-            values = "\t".join(repr(float(v)) for v in matrix.vectors[code])
-            fh.write(f"{item_id}\t{values}\n")
 
 
 class ExternalScoresModel(RecommenderModel):

@@ -9,16 +9,15 @@ reshapes a dataset and the numbers are the only honest way to show how much.
 Every step is an array pass over one :class:`SequenceTable`: flat int64
 ``items`` and ``timestamps`` columns in the event log's order (entity, then
 time, ties in input order) with CSR ``offsets`` marking where each sequence
-starts.  Items are dense integer codes throughout; the mapping back to raw
-ids travels in an :class:`~recaudit.events.ItemIndex` and is rebuilt
-(compacted) by the support filter once the catalog has settled.  There is no
+starts.  Items are the event log's item codes throughout; once the catalog
+has settled, the support filter compacts codes and vocabulary together into
+the dataset's :class:`~recaudit.events.ItemIndex`.  There is no
 per-sequence object: sequence ``k`` is the slice ``offsets[k]:offsets[k + 1]``
 of the columns, and every consumer reads the columns directly.
 """
 
 from __future__ import annotations
 
-import io
 import logging
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -27,7 +26,9 @@ from typing import TextIO
 import numpy as np
 
 from .errors import PreprocessError
-from .events import DUMP_BLOCK_ROWS, RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog, ItemIndex
+from .events import (
+    DUMP_BLOCK_ROWS, RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog, ItemIndex, _compact,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -163,17 +164,6 @@ class Dataset:
     def num_items(self) -> int:
         return len(self.item_index)
 
-    def verify(self, cfg: PipelineConfig | None = None) -> None:
-        """Check structural invariants; raises on violation."""
-        if len(self.item_support) > len(self.item_index):
-            raise AssertionError("item code out of catalog range")
-        if cfg is not None:
-            if np.any(self.sequences.lengths < cfg.min_seq_len):
-                raise AssertionError("sequence below minimum length survived")
-            present = self.item_support > 0
-            if np.any(self.item_support[present] < cfg.min_item_support):
-                raise AssertionError("item below minimum support survived")
-
     def dump_canonical(self, stream: TextIO) -> None:
         """Write the deterministic dump to ``stream``, a block of rows at a time."""
         table = self.sequences
@@ -191,12 +181,6 @@ class Dataset:
             stream.writelines(
                 f"{seq_id}\t{entity}\t{item}\t{ts}\n" for seq_id, entity, item, ts in rows
             )
-
-    def canonical_text(self) -> str:
-        """Deterministic dump used to compare pipeline outputs byte for byte."""
-        buffer = io.StringIO()
-        self.dump_canonical(buffer)
-        return buffer.getvalue()
 
 
 def _table_counts(table: SequenceTable) -> tuple[int, int, int]:
@@ -226,21 +210,14 @@ def filter_event_type(log: EventLog, keep: str) -> EventLog:
     return kept
 
 
-def sessionize(
-    log: EventLog,
-    cfg: PipelineConfig,
-    index: ItemIndex | None = None,
-) -> SequenceTable:
-    """Cut each entity's history into sequences with dense item codes.
+def sessionize(log: EventLog, cfg: PipelineConfig) -> SequenceTable:
+    """Cut each entity's history into sequences of the log's item codes.
 
     Modes: ``by_entity`` and ``by_session_column`` map every entity group to
     one sequence (in the latter the entity column already holds session keys);
     ``gap`` starts a new sequence whenever the pause since the previous event
     of the same entity exceeds ``cfg.gap_seconds``.  Sequence ids number the
     sequences in table order: by entity, then time.
-
-    ``index`` defaults to a lexicographic index over the log's items, so two
-    calls on the same log agree on codes.
     """
     if cfg.session_mode == SESSION_GAP and cfg.gap_seconds < SECONDS_PER_DAY:
         if log.num_events and log.timestamp_resolution == RESOLUTION_DAYS:
@@ -250,9 +227,6 @@ def sessionize(
                 "Run the timestamp-collision audit (diagnostics.collision_stats) and "
                 "use by_entity sessions or a gap of at least 86400."
             )
-    if index is None:
-        index = ItemIndex.from_items(log.item_ids)
-    codes = np.fromiter(map(index.forward.__getitem__, log.item_ids), np.int64, len(log.item_ids))
 
     starts = np.ones(log.num_events, dtype=bool)
     np.not_equal(log.entity_codes[1:], log.entity_codes[:-1], out=starts[1:])
@@ -260,7 +234,7 @@ def sessionize(
         starts[1:] |= np.diff(log.timestamps) > cfg.gap_seconds
     firsts = np.flatnonzero(starts)
     return SequenceTable(
-        items=codes[log.item_codes],
+        items=log.item_codes,
         timestamps=log.timestamps,
         offsets=np.append(firsts, log.num_events),
         seq_ids=np.arange(len(firsts), dtype=np.int64),
@@ -285,18 +259,20 @@ def collapse_repeats(sequences: SequenceTable) -> SequenceTable:
 def iterative_support_filter(
     sequences: SequenceTable,
     cfg: PipelineConfig,
-    index: ItemIndex,
+    item_ids: tuple[str, ...],
     provenance: list[StepRecord] | None = None,
 ) -> Dataset:
     """Drop short sequences and rare items until both constraints hold.
 
-    ``sequences`` hold codes of ``index`` and no adjacent repeats (the output
-    of :func:`collapse_repeats`).  Each pass first drops sequences shorter
+    ``sequences`` hold codes into ``item_ids``, a sorted vocabulary such as an
+    event log's, and no adjacent repeats (the output of
+    :func:`collapse_repeats`).  Each pass first drops sequences shorter
     than ``min_seq_len``, then recounts item support over the survivors and
     removes every item below ``min_item_support`` at once, re-collapsing any
     adjacent repeats the removals exposed.  Passes repeat until one changes
     nothing.  One ledger record is appended per pass, so cascades are visible
-    pass by pass.
+    pass by pass.  The surviving codes and vocabulary are compacted together,
+    keeping their order, into the dataset's item index.
 
     Raises:
         PreprocessError: the filter emptied the dataset; the message replays
@@ -310,7 +286,7 @@ def iterative_support_filter(
         iteration += 1
         before = _table_counts(current)
         kept = current.select(current.lengths >= cfg.min_seq_len)
-        support = np.bincount(kept.items, minlength=len(index))
+        support = np.bincount(kept.items, minlength=len(item_ids))
         weak = (support > 0) & (support < cfg.min_item_support)
         removed_items = int(np.count_nonzero(weak))
         # fully emptied sequences vanish in take()
@@ -338,11 +314,8 @@ def iterative_support_filter(
             "Shrinkage per pass: " + "; ".join(shrink_rows)
         )
 
-    survivors = np.flatnonzero(np.bincount(current.items, minlength=len(index))).tolist()
-    compact = ItemIndex.from_items(index.reverse[code] for code in survivors)
-    remap = np.full(len(index), -1, dtype=np.int64)
-    remap[survivors] = [compact.forward[index.reverse[code]] for code in survivors]
-    return Dataset(replace(current, items=remap[current.items]), compact, records)
+    codes, vocabulary = _compact(current.items, item_ids)
+    return Dataset(replace(current, items=codes), ItemIndex.from_items(vocabulary), records)
 
 
 def preprocess(log: EventLog, cfg: PipelineConfig) -> Dataset:
@@ -356,8 +329,7 @@ def preprocess(log: EventLog, cfg: PipelineConfig) -> Dataset:
             "filter_event_type", {"keep": cfg.keep_event_type}, before, _log_counts(log)
         ))
 
-    index = ItemIndex.from_items(log.item_ids)
-    sequences = sessionize(log, cfg, index)
+    sequences = sessionize(log, cfg)
     params: dict = {"mode": cfg.session_mode}
     if cfg.session_mode == SESSION_GAP:
         params["gap_seconds"] = cfg.gap_seconds
@@ -369,4 +341,4 @@ def preprocess(log: EventLog, cfg: PipelineConfig) -> Dataset:
         StepRecord.counted("collapse_repeats", {}, counts, _table_counts(collapsed))
     )
 
-    return iterative_support_filter(collapsed, cfg, index, provenance)
+    return iterative_support_filter(collapsed, cfg, log.item_ids, provenance)

@@ -299,40 +299,15 @@ def truncate_training_window(
     )
 
 
-def apply_split(data: Dataset, spec: SplitSpec) -> DatasetSplit:
-    """Run the strategy a spec describes."""
+def apply_split(data: Dataset, spec: SplitSpec, min_seq_len: int = 2) -> DatasetSplit:
+    """Run the strategy a spec describes; see :func:`time_split` for ``min_seq_len``."""
     if spec.strategy == STRATEGY_TIME:
         split_time = spec.split_time
         if split_time is None:
             split_time = choose_split_time(data, spec.test_days)
-        result = time_split(data, split_time)
+        result = time_split(data, split_time, min_seq_len)
         return replace(result, spec=spec)
     if spec.strategy == STRATEGY_LOO:
         return leave_one_out_split(data, spec.selection)
     return random_split(data, spec.fraction, spec.seed)
 
-
-def make_validation(train: Dataset, spec: SplitSpec) -> DatasetSplit:
-    """Carve a validation split out of train with the same strategy.
-
-    A time spec must carry ``test_days`` so the boundary can be re-derived
-    inside the training range; reusing the outer ``split_time`` verbatim would
-    leave an empty validation test side by construction.
-    """
-    if spec.strategy == STRATEGY_TIME:
-        if spec.test_days is None:
-            raise SplitError(
-                "validation from a time split needs test_days to re-derive the boundary"
-            )
-        return apply_split(train, replace(spec, split_time=None))
-    return apply_split(train, spec)
-
-
-def matched_loo_k(split: DatasetSplit, prefix_start: int = 1) -> int:
-    """Test-case count of a split under prefix enumeration.
-
-    A sequence of length L yields one case per prefix length in
-    [``prefix_start``, L-1].  Use this to pick a leave-one-out k that matches a
-    time split's case count, so strategy comparisons are size-controlled.
-    """
-    return int(np.maximum(split.test.sequences.lengths - prefix_start, 0).sum())

@@ -5,19 +5,26 @@ preprocessing) so tests can pin exact sequences, timestamps, and catalogs.
 """
 
 import csv
-from dataclasses import dataclass
+import io
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from recaudit.diagnostics import probe_models, sequentiality_probe
+from recaudit.errors import SplitError
 from recaudit.evaluation import EvalConfig, SamplerSpec, evaluate
-from recaudit.events import SECONDS_PER_DAY, EventLog, ItemIndex
+from recaudit.events import SECONDS_PER_DAY, ColumnMapping, EventLog, ItemIndex, dump_canonical
 from recaudit.models import build_model
 from recaudit.preprocess import Dataset, SequenceTable
-from recaudit.splitting import DatasetSplit, SideStats, SplitSpec, SplitStats
+from recaudit.splitting import (
+    STRATEGY_TIME, DatasetSplit, SideStats, SplitSpec, SplitStats, apply_split,
+)
 
 DAY = SECONDS_PER_DAY
+
+# the columns of the canonical event dump, for re-ingesting it
+CANONICAL_MAPPING = ColumnMapping(entity="entity", item="item", time="timestamp", type="type")
 
 
 def day(d, offset=0):
@@ -248,3 +255,79 @@ def evaluate_cell(
     name = model_name or type(model).__name__
     grid = evaluate({name: model}, split, cfg, (sampler,), embeddings, workers)
     return grid[name, sampler]
+
+
+def canonical_text(source):
+    """The canonical dump of an EventLog or a Dataset, as a string."""
+    buffer = io.StringIO()
+    if isinstance(source, EventLog):
+        dump_canonical(source, buffer)
+    else:
+        source.dump_canonical(buffer)
+    return buffer.getvalue()
+
+
+def verify(dataset, cfg=None):
+    """Check a dataset's structural invariants; raises AssertionError on violation."""
+    if len(dataset.item_support) > len(dataset.item_index):
+        raise AssertionError("item code out of catalog range")
+    if cfg is not None:
+        if np.any(dataset.sequences.lengths < cfg.min_seq_len):
+            raise AssertionError("sequence below minimum length survived")
+        present = dataset.item_support > 0
+        if np.any(dataset.item_support[present] < cfg.min_item_support):
+            raise AssertionError("item below minimum support survived")
+
+
+def toarray(counts):
+    """A CountMatrix as a dense float64 array."""
+    n = len(counts.indptr) - 1
+    dense = np.zeros((n, n), dtype=np.float64)
+    dense[np.repeat(np.arange(n), np.diff(counts.indptr)), counts.indices] = counts.data
+    return dense
+
+
+def dump_embeddings(matrix, item_index, destination):
+    """Write embeddings in the format ``load_embeddings`` reads, losslessly."""
+    matrix.check_catalog(len(item_index))
+    with open(destination, "w", encoding="utf-8") as fh:
+        for code, item_id in enumerate(item_index.reverse):
+            values = "\t".join(repr(float(v)) for v in matrix.vectors[code])
+            fh.write(f"{item_id}\t{values}\n")
+
+
+def make_validation(train, spec):
+    """Carve a validation split out of train with the same strategy.
+
+    A time spec must carry ``test_days`` so the boundary can be re-derived
+    inside the training range; reusing the outer ``split_time`` verbatim would
+    leave an empty validation test side by construction.
+    """
+    if spec.strategy == STRATEGY_TIME:
+        if spec.test_days is None:
+            raise SplitError(
+                "validation from a time split needs test_days to re-derive the boundary"
+            )
+        return apply_split(train, replace(spec, split_time=None))
+    return apply_split(train, spec)
+
+
+def matched_loo_k(split, prefix_start=1):
+    """Test-case count of a split under prefix enumeration.
+
+    A sequence of length L yields one case per prefix length in
+    [``prefix_start``, L-1]: the leave-one-out k that matches a time split's
+    case count, so strategy comparisons are size-controlled.
+    """
+    return int(np.maximum(split.test.sequences.lengths - prefix_start, 0).sum())
+
+
+def first_flip(crossing):
+    """The first cutoff interval where a CrossingReport's ordering flips, or None."""
+    return crossing.flips[0] if crossing.flips else None
+
+
+def first_seen_day(transitions):
+    """A TransitionSet as {(i, j): day the pair was first completed}."""
+    left, right = np.divmod(transitions.keys, transitions.width)
+    return dict(zip(zip(left.tolist(), right.tolist()), transitions.first_day.tolist()))

@@ -48,18 +48,20 @@ from recaudit.splitting import (
     LeaveOneOutSelection,
     SplitSpec,
     apply_split,
-    matched_loo_k,
 )
 from synth import (
     DAY,
     build_dataset,
     build_split,
+    canonical_text,
     chain_split,
     evaluate_cell,
     event_log,
+    first_flip,
     fit_and_probe,
     log_of,
     make_index,
+    matched_loo_k,
     records,
     write_events_csv,
 )
@@ -369,7 +371,7 @@ class TestOrderingFlip:
             report_b = evaluate_cell(tail_heavy, split, cfg, sampler, model_name="tail_heavy")
             crossing = crossing_analysis(report_a, report_b, metric="recall")
             assert crossing.flips, sampler_text
-            positions.append(crossing.first_flip[1])
+            positions.append(first_flip(crossing)[1])
 
         full_position, sampled = positions[0], positions[1:]
         assert full_position == 150
@@ -531,7 +533,7 @@ class TestPreprocessingFixpoint:
         )
         cfg = PipelineConfig(min_seq_len=2, min_item_support=2)
         records = []
-        result = iterative_support_filter(data.sequences, cfg, index, records)
+        result = iterative_support_filter(data.sequences, cfg, index.reverse, records)
 
         deltas = [
             (r.events_before, r.events_after, r.sequences_before, r.sequences_after,
@@ -578,7 +580,7 @@ class TestPreprocessingFixpoint:
     @staticmethod
     def _event_rows(data):
         return sorted(
-            line.split("\t", 1)[1] for line in data.canonical_text().splitlines()[1:]
+            line.split("\t", 1)[1] for line in canonical_text(data).splitlines()[1:]
         )
 
     def test_pipeline_is_idempotent_on_100_random_datasets(self):
@@ -599,7 +601,7 @@ class TestPreprocessingFixpoint:
             # a second application changes no event; ids may renumber once
             # (dropped sessions leave gaps) but after that the dump is stable
             assert self._event_rows(first) == self._event_rows(second), seed
-            assert second.canonical_text() == third.canonical_text(), seed
+            assert canonical_text(second) == canonical_text(third), seed
             assert second.num_sequences == first.num_sequences
             successes += 1
         assert successes == 100, (successes, attempts)

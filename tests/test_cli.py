@@ -200,6 +200,26 @@ class TestSplit:
         )
         assert code == 1 and "seed" in err
 
+    def test_split_min_seq_len_drops_short_boundary_stumps(self, tmp_path):
+        # u0-u5 each leave a 3-event stump before the boundary at 1000, u6 ends
+        # before it and u7 starts after it
+        rows = [(f"u{k}", f"i{j}", t) for k in range(6)
+                for j, t in enumerate((700, 800, 900, 1100, 1200))]
+        rows += [("u6", f"i{j}", 100 * (j + 1)) for j in range(4)]
+        rows += [("u7", f"i{j}", 2000 + 100 * j) for j in range(3)]
+        path = write_events_csv(tmp_path / "events.csv", rows)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"split": {"min_seq_len": 4}}))
+        argv = ["split", "--input", path, "--split-time", "1000", "--min-item-support", "1"]
+        code, default, _ = run_cli([*argv, "--output-dir", str(tmp_path / "default")])
+        assert code == 0 and default["stats"]["train"]["events"] == 4 + 6 * 3
+        code, strict, _ = run_cli(
+            [*argv, "--output-dir", str(tmp_path / "strict"), "--config", str(config)]
+        )
+        assert code == 0
+        assert strict["stats"]["train"] == {"events": 4, "sequences": 1, "days": 1}
+        assert strict["stats"]["test"] == default["stats"]["test"]
+
 
 class TestDiagnose:
     def test_all_sections_present(self, events_csv, tmp_path):
@@ -226,6 +246,20 @@ class TestDiagnose:
             "diagnostics_sequentiality.csv",
         ):
             assert (tmp_path / name).exists(), name
+
+    @pytest.mark.parametrize("strategy", (("time", "--test-days", "1"), ("loo",)))
+    def test_overlap_does_not_depend_on_prefix_start(self, events_csv, tmp_path, strategy):
+        # the overlap audits every evaluated transition; eval.prefix_start
+        # only thins the cases the models rank
+        overlaps = []
+        for start in ("1", "3"):
+            code, payload, _ = run_cli(
+                ["diagnose", "--input", events_csv, "--output-dir", str(tmp_path / start),
+                 "--strategy", *strategy, "--seed", "0", "--prefix-start", start]
+            )
+            assert code == 0
+            overlaps.append(payload["overlap"])
+        assert overlaps[0] == overlaps[1]
 
     def test_day_collisions_warn(self, daily_csv, tmp_path):
         code, payload, err = run_cli(

@@ -56,7 +56,6 @@ from recaudit.events import (
     ColumnMapping,
     ItemIndex,
     _parse_timestamp,
-    canonical_dump_text,
     ingest_csv,
 )
 from recaudit.preprocess import Dataset, PipelineConfig, StepRecord, preprocess
@@ -91,7 +90,9 @@ from synth import (
     EventRecord,
     SeqRecord,
     browsing_rows,
+    canonical_text,
     events_of,
+    first_seen_day,
     records,
     sequence_table,
     write_events_csv,
@@ -579,7 +580,7 @@ class TestIngestMatchesRowLoop:
         if expected is None:
             return
         groups, rejects = expected
-        assert canonical_dump_text(log) == ref_dump(groups)
+        assert canonical_text(log) == ref_dump(groups)
         assert log.rejected_count == len(rejects)
         assert log.rejected_preview == tuple(rejects[:10])
         assert log.timestamp_resolution == ref_resolution(groups)
@@ -590,7 +591,7 @@ class TestIngestMatchesRowLoop:
         text = "user,item,ts,kind\nu2,b,5,\nu1,z,5,\nu2,a,5,\nu1,y,5,\nu1,x,4,\n"
         log = ingest_csv(text.encode(), MAPPING)
         groups, _ = ref_ingest(text, MAPPING, 0.01)
-        assert canonical_dump_text(log) == ref_dump(groups)
+        assert canonical_text(log) == ref_dump(groups)
         assert [e.item_id for e in events_of(log)] == ["x", "z", "y", "b", "a"]
 
     @pytest.mark.parametrize(
@@ -609,7 +610,7 @@ class TestIngestMatchesRowLoop:
         groups, rejects = ref_ingest(text, MAPPING, fraction)
         log = ingest_csv(text.encode(), MAPPING, max_reject_fraction=fraction)
         assert log.num_events == events
-        assert canonical_dump_text(log) == ref_dump(groups)
+        assert canonical_text(log) == ref_dump(groups)
         assert (log.rejected_count, log.rejected_preview) == (len(rejects), tuple(rejects[:10]))
         assert log.timestamp_resolution == ref_resolution(groups)
         assert events_of(log) == [e for k in sorted(groups) for e in groups[k]]
@@ -627,7 +628,7 @@ class TestPreprocessMatchesLoops:
         if expected is None:
             return
         sequences, index, records = expected
-        assert data.canonical_text() == ref_canonical_text(sequences, index)
+        assert canonical_text(data) == ref_canonical_text(sequences, index)
         assert plain(data.provenance) == plain(records)
         assert data.item_index == index
         support = np.zeros(len(index), dtype=np.int64)
@@ -668,8 +669,8 @@ SPLIT_CFG = PipelineConfig(min_seq_len=2, min_item_support=1)
 
 def assert_same_split(split, expected, index):
     train, test = expected
-    assert split.train.canonical_text() == ref_canonical_text(train, index)
-    assert split.test.canonical_text() == ref_canonical_text(test, index)
+    assert canonical_text(split.train) == ref_canonical_text(train, index)
+    assert canonical_text(split.test) == ref_canonical_text(test, index)
     assert split.stats.to_dict() == ref_split_stats(train, test, len(index))
 
 
@@ -734,7 +735,7 @@ class TestDiagnosticsMatchLoops:
             return
         log, groups, data, sequences, _ = prep
         assert plain(collision_stats(log)) == ref_collision_stats(groups)
-        assert transition_set(data).first_seen_day == ref_transition_set(sequences)
+        assert first_seen_day(transition_set(data)) == ref_transition_set(sequences)
         expected, series = both(
             lambda: ref_new_transition_rate(sequences, denominator),
             lambda: new_transition_rate(data, denominator),

@@ -30,6 +30,7 @@ from synth import (
     build_split,
     chain_split,
     day,
+    first_seen_day,
     fit_and_probe,
     log_of,
     make_index,
@@ -126,14 +127,14 @@ class TestTransitionSet:
             ],
         )
         ts = transition_set(data)
-        assert ts.first_seen_day == {(0, 1): 0, (1, 2): 1}
-        assert ts.pairs == {(0, 1), (1, 2)}
+        assert first_seen_day(ts) == {(0, 1): 0, (1, 2): 1}
+        assert set(first_seen_day(ts)) == {(0, 1), (1, 2)}
 
     def test_transition_day_is_the_second_events_day(self):
         data = build_dataset(
             make_index(2), [([0, 1], [day(1) - 60, day(1) + 60])]
         )
-        assert transition_set(data).first_seen_day == {(0, 1): 1}
+        assert first_seen_day(transition_set(data)) == {(0, 1): 1}
 
     def test_single_event_sequences_add_nothing(self):
         data = build_dataset(make_index(2), [([0], [day(0)]), ([1], [day(1)])])

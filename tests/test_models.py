@@ -19,10 +19,9 @@ from recaudit.models import (
     build_model,
     derive_embeddings,
     MODEL_BUILDERS,
-    dump_embeddings,
     load_embeddings,
 )
-from synth import build_dataset
+from synth import build_dataset, dump_embeddings, toarray
 
 INDEX = ItemIndex.from_items("abcdef")
 A, B, C, D, E, F = range(6)
@@ -111,7 +110,7 @@ class TestMarkov:
 class TestCooccurrence:
     def test_whole_sequence_pairs(self):
         model = CooccurrenceModel().fit(make_dataset(["abc"]))
-        matrix = model.counts_.toarray()
+        matrix = toarray(model.counts_)
         assert matrix[A][B] == matrix[B][A] == 1
         assert matrix[A][C] == matrix[C][A] == 1
         assert matrix[B][C] == matrix[C][B] == 1
@@ -119,7 +118,7 @@ class TestCooccurrence:
 
     def test_window_limits_pair_distance(self):
         model = CooccurrenceModel(window=1).fit(make_dataset(["abc"]))
-        matrix = model.counts_.toarray()
+        matrix = toarray(model.counts_)
         assert matrix[A][B] == 1 and matrix[B][C] == 1
         assert matrix[A][C] == 0
 

@@ -24,7 +24,7 @@ from recaudit.models import (
     _whole_sequence_counts,
     derive_embeddings,
 )
-from synth import build_dataset, records
+from synth import build_dataset, records, toarray
 
 
 def reference_cooccurrence_counts(train, window):
@@ -223,7 +223,7 @@ class TestCooccurrenceMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
-        dense = counts.toarray()
+        dense = toarray(counts)
         # 1000 occurrences of each item: 1000 * 1000 pairs between two items,
         # 1000 * 999 of an item with itself; the short sequence adds one 0-1 pair
         expected = np.zeros((CATALOG, CATALOG))

@@ -18,7 +18,7 @@ from recaudit.preprocess import (
     sessionize,
 )
 from recaudit.reports import plain
-from synth import event_log as log_of, groups_of, records, sequence_table
+from synth import canonical_text, event_log as log_of, groups_of, records, sequence_table, verify
 
 ALPHABET = "abcdef"
 INDEX = ItemIndex.from_items(ALPHABET)
@@ -110,11 +110,6 @@ class TestSessionize:
         (only,) = records(sessionize(log, PipelineConfig()))
         assert only.start_time == 7 and only.end_time == 9
 
-    def test_codes_follow_supplied_index(self):
-        log = log_of([("u1", "b", 0), ("u1", "a", 1)])
-        out = sessionize(log, PipelineConfig(), INDEX)
-        assert records(out)[0].items.tolist() == [INDEX.forward["b"], INDEX.forward["a"]]
-
 
 class TestCollapseRepeats:
     def test_adjacent_duplicates_merge_keeping_first_timestamp(self):
@@ -155,7 +150,7 @@ class TestSupportFilterCascade:
 
     def test_cascade_empties_and_raises_with_shrink_report(self):
         with pytest.raises(PreprocessError) as info:
-            iterative_support_filter(self.make_cascade(), CFG5, INDEX)
+            iterative_support_filter(self.make_cascade(), CFG5, INDEX.reverse)
         message = str(info.value)
         assert "pass 1: events 10->5, sequences 5->5, items 3->1" in message
         assert "pass 2: events 5->0, sequences 5->0, items 1->0" in message
@@ -163,7 +158,7 @@ class TestSupportFilterCascade:
     def test_cascade_per_pass_ledger_records(self):
         ledger = []
         with pytest.raises(PreprocessError):
-            iterative_support_filter(self.make_cascade(), CFG5, INDEX, provenance=ledger)
+            iterative_support_filter(self.make_cascade(), CFG5, INDEX.reverse, provenance=ledger)
         assert [r.params["iteration"] for r in ledger] == [1, 2]
         first, second = ledger
         assert (first.events_before, first.events_after) == (10, 5)
@@ -175,7 +170,7 @@ class TestSupportFilterCascade:
 
     def test_stable_input_is_fixpoint_in_one_pass(self):
         stable = table(*[seq(i, "ab") for i in range(5)])
-        dataset = iterative_support_filter(stable, CFG5, INDEX)
+        dataset = iterative_support_filter(stable, CFG5, INDEX.reverse)
         assert dataset.num_sequences == 5
         assert dataset.num_events == 10
         assert [r.step for r in dataset.provenance] == ["support_filter"]
@@ -183,7 +178,7 @@ class TestSupportFilterCascade:
 
     def test_output_index_is_compacted_and_sorted(self):
         stable = table(*[seq(i, "bf") for i in range(5)])
-        dataset = iterative_support_filter(stable, CFG5, INDEX)
+        dataset = iterative_support_filter(stable, CFG5, INDEX.reverse)
         assert dataset.item_index.reverse == ("b", "f")
         assert records(dataset.sequences)[0].items.tolist() == [0, 1]
         assert dataset.item_support.tolist() == [5, 5]
@@ -193,10 +188,10 @@ class TestSupportFilterCascade:
         # event keeps the first timestamp.
         cfg = PipelineConfig(min_seq_len=2, min_item_support=4)
         sequences = table(*[seq(i, "afab", [0, 1, 2, 3]) for i in range(3)], seq(3, "ab"))
-        dataset = iterative_support_filter(sequences, cfg, INDEX)
+        dataset = iterative_support_filter(sequences, cfg, INDEX.reverse)
         assert [spelled(s, dataset.item_index) for s in records(dataset.sequences)] == ["ab"] * 4
         assert records(dataset.sequences)[0].timestamps.tolist() == [0, 3]
-        dataset.verify(cfg)
+        verify(dataset, cfg)
 
 
 @st.composite
@@ -215,10 +210,10 @@ class TestSupportFilterProperties:
     def test_fixpoint_satisfies_both_constraints(self, sequences, min_support):
         cfg = PipelineConfig(min_seq_len=2, min_item_support=min_support)
         try:
-            dataset = iterative_support_filter(sequences, cfg, INDEX)
+            dataset = iterative_support_filter(sequences, cfg, INDEX.reverse)
         except PreprocessError:
             return
-        dataset.verify(cfg)
+        verify(dataset, cfg)
         assert all(len(s) >= 2 for s in records(dataset.sequences))
         assert np.all(dataset.item_support >= min_support)
 
@@ -227,11 +222,11 @@ class TestSupportFilterProperties:
     def test_filter_is_idempotent(self, sequences, min_support):
         cfg = PipelineConfig(min_seq_len=2, min_item_support=min_support)
         try:
-            first = iterative_support_filter(sequences, cfg, INDEX)
+            first = iterative_support_filter(sequences, cfg, INDEX.reverse)
         except PreprocessError:
             return
-        second = iterative_support_filter(first.sequences, cfg, first.item_index)
-        assert second.canonical_text() == first.canonical_text()
+        second = iterative_support_filter(first.sequences, cfg, first.item_index.reverse)
+        assert canonical_text(second) == canonical_text(first)
 
     @given(random_sequences(), st.integers(min_value=1, max_value=3))
     @settings(max_examples=60, deadline=None)
@@ -239,7 +234,7 @@ class TestSupportFilterProperties:
         cfg = PipelineConfig(min_seq_len=2, min_item_support=min_support)
         ledger = []
         try:
-            iterative_support_filter(sequences, cfg, INDEX, provenance=ledger)
+            iterative_support_filter(sequences, cfg, INDEX.reverse, provenance=ledger)
         except PreprocessError:
             pass
         for record in ledger:
@@ -285,7 +280,7 @@ class TestFullPipeline:
         assert report[0]["events_after"] == 11
 
     def test_pipeline_is_deterministic(self):
-        assert self.run().canonical_text() == self.run().canonical_text()
+        assert canonical_text(self.run()) == canonical_text(self.run())
 
     def test_no_type_filter_step_when_unconfigured(self):
         log = ingest_csv(io.StringIO(PIPELINE_CSV), CSV_MAPPING)

@@ -13,13 +13,11 @@ from recaudit.splitting import (
     apply_split,
     choose_split_time,
     leave_one_out_split,
-    make_validation,
-    matched_loo_k,
     random_split,
     time_split,
     truncate_training_window,
 )
-from synth import build_dataset, records
+from synth import build_dataset, make_validation, matched_loo_k, records
 
 INDEX = ItemIndex.from_items("abcdefgh")
 DAY = 86400
