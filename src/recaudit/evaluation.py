@@ -16,10 +16,8 @@ the output.  Reports carry no timestamps or timing for the same reason.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from collections.abc import Iterable, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -418,21 +416,21 @@ def _rank_case_range(
 ) -> np.ndarray:
     """Ranks of cases ``start:stop`` as a (models, samplers, cases) block.
 
-    Each model scores a case once.  Each sampler builds the case's generator
-    once and draws its negatives once; with random ties every model ranks
-    from the generator's state right after that draw, restored between
-    models, so each cell sees the draws a fresh generator would give it.
+    Each model scores the block's scoreable cases as one stream from its
+    :meth:`~RecommenderModel.score_cases` hook.  Each sampler builds the
+    case's generator once and draws its negatives once; with random ties
+    every model ranks from the generator's state right after that draw,
+    restored between models, so each cell sees the draws a fresh generator
+    would give it.
     """
     ranks = np.full((len(models), len(samplers), stop - start), -1, dtype=np.int64)
     restore = cfg.tie_policy == TIE_RANDOM and len(models) > 1
-    window = slice(start, stop)
-    columns = (cases.starts[window], cases.stops[window], cases.targets[window])
-    for offset, (lo, hi, target) in enumerate(zip(*(column.tolist() for column in columns))):
-        if not scoreable[target]:
-            continue
-        case_index = start + offset
-        prefix = cases.items[lo:hi]
-        scores = [model.score_case(case_index, prefix) for model in models]
+    rows = start + np.flatnonzero(scoreable[cases.targets[start:stop]])
+    streams = [model.score_cases(cases, rows) for model in models]
+    for case_index, target, *scores in zip(
+        rows.tolist(), cases.targets[rows].tolist(), *streams
+    ):
+        offset = case_index - start
         for s, (sampler, fixed) in enumerate(zip(samplers, fixed_candidates)):
             rng = case_rng(cfg.master_seed, case_index)
             if sampler.strategy == SAMPLER_NONE:
@@ -461,6 +459,18 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
+
+
+def _fork_pool(workers: int):
+    """A pool of ``workers`` forked processes.
+
+    The pool modules load here, when a pool is built: an invocation that
+    ranks in one process does not pay for their import.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def _forked_rank_range(bounds: tuple[int, int]) -> tuple[int, np.ndarray]:
@@ -528,10 +538,7 @@ def compute_case_ranks(
         embeddings=embeddings, scoreable=scoreable, fixed_candidates=fixed_candidates,
     )
     try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(bounds)), mp_context=context
-        ) as pool:
+        with _fork_pool(min(workers, len(bounds))) as pool:
             for start, block in pool.map(_forked_rank_range, bounds):
                 ranks[:, :, start : start + block.shape[2]] = block
     finally:

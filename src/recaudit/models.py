@@ -16,14 +16,19 @@ from __future__ import annotations
 
 import operator
 from abc import ABC, abstractmethod
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EmbeddingError, ModelError
 from .events import ItemIndex
 from .preprocess import Dataset
+
+if TYPE_CHECKING:
+    from .evaluation import CaseTable
 
 
 class RecommenderModel(ABC):
@@ -47,6 +52,19 @@ class RecommenderModel(ABC):
         Adapters replaying externally computed scores key on the case index.
         """
         return self.score_all(prefix)
+
+    def score_cases(self, cases: "CaseTable", rows: np.ndarray) -> Iterator[np.ndarray]:
+        """One score vector per case row of ``rows``, an ascending integer array.
+
+        The evaluator pulls one such stream per model and block of cases.  A
+        vector is read-only to the consumer and valid only until the next one
+        is pulled, so a model may keep updating one array in place.  The
+        default asks :meth:`score_case` for each row.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        bounds = zip(rows.tolist(), cases.starts[rows].tolist(), cases.stops[rows].tolist())
+        for row, lo, hi in bounds:
+            yield self.score_case(row, cases.items[lo:hi])
 
 
 def _require_fitted(attr) -> None:
@@ -319,8 +337,23 @@ class CooccurrenceModel(RecommenderModel):
     :func:`_whole_sequence_counts`, over each sequence's distinct items; with
     one, from the keys of every pair at distance 1..w in both directions.
     Scoring gathers the prefix items' rows and sums them with one
-    ``bincount``.  Every sum adds integer-valued counts, so the result is
-    exact whatever the order of accumulation.
+    ``bincount``.
+
+    :meth:`score_cases` walks nested prefixes.  Under time and random splits
+    the cases of a test sequence share a ``start`` and each ``stop`` is one
+    larger (or more, past a skipped case), so a case's scores are the
+    previous case's plus the rows of the items in between.  A chain starts
+    with :meth:`score_all` at a block's first row and at every case that
+    does not extend the previous prefix (a new sequence, or any
+    leave-one-out case); each later row adds the new items' rows into the
+    chain's one accumulator, which is yielded read-only.  While nothing has
+    been added the popularity fallback is yielded instead, as
+    :meth:`score_all` would return it.
+
+    Every stored count is a positive integer-valued float64, and the counts
+    of any log that fits in memory total far less than 2⁵³, so every partial
+    sum is exact: adding rows one at a time gives the bytes one ``bincount``
+    over all of them gives.
     """
 
     def __init__(self, window: int | None = None) -> None:
@@ -360,6 +393,34 @@ class CooccurrenceModel(RecommenderModel):
         if not scores.any():
             return self.fallback_.copy()
         return scores
+
+    def score_cases(self, cases: "CaseTable", rows: np.ndarray) -> Iterator[np.ndarray]:
+        _require_fitted(self.counts_)
+        indptr, indices, data = self.counts_.indptr, self.counts_.indices, self.counts_.data
+        items = cases.items
+        rows = np.asarray(rows, dtype=np.int64)
+        fallback = self.fallback_.view()
+        fallback.flags.writeable = False
+        start = stop = -1
+        for lo, hi in zip(cases.starts[rows].tolist(), cases.stops[rows].tolist()):
+            if lo != start or hi < stop:
+                prefix = items[lo:hi]
+                sums = self.score_all(prefix)
+                # stored counts are positive: score_all fell back exactly when
+                # every row is empty, and then the chain's sums start at zero
+                live = bool(np.any(indptr[prefix + 1] > indptr[prefix]))
+                if not live:
+                    sums = np.zeros(len(indptr) - 1)
+                view = sums.view()
+                view.flags.writeable = False
+            else:
+                for code in items[stop:hi].tolist():
+                    a, b = indptr[code], indptr[code + 1]
+                    # a row's columns are distinct, so one fancy add is exact
+                    sums[indices[a:b]] += data[a:b]
+                    live = live or a < b
+            start, stop = lo, hi
+            yield view if live else fallback
 
 
 class SessionKNNModel(RecommenderModel):

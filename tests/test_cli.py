@@ -1244,20 +1244,24 @@ class TestCompareExternal:
 
 
 # Runs in a fresh interpreter: a run whose sequentiality probe fits markov and
-# cooccurrence, then an evaluation that derives item embeddings.
+# cooccurrence, then an evaluation that derives item embeddings, both ranking
+# in one process.  Neither may load scipy, nor the modules of a process pool.
 SCIPY_FREE_RUN = """
 import contextlib, io, json, sys
 from recaudit.cli import main
 csv, out = sys.argv[1], sys.argv[2]
-common = ["--input", csv, "--strategy", "time", "--test-days", "1"]
+common = ["--input", csv, "--strategy", "time", "--test-days", "1", "--threads", "1"]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         main(["run", *common, "--output-dir", out + "/run", "--model", "markov"]),
         main(["evaluate", *common, "--output-dir", out + "/evaluate",
               "--sampler", "similar_embedding:5", "--seed", "1"]),
     ]
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": loaded}))
+def loaded(*packages):
+    return sorted(name for name in sys.modules if name.split(".")[0] in packages)
+print(json.dumps({
+    "codes": codes, "scipy": loaded("scipy"), "pool": loaded("multiprocessing", "concurrent"),
+}))
 """
 
 
@@ -1271,7 +1275,7 @@ def test_no_command_imports_scipy(events_csv, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result == {"codes": [0, 2], "scipy": []}
+    assert result == {"codes": [0, 2], "scipy": [], "pool": []}
     diagnostics = json.loads((tmp_path / "run" / "diagnostics.json").read_text())
     assert "sequentiality" in diagnostics
     assert (tmp_path / "evaluate" / "metrics.json").exists()

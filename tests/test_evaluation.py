@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from recaudit import evaluation
 from recaudit.errors import EvaluationError
 from recaudit.evaluation import (
+    CaseTable,
     EvalConfig,
     MetricReport,
     SamplerSpec,
@@ -613,27 +614,92 @@ class TestGridEvaluation:
         assert peak < 4 << 20
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for the fork pool: blocks run in this process, recorded.
+
+    Returns the pool sizes asked for and the block bounds run, in order.
+    """
+    sizes, blocks = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            for bounds in items:
+                blocks.append(bounds)
+                yield fn(bounds)
+
+    monkeypatch.setattr(evaluation, "_fork_pool", InlinePool)
+    return sizes, blocks
+
+
+class TestBlockBoundaries:
+    """Blocks of cases, as fork-pool chunks cut them, rank as the whole range does."""
+
+    @pytest.mark.parametrize("sampler", ("none", "uniform:5"))
+    def test_every_cut_ranks_as_one_range(self, grid_inputs, sampler):
+        split, models, _ = grid_inputs
+        fitted = [models["markov"], models["cooccurrence"]]
+        cfg = EvalConfig(tie_policy="random", master_seed=7)
+        samplers = [SamplerSpec.parse(sampler)]
+        cases = enumerate_cases(split)
+        whole = compute_case_ranks(fitted, cases, split, cfg, samplers)
+        support = split.train.item_support
+        args = (cfg, samplers, support, None, support > 0, [None])
+        for cut in range(len(cases) + 1):
+            blocks = [
+                evaluation._rank_case_range(fitted, cases, lo, hi, *args)
+                for lo, hi in ((0, cut), (cut, len(cases)))
+            ]
+            assert np.concatenate(blocks, axis=2).tolist() == whole.tolist(), cut
+
+    def test_one_case_chunks_rank_as_one_process(self, grid_inputs, inline_pool, monkeypatch):
+        split, models, _ = grid_inputs
+        fitted = [models["markov"], models["cooccurrence"]]
+        cfg = EvalConfig(tie_policy="random", master_seed=7)
+        samplers = [SamplerSpec(), SamplerSpec.parse("uniform:5")]
+        cases = enumerate_cases(split)
+        whole = compute_case_ranks(fitted, cases, split, cfg, samplers)
+        _, chunks = inline_pool
+        monkeypatch.setattr(
+            evaluation.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False
+        )
+        chunked = compute_case_ranks(fitted, cases, split, cfg, samplers, workers=64)
+        assert chunks == [(k, k + 1) for k in range(len(cases))]
+        assert chunked.tolist() == whole.tolist()
+
+    def test_streamed_vectors_are_read_only(self, grid_inputs):
+        split, models, _ = grid_inputs
+        model = models["cooccurrence"]
+        fallback = model.fallback_.copy()
+        cases = enumerate_cases(split)
+        for scores in model.score_cases(cases, np.arange(len(cases))):
+            with pytest.raises(ValueError):
+                scores[0] = -1.0
+        # a prefix of an item that never trains scores by the fallback
+        unseen = CaseTable(
+            items=np.array([30]), starts=np.array([0]), stops=np.array([1]),
+            targets=np.array([0]),
+        )
+        (scores,) = model.score_cases(unseen, np.array([0]))
+        assert scores.tolist() == fallback.tolist()
+        with pytest.raises(ValueError):
+            scores[0] = -1.0
+        assert model.fallback_.tolist() == fallback.tolist()
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("cpus, expected", [(3, 3), (64, 6)])
-    def test_pool_never_outgrows_cpus_or_blocks(self, monkeypatch, cpus, expected):
-        created = []
-
-        class InlinePool:
-            """Runs the blocks in this process and records the pool size asked for."""
-
-            def __init__(self, max_workers, mp_context=None):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
+    def test_pool_never_outgrows_cpus_or_blocks(self, inline_pool, monkeypatch, cpus, expected):
+        created, _ = inline_pool
         monkeypatch.setattr(
             evaluation.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
         )

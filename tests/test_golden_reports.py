@@ -38,6 +38,11 @@ LOO = ("--strategy", "loo")
 RANDOM = ("--strategy", "random", "--fraction", "0.25", "--split-seed", "5")
 TYPED = ("--type-column", "type", "--keep-event-type", "view")
 
+# config documents written next to the corpora; a case names one as "{name}"
+CONFIGS = {
+    "cooccurrence_window": {"model": {"name": "cooccurrence", "params": {"window": 2}}},
+}
+
 # name -> (corpus, argv without input, output directory and threads)
 CASES = {
     "ingest": ("events", ("ingest",)),
@@ -66,6 +71,13 @@ CASES = {
     )),
     "evaluate-random-split-prefix": ("events", (
         "evaluate", *RANDOM, "--model", "popularity", "--prefix-start", "2",
+    )),
+    "evaluate-random-split-cooccurrence": ("events", (
+        "evaluate", *RANDOM, "--model", "cooccurrence", "--prefix-start", "2",
+        "--tie-policy", "random", "--seed", "6",
+    )),
+    "evaluate-window-cooccurrence": ("events", (
+        "evaluate", *TIME, "--config", "{cooccurrence_window}", "--tie-policy", "pessimistic",
     )),
     "evaluate-loo-popularity": ("events", (
         "evaluate", *LOO, "--model", "markov", "--sampler", "popularity:10", "--seed", "4",
@@ -98,7 +110,12 @@ def write_corpora(root):
         for user in range(30) for d in range(4) for k in range(3)
     ]
     typed = [(*row, "cart" if k % 4 == 3 else "view") for k, row in enumerate(rows)]
-    return {
+    paths = {}
+    for name, document in CONFIGS.items():
+        paths[name] = os.path.join(root, f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+    return paths | {
         "events": write_events_csv(os.path.join(root, "events.csv"), rows),
         "daily": write_events_csv(os.path.join(root, "daily.csv"), daily),
         "typed": write_events_csv(
@@ -140,6 +157,7 @@ def outcomes(threads):
         corpora = write_corpora(root)
         for name, (corpus, argv) in CASES.items():
             outdir = os.path.join(root, f"out-{threads}-{name}")
+            argv = [arg.format(**corpora) for arg in argv]
             results[name] = outcome(
                 [*argv, "--input", corpora[corpus], "--output-dir", outdir, "--threads", threads],
                 root, outdir,

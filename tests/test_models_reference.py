@@ -5,9 +5,12 @@ The reference functions below are the straightforward loop implementations
 (Python sets, ``sorted`` and one ``np.add.at`` per neighbor), with count
 matrices built by scipy.sparse, which only the tests use.  The models must
 reproduce their scores bit for bit and the same canonical CSR matrices.
+Co-occurrence's nested-prefix walk has ``score_all`` as its oracle.
 """
 
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -15,9 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from recaudit.evaluation import CaseTable
 from recaudit.events import ItemIndex
 from recaudit.models import (
     CooccurrenceModel,
+    ExternalScoresModel,
     MarkovModel,
     SessionKNNModel,
     _flatten,
@@ -272,6 +277,91 @@ class TestCooccurrenceMatchesReference:
         train = make_dataset(sessions)
         derived = derive_embeddings(train, d=d, seed=seed)
         assert derived.vectors.tolist() == reference_embeddings(train, d, seed).tolist()
+
+
+@st.composite
+def case_rows(draw):
+    """A case table over one random item column, and ascending rows to score.
+
+    The table mixes nested chains (one start, stops ascending, with gaps and
+    repeats) and unrelated prefixes as leave-one-out gives them.  The rows
+    are any ascending subset, so a stream may start mid-chain and skip cases
+    whose targets are unscoreable.
+    """
+    items = draw(st.lists(st.integers(0, CATALOG - 1), min_size=1, max_size=16))
+    n = len(items)
+    starts, stops = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            lo = draw(st.integers(0, n - 1))
+            chain = sorted(draw(st.lists(st.integers(lo + 1, n), min_size=1, max_size=6)))
+            starts += [lo] * len(chain)
+            stops += chain
+        else:
+            for _ in range(draw(st.integers(1, 3))):
+                lo = draw(st.integers(0, n - 1))
+                starts.append(lo)
+                stops.append(draw(st.integers(lo + 1, n)))
+    cases = CaseTable(
+        items=np.array(items, dtype=np.int32),
+        starts=np.array(starts, dtype=np.int64),
+        stops=np.array(stops, dtype=np.int64),
+        targets=np.zeros(len(starts), dtype=np.int64),
+    )
+    rows = draw(st.sets(st.integers(0, len(starts) - 1), min_size=1))
+    return cases, np.array(sorted(rows), dtype=np.int64)
+
+
+class TestScoreCasesHook:
+    # items 6 and 7 never train, so prefixes of them only fall back
+    @given(
+        sessions=sessions_strategy,
+        table=case_rows(),
+        window=st.sampled_from([None, 1, 2]),
+    )
+    @example(  # one chain whose first two prefixes have only empty rows
+        sessions=[([0, 1, 2], 0)],
+        table=(
+            CaseTable(
+                items=np.array([6, 7, 0, 1], dtype=np.int32),
+                starts=np.zeros(4, dtype=np.int64),
+                stops=np.arange(1, 5, dtype=np.int64),
+                targets=np.zeros(4, dtype=np.int64),
+            ),
+            np.arange(4),
+        ),
+        window=None,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cooccurrence_walk_equals_score_all(self, sessions, table, window):
+        cases, rows = table
+        model = CooccurrenceModel(window=window).fit(make_dataset(sessions))
+        fallback = model.fallback_.tolist()
+        yielded = 0
+        # a vector is valid until the next one: compare each before pulling on
+        for row, scores in zip(rows.tolist(), model.score_cases(cases, rows)):
+            prefix = cases.items[cases.starts[row] : cases.stops[row]]
+            assert scores.tolist() == model.score_all(prefix).tolist(), row
+            assert not scores.flags.writeable
+            yielded += 1
+        assert yielded == len(rows)
+        assert model.fallback_.tolist() == fallback
+
+    @given(table=case_rows(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_default_hook_replays_external_rows_by_case(self, table, seed):
+        cases, rows = table
+        matrix = np.random.default_rng(seed).standard_normal((len(cases), CATALOG))
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "scores.npy")
+            np.save(path, matrix)
+            model = ExternalScoresModel(path, catalog_size=CATALOG)
+        streamed = [scores.tolist() for scores in model.score_cases(cases, rows)]
+        expected = [
+            model.score_case(row, cases.items[cases.starts[row] : cases.stops[row]]).tolist()
+            for row in rows.tolist()
+        ]
+        assert streamed == expected == matrix[rows].tolist()
 
 
 class TestSessionKNNMatchesReference:
