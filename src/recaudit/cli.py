@@ -395,11 +395,13 @@ def _stage_diagnose(ctx: _Context):
     """Best-effort sections: what cannot be computed is omitted, not nulled."""
     cfg = ctx.cfg
     collisions = collision_stats(ctx.log)
+    ctx.log = None  # nothing reads it after this section: free it before the models grow
     rate = overlap = sequentiality = None
     try:
         rate = new_transition_rate(ctx.data, cfg.get("diagnostics.rate_denominator"))
     except DiagnosticsError as exc:
         ctx.note(f"skipping new_transition_rate: {exc}")
+    ctx.data = None  # nor the dataset after this one: the models read the split
     if ctx.split is not None:
         try:
             overlap = transition_overlap(ctx.split)
@@ -491,7 +493,8 @@ def _write_split(ctx: _Context):
 def _write_diagnose(ctx: _Context):
     collisions, rate, overlap, sequentiality = ctx.sections
     threshold = ctx.cfg.get("diagnostics.collision_threshold")
-    if collision_hazard(collisions, ctx.log.timestamp_resolution, threshold):
+    resolution = ctx.manifest.stage_stats["ingest"]["timestamp_resolution"]
+    if collision_hazard(collisions, resolution, threshold):
         ctx.warn(
             W_COLLISION_HIGH,
             f"{collisions.colliding_event_fraction:.1%} of events share a "

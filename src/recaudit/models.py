@@ -114,18 +114,31 @@ def _pair_keys(
     return keys
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of the sorted ``keys`` and how often each occurs (float64)."""
+def _runs(keys: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted ``keys`` and how often each occurs.
+
+    The counts are of ``dtype``, which must hold ``len(keys)``.
+    """
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    # run lengths, written straight into the float counts
-    counts = np.empty(len(starts), dtype=np.float64)
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    # run lengths, written straight into the counts
+    counts = np.empty(len(starts), dtype=dtype)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1], casting="unsafe")
     counts[-1:] = len(keys) - starts[-1:]
     del starts
     return keys[first], counts
+
+
+def _index_dtype(n: int) -> type:
+    """The narrowest column index type of an n-column matrix: uint16 up to 2¹⁶ columns."""
+    return np.uint16 if n <= 1 << 16 else np.int32
+
+
+def _count_dtype(bound: int) -> type:
+    """The narrowest type of counts no larger than ``bound``: uint32 below 2³²."""
+    return np.uint32 if bound < 1 << 32 else np.float64
 
 
 @dataclass(frozen=True)
@@ -134,26 +147,35 @@ class CountMatrix:
 
     Row r holds the columns ``indices[indptr[r]:indptr[r + 1]]``, ascending
     and distinct, with their counts in ``data``; no stored count is zero.
+
+    Each array is as narrow as its values allow, which the build knows
+    before it counts: ``indices`` are uint16 when the matrix has at most
+    2¹⁶ columns and int32 otherwise, and ``data`` is uint32 when a bound on
+    every count is below 2³² and float64 otherwise.  A fit over a catalog
+    of at most 65,536 items thus stores 6 bytes a count, not 12.  Readers
+    do their arithmetic in float64: every integer below 2³² converts to
+    float64 exactly, so the scores are those of float64 counts.
     """
 
     indptr: np.ndarray  # int64, one more than the rows
-    indices: np.ndarray  # int32
-    data: np.ndarray  # float64
+    indices: np.ndarray  # uint16 or int32, see _index_dtype
+    data: np.ndarray  # uint32 or float64, see _count_dtype
 
     @classmethod
     def from_keys(cls, keys: np.ndarray, n: int) -> "CountMatrix":
         """Count each ``row * n + col`` key of an n × n matrix; sorts ``keys`` in place.
 
+        No count exceeds the number of keys, which bounds the count type.
         Each temporary is dropped once used: the build's temporaries, not the
         result, set a model fit's peak memory.
         """
         keys.sort()
-        distinct, data = _runs(keys)
+        distinct, data = _runs(keys, _count_dtype(len(keys)))
         indptr = np.empty(n + 1, dtype=np.int64)
         indptr[:-1] = np.searchsorted(distinct, np.arange(n, dtype=keys.dtype) * n)
         indptr[-1] = len(distinct)
         distinct %= n
-        return cls(indptr, distinct.astype(np.int32, copy=False), data)
+        return cls(indptr, distinct.astype(_index_dtype(n), copy=False), data)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -247,10 +269,17 @@ def _whole_sequence_counts(
     the memory is the result plus a fixed amount, whatever the sequence
     lengths.  A block with at least a quarter as many pairs as cells counts
     them into one dense array of its cells; a sparser one sorts its keys.
+
+    A sequence of length L adds at most L² to any count (c_a · c_b and
+    c_a · (c_a − 1) are both at most L²), so the sum of L² over the
+    sequences bounds every count and picks the count type up front; the
+    blocks write into the result's own narrow arrays.
     """
     count = len(offsets) - 1
+    lengths = np.diff(offsets)
+    bound = int(np.square(lengths, dtype=np.int64).sum())
     # each sequence's distinct items, ascending, and their occurrences
-    keys = np.repeat(np.arange(count, dtype=np.int64) * n, np.diff(offsets))
+    keys = np.repeat(np.arange(count, dtype=np.int64) * n, lengths)
     keys += items
     keys.sort()
     keys, occurrences = _runs(keys)
@@ -283,10 +312,10 @@ def _whole_sequence_counts(
 
     # a row holds at most n entries; pages past the last one written are
     # never touched, and resize gives them back
-    bound = int(np.minimum(np.diff(row_made), n).sum())
+    capacity = int(np.minimum(np.diff(row_made), n).sum())
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indices = np.empty(bound, dtype=np.int32)
-    data = np.empty(bound, dtype=np.float64)
+    indices = np.empty(capacity, dtype=_index_dtype(n))
+    data = np.empty(capacity, dtype=_count_dtype(bound))
     span = np.iinfo(np.int32).max // n  # rows whose block keys fit int32
     filled = r0 = 0
     while r0 < n:
@@ -350,10 +379,19 @@ class CooccurrenceModel(RecommenderModel):
     been added the popularity fallback is yielded instead, as
     :meth:`score_all` would return it.
 
-    Every stored count is a positive integer-valued float64, and the counts
-    of any log that fits in memory total far less than 2⁵³, so every partial
-    sum is exact: adding rows one at a time gives the bytes one ``bincount``
-    over all of them gives.
+    The counts are stored as narrowly as they are known to fit: column
+    indices as uint16 for a catalog of at most 65,536 items (int32 above),
+    counts as uint32 when a bound on every count is below 2³² (float64
+    otherwise).  The whole-sequence bound is the sum of L² over the training
+    sequences, as no sequence of length L adds more than L² to one count;
+    a window's bound is its number of pair keys.  Scoring sums them in
+    float64, and every integer below 2³² is exact there, so the scores are
+    those of float64 counts.
+
+    Every stored count is a positive integer, and the counts of any log
+    that fits in memory total far less than 2⁵³, so every partial sum is
+    exact: adding rows one at a time gives the bytes one ``bincount`` over
+    all of them gives.
     """
 
     def __init__(self, window: int | None = None) -> None:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -564,6 +565,41 @@ class TestRun:
         assert err.startswith("error in stage evaluate:") and name in err
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["error"]["stage"] == "evaluate"
+
+    def test_day_collisions_warn_after_the_log_is_freed(self, tmp_path, monkeypatch):
+        # run drops the event log once the collision section has read it, so
+        # the warning reads the resolution from the ingest stage's stats
+        logs, alive = [], []
+        collision_stats, probe_models = cli.collision_stats, cli.probe_models
+        monkeypatch.setattr(
+            cli, "collision_stats",
+            lambda log: logs.append(weakref.ref(log)) or collision_stats(log),
+        )
+        monkeypatch.setattr(
+            cli, "probe_models",
+            lambda name: alive.append(logs[0]() is not None) or probe_models(name),
+        )
+        # day-resolution entities starting on staggered days, so a time split
+        # has a test side: those starting on day 4, after the boundary at day 3
+        rows = [
+            (f"u{user}", f"i{(user + 3 * d + k) % 20:03d}", d * DAY)
+            for user in range(40)
+            for d in range(user % 5, min(user % 5 + 2, 5))
+            for k in range(3)
+        ]
+        path = write_events_csv(tmp_path / "daily.csv", rows)
+        code, payload, err = run_cli(
+            ["run", "--input", path, "--output-dir", str(tmp_path),
+             "--strategy", "time", "--test-days", "2", "--seed", "0",
+             "--model", "markov", "--sampler", "none"]
+        )
+        assert code == 2
+        assert alive == [False]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest == payload
+        assert warning_codes(manifest) == ["W-COLLISION-HIGH"]
+        assert manifest["stage_stats"]["ingest"]["timestamp_resolution"] == "days"
+        assert "W-COLLISION-HIGH" in err
 
     def test_resolved_config_reproduces_run(self, events_csv, tmp_path):
         first = tmp_path / "first"

@@ -14,6 +14,7 @@ import tempfile
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -22,9 +23,11 @@ from recaudit.evaluation import CaseTable
 from recaudit.events import ItemIndex
 from recaudit.models import (
     CooccurrenceModel,
+    CountMatrix,
     ExternalScoresModel,
     MarkovModel,
     SessionKNNModel,
+    _count_dtype,
     _flatten,
     _whole_sequence_counts,
     derive_embeddings,
@@ -214,7 +217,10 @@ class TestCooccurrenceMatchesReference:
         assert counts.indptr.tolist() == expected.indptr.tolist()
         assert counts.indices.tolist() == expected.indices.tolist()
         assert counts.data.tolist() == expected.data.tolist()
-        assert (counts.indptr.dtype, counts.indices.dtype) == (np.int64, np.int32)
+        # a catalog of at most 2¹⁶ items, and counts bounded below 2³²
+        assert (counts.indptr.dtype, counts.indices.dtype, counts.data.dtype) == (
+            np.int64, np.uint16, np.uint32
+        )
 
     def test_one_long_sequence_is_counted_over_its_distinct_items(self):
         # 6000 events over 6 items: 36 item pairs, where counting every two
@@ -277,6 +283,99 @@ class TestCooccurrenceMatchesReference:
         train = make_dataset(sessions)
         derived = derive_embeddings(train, d=d, seed=seed)
         assert derived.vectors.tolist() == reference_embeddings(train, d, seed).tolist()
+
+
+def cyclic_counts(length):
+    """The whole-sequence counts of one sequence cycling through items 0..5, dense."""
+    occurrences = np.bincount(np.arange(length) % 6, minlength=CATALOG).astype(np.float64)
+    dense = np.outer(occurrences, occurrences)
+    dense[range(CATALOG), range(CATALOG)] -= occurrences
+    return dense
+
+
+class TestCountWidths:
+    """Counts are stored at the narrowest width that holds them exactly."""
+
+    @pytest.mark.parametrize("n, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.int32)])
+    def test_column_width_follows_the_catalog(self, n, dtype):
+        # the last column of the first and of the last row: the widest index
+        keys = np.array([(n - 1) * n + n - 1, n - 1, (n - 1) * n, n - 1], dtype=np.int64)
+        counts = CountMatrix.from_keys(keys, n)
+        assert counts.indices.dtype == dtype
+        assert counts.indices.tolist() == [n - 1, 0, n - 1]
+        assert counts.data.tolist() == [2, 1, 1]
+        assert counts.indptr[[0, 1, n - 1, n]].tolist() == [0, 1, 1, 3]
+
+    @pytest.mark.parametrize(
+        "bound, dtype", [(0, np.uint32), (2**32 - 1, np.uint32), (2**32, np.float64)]
+    )
+    def test_count_width_follows_the_bound(self, bound, dtype):
+        assert _count_dtype(bound) is dtype
+
+    # one sequence of L events: the bound L² is 2³² − 131,071 at L = 65,535
+    # and 2³² at L = 65,536, one side of the uint32 limit each
+    @pytest.mark.parametrize("length, dtype", [(65535, np.uint32), (65536, np.float64)])
+    def test_whole_sequence_width_and_scores_at_the_bound(self, length, dtype):
+        train = make_dataset([((np.arange(length) % 6).tolist(), 0)])
+        model = CooccurrenceModel().fit(train)
+        assert model.counts_.data.dtype == dtype
+        dense = cyclic_counts(length)
+        assert toarray(model.counts_).tolist() == dense.tolist()
+        expected = sparse.csr_matrix(dense)
+        for prefix in ([0], [5, 1], [6], [2, 7, 2, 4]):
+            prefix = np.array(prefix)
+            assert model.score_all(prefix).tolist() == reference_cooccurrence_scores(
+                train, expected, prefix
+            ).tolist()
+        projection = np.random.default_rng(length).standard_normal((CATALOG, 3))
+        vectors = np.asarray(expected @ projection)
+        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+        np.divide(vectors, norms, out=vectors, where=norms > 0)
+        derived = derive_embeddings(train, d=3, seed=length)
+        assert derived.vectors.tolist() == vectors.tolist()
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.float64])
+    def test_counts_up_to_the_uint32_limit_score_as_float64(self, dtype):
+        # rows 0 and 1 hold the largest counts a uint32 holds; row 2 is empty
+        top = 2**32 - 1
+        indptr = np.array([0, 3, 5] + [5] * (CATALOG - 2), dtype=np.int64)
+        indices = np.array([1, 2, 7, 0, 7], dtype=np.uint16)
+        data = np.array([top, 1, top - 1, top, top], dtype=dtype)
+        counts = CountMatrix(indptr, indices, data)
+        dense = toarray(counts)
+        train = make_dataset([([0, 1, 2, 7], 0)])
+        cooccurrence = CooccurrenceModel().fit(train)
+        markov = MarkovModel(smoothing=0.5).fit(train)
+        cooccurrence.counts_ = markov.transitions_ = counts
+        for prefix in ([0], [1, 0], [0, 1, 1], [2, 0]):
+            expected = dense[prefix].sum(axis=0)
+            assert cooccurrence.score_all(np.array(prefix)).tolist() == expected.tolist()
+        cases = CaseTable(
+            items=np.array([0, 1, 1, 2], dtype=np.int32),
+            starts=np.zeros(4, dtype=np.int64),
+            stops=np.arange(1, 5, dtype=np.int64),
+            targets=np.zeros(4, dtype=np.int64),
+        )
+        streamed = [scores.tolist() for scores in cooccurrence.score_cases(cases, np.arange(4))]
+        assert streamed == [dense[[0, 1, 1, 2][:k]].sum(axis=0).tolist() for k in range(1, 5)]
+        for last in (0, 1):
+            expected = dense[last] + 0.5
+            assert markov.score_all(np.array([last])).tolist() == expected.tolist()
+
+    def test_whole_sequence_matrix_takes_six_bytes_a_count(self):
+        # a catalog of exactly 2¹⁶ items, its last item in training
+        n = 1 << 16
+        items = np.array([0, n - 1, 3, n - 1, 0, 3, 5], dtype=np.int32)
+        counts = _whole_sequence_counts(items, np.array([0, 4, 7]), n)
+        # the first sequence pairs 0, 3 and n - 1 and n - 1 with itself; the
+        # second adds 0-5 and 3-5
+        assert len(counts.data) == 11
+        assert counts.indices[counts.indptr[n - 1] :].tolist() == [0, 3, n - 1]
+        assert counts.indptr.nbytes == 8 * (n + 1)
+        assert counts.indices.nbytes + counts.data.nbytes == 6 * len(counts.data)
+        fitted = CooccurrenceModel().fit(make_dataset([([0, 1, 2, 0, 3], 0), ([4, 5, 1], 1)]))
+        stored = len(fitted.counts_.data)
+        assert fitted.counts_.indices.nbytes + fitted.counts_.data.nbytes == 6 * stored
 
 
 @st.composite
