@@ -32,8 +32,7 @@ from .errors import (
     ConfigError, DiagnosticsError, EvaluationError, ModelError, RecauditError, SplitError,
 )
 from .evaluation import (
-    EMBEDDING_SAMPLERS, RANDOM_SAMPLERS, SAMPLER_NONE, MetricReport, SamplerSpec,
-    crossing_analysis, evaluate,
+    EMBEDDING_SAMPLERS, RANDOM_SAMPLERS, SAMPLER_NONE, SamplerSpec, crossing_analysis, evaluate,
 )
 from .events import dump_canonical, ingest_csv
 from .models import ExternalScoresModel, build_model, derive_embeddings, load_embeddings
@@ -259,15 +258,13 @@ class _Context:
             tool_version=__version__, resolved_config=cfg.resolved(), argv=argv
         )
         self.log = self.data = self.split = self.embeddings = None
-        self.sections = (None, None, None, None)
         self.models: dict = {}  # (name, params) -> fitted model
         self.reports: dict = {}  # (name, params, sampler) -> (MetricReport, pass index)
         self.passes: list[tuple[int, float]] = []  # (ranked lists, seconds) per pass
-        self.results: list[MetricReport] = []
 
-    @property
-    def warnings(self) -> list[dict]:
-        return self.manifest.warnings
+    def reporting(self, stage: str) -> bool:
+        """Whether the command writes ``stage``'s report: every stage of run, else the last."""
+        return self.full_run or stage == self.plan[-1]
 
     def warn(self, code: str, message: str | None = None) -> None:
         self.manifest.add_warning(code, message or _WARNING_TEXT[code])
@@ -276,7 +273,8 @@ class _Context:
         print(f"note: {message}", file=sys.stderr)
         self.manifest.notes.append(message)
 
-    def write(self, key: str, name: str, content) -> str:
+    def write(self, name: str, content) -> str:
+        """Write one report; its manifest key is the file's stem, plus ``_csv`` for a CSV."""
         path = os.path.join(self.outdir, name)
         if isinstance(content, str):
             write_text(path, content)
@@ -284,12 +282,13 @@ class _Context:
             write_dump(path, content)  # a dump streamed to its file
         else:
             write_json(path, content)
-        self.manifest.report_paths[key] = path
+        stem, extension = os.path.splitext(name)
+        self.manifest.report_paths[stem + ("_csv" if extension == ".csv" else "")] = path
         return path
 
     def embed_warnings(self, payload: dict) -> dict:
         if not self.full_run:
-            payload["warnings"] = self.warnings
+            payload["warnings"] = self.manifest.warnings
         return payload
 
     def grid(self, requests: list[tuple[str, dict]], samplers: list[SamplerSpec]):
@@ -348,7 +347,8 @@ def _embeddings(cfg: RunConfig, train):
     return derive_embeddings(train, cfg.get("model.embedding_dim"), cfg.embedding_seed())
 
 
-# ---- stages: each fills the context and returns its manifest stats ----------
+# ---- stages: each computes, records its stats, writes its reports when the
+# command reports it, and returns what the command prints ---------------------
 
 
 def _stage_ingest(ctx: _Context):
@@ -361,11 +361,20 @@ def _stage_ingest(ctx: _Context):
         max_reject_fraction=cfg.get("input.max_reject_fraction"),
     )
     ctx.manifest.input_checksums[path] = file_checksum(path)
-    return {
+    stats = ctx.manifest.stage_stats["ingest"] = {
         "events": log.num_events,
         "entities": log.num_entities,
         "rejected_rows": log.rejected_count,
         "timestamp_resolution": log.timestamp_resolution,
+    }
+    if ctx.plan[-1] != "ingest":
+        return None
+    return {
+        **stats,
+        "event_types": sorted(log.event_types()),
+        "canonical_path": ctx.write(
+            "canonical_events.tsv", lambda stream: dump_canonical(log, stream)
+        ),
     }
 
 
@@ -373,7 +382,27 @@ def _stage_preprocess(ctx: _Context):
     ctx.data = data = preprocess(ctx.log, ctx.cfg.pipeline_config())
     if "diagnose" not in ctx.plan:
         ctx.log = None  # no later stage reads it: free it before the models grow
-    return {"events": data.num_events, "sequences": data.num_sequences, "items": data.num_items}
+    stats = ctx.manifest.stage_stats["preprocess"] = {
+        "events": data.num_events, "sequences": data.num_sequences, "items": data.num_items,
+    }
+    if not ctx.reporting("preprocess"):
+        return None
+    provenance_path = ctx.write("provenance.json", plain(data.provenance))
+    if ctx.full_run:
+        return None
+    return {
+        **stats,
+        "provenance_path": provenance_path,
+        "dataset_path": ctx.write("dataset.tsv", data.dump_canonical),
+    }
+
+
+def _warn_split(ctx: _Context) -> None:
+    strategy = ctx.cfg.get("split.strategy")
+    if strategy == STRATEGY_LOO:
+        ctx.warn(W_LOO_LEAKAGE)
+    elif strategy == STRATEGY_RANDOM:
+        ctx.warn(W_RANDOM_SPLIT)
 
 
 def _stage_split(ctx: _Context):
@@ -389,12 +418,28 @@ def _stage_split(ctx: _Context):
         if ctx.plan[-1] != "diagnose":
             raise
         ctx.note(f"split unavailable, overlap and sequentiality omitted: {exc}")
+        return None
+    if not ctx.reporting("split"):
+        return None
+    payload = {
+        "spec": plain(split.spec),
+        "split_time": split.split_time,
+        "window_days": split.window_days,
+        "stats": plain(split.stats),
+    }
+    if not ctx.full_run:
+        payload["train_path"] = ctx.write("train.tsv", split.train.dump_canonical)
+        payload["test_path"] = ctx.write("test.tsv", split.test.dump_canonical)
+    ctx.write("split.json", payload)
+    _warn_split(ctx)
+    return ctx.embed_warnings(payload)
 
 
 def _stage_diagnose(ctx: _Context):
     """Best-effort sections: what cannot be computed is omitted, not nulled."""
     cfg = ctx.cfg
     collisions = collision_stats(ctx.log)
+    resolution = ctx.log.timestamp_resolution
     ctx.log = None  # nothing reads it after this section: free it before the models grow
     rate = overlap = sequentiality = None
     try:
@@ -417,83 +462,8 @@ def _stage_diagnose(ctx: _Context):
             )
         except (DiagnosticsError, EvaluationError, ModelError) as exc:
             ctx.note(f"skipping sequentiality: {exc}")
-    ctx.sections = (collisions, rate, overlap, sequentiality)
-
-
-def _stage_evaluate(ctx: _Context):
-    # model.params belong to the configured model.name only
-    configured, params = ctx.cfg.model_request()
-    cells = ctx.grid(
-        [(name, params if name == configured else {}) for name in ctx.names], ctx.samplers
-    )
-    ctx.results = [report for report, _ in cells]
-    # throughput of the passes that ranked these reports, each counted once
-    passes = [ctx.passes[i] for i in sorted({index for _, index in cells})]
-    lists = sum(count for count, _ in passes)
-    seconds = sum(spent for _, spent in passes)
-    return {
-        "test_cases": ctx.results[0].total_cases,
-        "scored_cases": sum(report.case_count for report in ctx.results),
-        "scored_lists_per_second": round(lists / seconds, 2) if seconds > 0 else None,
-    }
-
-
-# ---- writes: after a stage, the reports it produced -------------------------
-
-
-def _write_ingest(ctx: _Context):
-    if ctx.full_run:
-        return None
-    return {
-        **ctx.manifest.stage_stats["ingest"],
-        "event_types": sorted(ctx.log.event_types()),
-        "canonical_path": ctx.write(
-            "canonical_events", "canonical_events.tsv",
-            lambda stream: dump_canonical(ctx.log, stream),
-        ),
-    }
-
-
-def _write_preprocess(ctx: _Context):
-    data = ctx.data
-    provenance_path = ctx.write("provenance", "provenance.json", plain(data.provenance))
-    if ctx.full_run:
-        return None
-    return {
-        **ctx.manifest.stage_stats["preprocess"],
-        "provenance_path": provenance_path,
-        "dataset_path": ctx.write("dataset", "dataset.tsv", data.dump_canonical),
-    }
-
-
-def _warn_split(ctx: _Context) -> None:
-    strategy = ctx.cfg.get("split.strategy")
-    if strategy == STRATEGY_LOO:
-        ctx.warn(W_LOO_LEAKAGE)
-    elif strategy == STRATEGY_RANDOM:
-        ctx.warn(W_RANDOM_SPLIT)
-
-
-def _write_split(ctx: _Context):
-    split = ctx.split
-    payload = {
-        "spec": plain(split.spec),
-        "split_time": split.split_time,
-        "window_days": split.window_days,
-        "stats": plain(split.stats),
-    }
-    if not ctx.full_run:
-        payload["train_path"] = ctx.write("train", "train.tsv", split.train.dump_canonical)
-        payload["test_path"] = ctx.write("test", "test.tsv", split.test.dump_canonical)
-    ctx.write("split", "split.json", payload)
-    _warn_split(ctx)
-    return ctx.embed_warnings(payload)
-
-
-def _write_diagnose(ctx: _Context):
-    collisions, rate, overlap, sequentiality = ctx.sections
-    threshold = ctx.cfg.get("diagnostics.collision_threshold")
-    resolution = ctx.manifest.stage_stats["ingest"]["timestamp_resolution"]
+    # every command that runs this stage reports it
+    threshold = cfg.get("diagnostics.collision_threshold")
     if collision_hazard(collisions, resolution, threshold):
         ctx.warn(
             W_COLLISION_HIGH,
@@ -503,8 +473,8 @@ def _write_diagnose(ctx: _Context):
     document = ctx.embed_warnings(
         diagnostics_document(collisions, rate, overlap, sequentiality)
     )
-    ctx.write("diagnostics", "diagnostics.json", document)
-    if ctx.cfg.get("output.csv"):
+    ctx.write("diagnostics.json", document)
+    if cfg.get("output.csv"):
         texts = {"collisions": key_value_csv_text(plain(collisions))}
         if rate is not None:
             texts["rate"] = rate_csv_text(rate)
@@ -513,20 +483,36 @@ def _write_diagnose(ctx: _Context):
         if sequentiality is not None:
             texts["sequentiality"] = sequentiality_csv_text(sequentiality)
         for key, text in texts.items():
-            ctx.write(f"diagnostics_{key}_csv", f"diagnostics_{key}.csv", text)
+            ctx.write(f"diagnostics_{key}.csv", text)
     return document
 
 
-def _write_evaluate(ctx: _Context):
+def _stage_evaluate(ctx: _Context):
+    # model.params belong to the configured model.name only
+    configured, params = ctx.cfg.model_request()
+    cells = ctx.grid(
+        [(name, params if name == configured else {}) for name in ctx.names], ctx.samplers
+    )
+    reports = [report for report, _ in cells]
+    # throughput of the passes that ranked these reports, each counted once
+    passes = [ctx.passes[i] for i in sorted({index for _, index in cells})]
+    lists = sum(count for count, _ in passes)
+    seconds = sum(spent for _, spent in passes)
+    ctx.manifest.stage_stats["evaluate"] = {
+        "test_cases": reports[0].total_cases,
+        "scored_cases": sum(report.case_count for report in reports),
+        "scored_lists_per_second": round(lists / seconds, 2) if seconds > 0 else None,
+    }
+    # every command that runs this stage reports it
     _warn_split(ctx)
     if any(s.strategy != SAMPLER_NONE for s in ctx.samplers):
         ctx.warn(W_SAMPLED_METRICS)
-    reports, csv = ctx.results, ctx.cfg.get("output.csv")
+    csv = ctx.cfg.get("output.csv")
     if ctx.args.command != "compare":
         payload = ctx.embed_warnings(plain(reports[0]))
-        ctx.write("metrics", "metrics.json", payload)
+        ctx.write("metrics.json", payload)
         if csv:
-            ctx.write("metrics_csv", "metrics.csv", metrics_csv_text(reports))
+            ctx.write("metrics.csv", metrics_csv_text(reports))
         return payload
     metric, width = ctx.args.metric, len(ctx.names)
     crossings = [
@@ -539,20 +525,20 @@ def _write_evaluate(ctx: _Context):
         "metric": metric,
         "reports": plain(reports),
         "crossings": plain(crossings),
-        "warnings": ctx.warnings,
+        "warnings": ctx.manifest.warnings,
     }
-    ctx.write("comparison", "comparison.json", payload)
+    ctx.write("comparison.json", payload)
     if csv:
-        ctx.write("comparison_csv", "comparison.csv", metrics_csv_text(reports))
+        ctx.write("comparison.csv", metrics_csv_text(reports))
     return payload
 
 
 STAGES = {
-    "ingest": (_stage_ingest, _write_ingest),
-    "preprocess": (_stage_preprocess, _write_preprocess),
-    "split": (_stage_split, _write_split),
-    "diagnose": (_stage_diagnose, _write_diagnose),
-    "evaluate": (_stage_evaluate, _write_evaluate),
+    "ingest": _stage_ingest,
+    "preprocess": _stage_preprocess,
+    "split": _stage_split,
+    "diagnose": _stage_diagnose,
+    "evaluate": _stage_evaluate,
 }
 
 
@@ -584,22 +570,16 @@ def _run(args, argv: list[str]) -> int:
         return 0
     ctx = _Context(cfg, args, argv, names, samplers)
     manifest = ctx.manifest
-    ctx.write("resolved_config", "resolved_config.json", cfg.resolved())
+    ctx.write("resolved_config.json", cfg.resolved())
     manifest_path = os.path.join(ctx.outdir, "manifest.json")
-    payload = None
     logger, handler = logging.getLogger(__package__), _NoteHandler(manifest.notes)
     logger.addHandler(handler)
     try:
         for stage in plan:
-            run_stage, write = STAGES[stage]
             started = time.perf_counter()
-            stats = run_stage(ctx)
+            payload = STAGES[stage](ctx)
             manifest.stage_seconds[stage] = time.perf_counter() - started
             manifest.stage_peak_rss_mb[stage] = peak_rss_mb()
-            if stats is not None:
-                manifest.stage_stats[stage] = stats
-            if ctx.full_run or stage == plan[-1]:
-                payload = write(ctx)
     except RecauditError as exc:
         manifest.error = {"stage": stage, "message": str(exc)}
         manifest.peak_rss_mb = peak_rss_mb()
@@ -612,9 +592,9 @@ def _run(args, argv: list[str]) -> int:
     manifest.peak_rss_mb = peak_rss_mb()
     write_json(manifest_path, plain(manifest))
     _out(plain(manifest) if ctx.full_run else payload)
-    for warning in ctx.warnings:
+    for warning in manifest.warnings:
         print(f"{warning['code']}: {warning['message']}", file=sys.stderr)
-    return 2 if ctx.warnings else 0
+    return 2 if manifest.warnings else 0
 
 
 def cmd_prob(args) -> int:

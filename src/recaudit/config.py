@@ -195,10 +195,13 @@ class RunConfig:
 
     # ---- cross-field validation -------------------------------------------
 
+    def _seed(self, key: str) -> int | None:
+        """The seed ``key`` was given, else the global ``seed`` (``None`` if neither)."""
+        value = self._given_seeds[key]
+        return self._given_seeds["seed"] if value is None else value
+
     def _require_seed(self, specific_key: str, reason: str) -> int:
-        value = self._given_seeds[specific_key]
-        if value is None:
-            value = self._given_seeds["seed"]
+        value = self._seed(specific_key)
         if value is None:
             raise ConfigError(
                 f"{reason} needs a seed: set {specific_key!r} or the global 'seed'"
@@ -223,6 +226,10 @@ class RunConfig:
             and v["split.test_days"] is None
         ):
             v["split.test_days"] = 1  # whole-run default: hold out the final day
+        if v["split.window_days"] is not None and v["split.window_days"] < 1:
+            raise ConfigError("split.window_days must be at least 1")
+        if v["split.window_days"] is not None and v["split.strategy"] != STRATEGY_TIME:
+            raise ConfigError("split.window_days needs the time split strategy")
         if v["split.strategy"] == STRATEGY_RANDOM:
             self._require_seed("split.seed", "the random split")
         selection = v["split.selection"]
@@ -241,7 +248,7 @@ class RunConfig:
         if sampler.strategy in RANDOM_SAMPLERS or v["eval.tie_policy"] == TIE_RANDOM:
             self.sampling_seed()
         if sampler.strategy in EMBEDDING_SAMPLERS and v["model.embeddings_path"] is None:
-            self._require_seed("model.embedding_seed", "deriving item embeddings")
+            self.embedding_seed()
         self.eval_config()
         self.pipeline_config()
         self.split_spec()
@@ -279,18 +286,14 @@ class RunConfig:
                 k = int(amount)
             except ValueError as exc:
                 raise ConfigError(f"split.selection {raw!r}: k must be an integer") from exc
-        seed = self._values["split.seed"]
-        if seed is None:
-            seed = self._values["seed"]
         try:
-            return LeaveOneOutSelection(kind=kind, k=k, seed=seed)
+            return LeaveOneOutSelection(kind=kind, k=k, seed=self._seed("split.seed"))
         except ValueError as exc:
             raise ConfigError(f"split.selection: {exc}") from exc
 
     def split_spec(self) -> SplitSpec:
         v = self._values
         strategy = v["split.strategy"]
-        seed = v["split.seed"] if v["split.seed"] is not None else v["seed"]
         try:
             if strategy == STRATEGY_TIME:
                 return SplitSpec(
@@ -300,7 +303,7 @@ class RunConfig:
                 )
             if strategy == STRATEGY_LOO:
                 return SplitSpec(strategy=strategy, selection=self._selection())
-            return SplitSpec(strategy=strategy, fraction=v["split.fraction"], seed=seed)
+            return SplitSpec(strategy, fraction=v["split.fraction"], seed=self._seed("split.seed"))
         except ValueError as exc:
             raise ConfigError(f"split.*: {exc}") from exc
 
@@ -309,10 +312,8 @@ class RunConfig:
         cutoffs = v["eval.cutoffs"]
         if not all(isinstance(c, int) and not isinstance(c, bool) for c in cutoffs):
             raise ConfigError("eval.cutoffs must be a list of integers")
-        master = v["eval.master_seed"]
-        if master is None:
-            master = v["seed"] if v["seed"] is not None else 0
-            v["eval.master_seed"] = master
+        master = self._seed("eval.master_seed")
+        v["eval.master_seed"] = master = 0 if master is None else master
         try:
             return EvalConfig(
                 cutoffs=tuple(cutoffs),

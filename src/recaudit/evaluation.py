@@ -451,7 +451,9 @@ def _rank_case_range(
     return ranks
 
 
-_FORK_STATE: dict = {}
+# (models, cases, the rest of _rank_case_range's arguments) while a fork pool
+# runs: the workers inherit it through the fork instead of unpickling it
+_FORK_STATE: list[tuple] = []
 
 
 def _usable_cpus() -> int:
@@ -475,11 +477,8 @@ def _fork_pool(workers: int):
 
 def _forked_rank_range(bounds: tuple[int, int]) -> tuple[int, np.ndarray]:
     start, stop = bounds
-    s = _FORK_STATE
-    return start, _rank_case_range(
-        s["models"], s["cases"], start, stop, s["cfg"], s["samplers"],
-        s["support"], s["embeddings"], s["scoreable"], s["fixed_candidates"],
-    )
+    models, cases, args = _FORK_STATE[0]
+    return start, _rank_case_range(models, cases, start, stop, *args)
 
 
 def _fixed_candidates(
@@ -533,10 +532,7 @@ def compute_case_ranks(
     ranks = np.empty((len(models), len(samplers), len(cases)), dtype=np.int64)
     chunk = max(1, math.ceil(len(cases) / (workers * 4)))
     bounds = [(lo, min(lo + chunk, len(cases))) for lo in range(0, len(cases), chunk)]
-    _FORK_STATE.update(
-        models=models, cases=cases, cfg=cfg, samplers=samplers, support=support,
-        embeddings=embeddings, scoreable=scoreable, fixed_candidates=fixed_candidates,
-    )
+    _FORK_STATE.append((models, cases, args))
     try:
         with _fork_pool(min(workers, len(bounds))) as pool:
             for start, block in pool.map(_forked_rank_range, bounds):

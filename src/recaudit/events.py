@@ -255,16 +255,12 @@ def _open_source(source) -> TextIO:
     raise IngestError(f"unsupported input source: {type(source).__name__}")
 
 
-def _detect_delimiter(header_line: str) -> str:
-    return "\t" if "\t" in header_line else ","
-
-
 def _read_rows(stream: TextIO, schema: ColumnMapping, delimiter: str | None):
     """Parse the header and the rows into columns plus the reject messages."""
     first_line = stream.readline()
     if not first_line:
         raise IngestError("input is empty: a header row is required")
-    sep = delimiter if delimiter is not None else _detect_delimiter(first_line)
+    sep = delimiter if delimiter is not None else ("\t" if "\t" in first_line else ",")
     header = next(csv.reader([first_line], delimiter=sep))
     positions = {name.strip(): i for i, name in enumerate(header)}
     for column in (schema.entity, schema.item, schema.time):

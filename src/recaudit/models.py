@@ -502,12 +502,10 @@ class SessionKNNModel(RecommenderModel):
         self.incidence_indptr_: np.ndarray | None = None
         self.incidence_sessions_: np.ndarray | None = None
         self.fallback_: np.ndarray | None = None
-        self.catalog_size_: int = 0
 
     def fit(self, train: Dataset) -> "SessionKNNModel":
         self.fallback_ = _popularity_vector(train)
         n = len(train.item_index)
-        self.catalog_size_ = n
         items, offsets = _flatten(train)
         lengths = np.diff(offsets)
         count = len(lengths)
@@ -561,7 +559,7 @@ class SessionKNNModel(RecommenderModel):
         at, lengths = _row_positions(self.offsets_, candidates[best])
         votes = np.repeat(similarity[best], lengths) * self.weights_[at]
         # every vote is positive, so the scores are never all zero
-        return np.bincount(self.items_[at], weights=votes, minlength=self.catalog_size_)
+        return np.bincount(self.items_[at], weights=votes, minlength=len(self.fallback_))
 
 
 MODEL_BUILDERS = {
@@ -585,10 +583,9 @@ def build_model(name: str, **hyperparams) -> RecommenderModel:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """One d-dimensional vector per catalog item, with its origin recorded."""
+    """One d-dimensional vector per catalog item."""
 
     vectors: np.ndarray
-    provenance: str  # "derived" | "loaded"
 
     def __post_init__(self) -> None:
         if self.vectors.ndim != 2:
@@ -631,7 +628,7 @@ def derive_embeddings(train: Dataset, d: int, seed: int) -> EmbeddingMatrix:
     vectors[order] = by_length
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     np.divide(vectors, norms, out=vectors, where=norms > 0)
-    return EmbeddingMatrix(vectors=vectors, provenance="derived")
+    return EmbeddingMatrix(vectors=vectors)
 
 
 def _text_lines(path: Path, error: type[Exception], what: str):
@@ -687,7 +684,7 @@ def load_embeddings(source, item_index: ItemIndex) -> EmbeddingMatrix:
     vectors = np.zeros((len(item_index), dimension), dtype=np.float64)
     for code, values in seen.items():
         vectors[code] = values
-    return EmbeddingMatrix(vectors=vectors, provenance="loaded")
+    return EmbeddingMatrix(vectors=vectors)
 
 
 class ExternalScoresModel(RecommenderModel):

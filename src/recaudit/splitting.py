@@ -144,6 +144,13 @@ def _make_split(
     )
 
 
+def _cut(table: SequenceTable, events: np.ndarray, min_seq_len: int) -> SequenceTable:
+    """A boundary's side of each sequence: whole ones stay, stumps below ``min_seq_len`` go."""
+    kept = table.count(events)
+    whole_or_long = (kept == table.lengths) | (kept >= min_seq_len)
+    return table.take(events & np.repeat(whole_or_long, table.lengths))
+
+
 def _time_range(data: Dataset) -> tuple[int, int]:
     if not data.sequences:
         raise SplitError("cannot split an empty dataset")
@@ -184,13 +191,10 @@ def time_split(data: Dataset, split_time: int, min_seq_len: int = 2) -> DatasetS
     table = data.sequences
     if not table:
         raise SplitError("cannot split an empty dataset")
-    is_test = table.start_times > split_time
-    # events up to the boundary form a prefix of each sequence
-    early = table.timestamps <= split_time
-    cut = table.count(early)
-    keep = ~is_test & ((cut == table.lengths) | (cut >= min_seq_len))
-    train_seqs = table.take(early & np.repeat(keep, table.lengths))
-    test_seqs = table.select(is_test)
+    # events up to the boundary form a prefix of each sequence; a test
+    # sequence has none of them, so no test event reaches train
+    train_seqs = _cut(table, table.timestamps <= split_time, min_seq_len)
+    test_seqs = table.select(table.start_times > split_time)
     if not train_seqs:
         raise SplitError(f"split_time {split_time} leaves an empty training side")
     if not test_seqs:
@@ -282,11 +286,8 @@ def truncate_training_window(
         raise SplitError("window truncation needs a time split (no split boundary present)")
     window_start = split.split_time - window_days * SECONDS_PER_DAY
     table = split.train.sequences
-    recent = table.timestamps >= window_start
     # events inside the window form a suffix of each sequence
-    inside = table.count(recent)
-    keep = (inside == table.lengths) | (inside >= min_seq_len)
-    train_seqs = table.take(recent & np.repeat(keep, table.lengths))
+    train_seqs = _cut(table, table.timestamps >= window_start, min_seq_len)
     if not train_seqs:
         raise SplitError(f"a {window_days}-day window leaves an empty training side")
     return _make_split(

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, payloads, warnings, determinism."""
 
 import contextlib
+import gzip
 import io
 import json
 import os
@@ -141,6 +142,17 @@ class TestIngest:
         assert dump.exists()
         first = dump.read_text(encoding="utf-8").splitlines()[0]
         assert first.split("\t")[:3] == ["entity", "item", "timestamp"]
+
+    def test_gzipped_input_writes_the_same_dump(self, events_csv, tmp_path):
+        gzipped = tmp_path / "events.csv.gz"
+        with open(events_csv, "rb") as source, gzip.open(gzipped, "wb") as target:
+            target.write(source.read())
+        dumps = []
+        for name, path in (("plain", events_csv), ("gzip", str(gzipped))):
+            code, _, _ = run_cli(["ingest", "--input", path, "--output-dir", str(tmp_path / name)])
+            assert code == 0
+            dumps.append((tmp_path / name / "canonical_events.tsv").read_bytes())
+        assert dumps[0] == dumps[1]
 
     def test_missing_input_is_a_config_error(self, tmp_path):
         code, _, err = run_cli(["ingest", "--output-dir", str(tmp_path)])
@@ -568,7 +580,7 @@ class TestRun:
 
     def test_day_collisions_warn_after_the_log_is_freed(self, tmp_path, monkeypatch):
         # run drops the event log once the collision section has read it, so
-        # the warning reads the resolution from the ingest stage's stats
+        # the warning reads the resolution before the log is freed
         logs, alive = [], []
         collision_stats, probe_models = cli.collision_stats, cli.probe_models
         monkeypatch.setattr(
@@ -1074,6 +1086,18 @@ PLANNED = {
 }
 
 
+# the report_paths keys of each command's manifest besides resolved_config and manifest
+REPORTED = {
+    "ingest": {"canonical_events"},
+    "preprocess": {"provenance", "dataset"},
+    "split": {"split", "train", "test"},
+    "diagnose": {"diagnostics"},
+    "evaluate": {"metrics"},
+    "compare": {"comparison"},
+    "run": {"provenance", "split", "diagnostics", "metrics"},
+}
+
+
 def command_args(command):
     return ["--models", "markov,cooccurrence"] if command == "compare" else []
 
@@ -1114,8 +1138,31 @@ class TestStageRunner:
             assert peaks == sorted(peaks) and peaks[0] > 0
         assert "error" not in manifest and manifest["notes"] == []
         assert (outdir / "resolved_config.json").exists()
+        assert set(manifest["report_paths"]) == {"resolved_config", "manifest", *REPORTED[command]}
         for path in manifest["report_paths"].values():
             assert os.path.exists(path), path
+
+    @pytest.mark.parametrize("command", sorted(PLANNED))
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            ({"window_days": 0}, "error: split.window_days must be at least 1"),
+            ({"strategy": "loo", "window_days": 3},
+             "error: split.window_days needs the time split strategy"),
+        ],
+        ids=["zero-days", "loo-window"],
+    )
+    def test_bad_training_window_is_rejected_before_any_stage(
+        self, events_csv, tmp_path, command, split, message
+    ):
+        config = write_config(tmp_path, input={"path": events_csv}, split=split)
+        code, payload, err = run_cli(
+            [command, "--config", config, "--output-dir", str(tmp_path / "out"),
+             *command_args(command)]
+        )
+        assert code == 1 and payload == ""
+        assert err.splitlines() == [message]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", sorted(PLANNED))
     def test_missing_input_fails_in_ingest_with_a_partial_manifest(

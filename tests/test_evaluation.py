@@ -248,7 +248,7 @@ class TestSampleNegatives:
                 [-4.0, 0.5],  # 4 opposite side, far
             ]
         )
-        return EmbeddingMatrix(vectors, provenance="loaded")
+        return EmbeddingMatrix(vectors)
 
     def test_similarity_versus_distance_orders(self):
         emb = self.geometry()

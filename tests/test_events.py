@@ -1,9 +1,11 @@
 """Ingestion tests: ordering provenance, reject accounting, canonical dumps."""
 
+import dataclasses
 import gzip
 import io
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,10 +69,23 @@ class TestIngestBasics:
             assert ingest_csv(source, MAPPING).num_events == 1
 
     def test_gzip_path(self, tmp_path):
-        path = tmp_path / "log.csv.gz"
-        with gzip.open(path, "wt") as fh:
-            fh.write(csv_text(["u1,a,1", "u1,b,2"]))
-        assert ingest_csv(path, MAPPING).num_events == 2
+        text = csv_text(["u2,c,9,buy", "u1,a,1,", "u1,b,2,click", "u1,b,x,click"],
+                        header="user,item,ts,kind")
+        plain_path, gzip_path = tmp_path / "log.csv", tmp_path / "log.csv.gz"
+        plain_path.write_text(text)
+        with gzip.open(gzip_path, "wt") as fh:
+            fh.write(text)
+        plain, gzipped = (
+            ingest_csv(path, MAPPING_TYPED, max_reject_fraction=0.5)
+            for path in (plain_path, gzip_path)
+        )
+        assert gzipped.num_events == 3
+        for column in dataclasses.fields(plain):
+            expected, got = getattr(plain, column.name), getattr(gzipped, column.name)
+            if isinstance(expected, np.ndarray):
+                assert np.array_equal(got, expected) and got.dtype == expected.dtype, column
+            else:
+                assert got == expected, column.name
 
 
 class TestTimestampParsing:

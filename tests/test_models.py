@@ -267,7 +267,6 @@ class TestEmbeddings:
         one = derive_embeddings(data, d=4, seed=9)
         two = derive_embeddings(data, d=4, seed=9)
         assert np.array_equal(one.vectors, two.vectors)
-        assert one.provenance == "derived"
 
     def test_dimension_domain(self):
         data = make_dataset(["ab"])
@@ -283,7 +282,6 @@ class TestEmbeddings:
         dump_embeddings(derived, INDEX, path)
         loaded = load_embeddings(path, INDEX)
         assert np.array_equal(loaded.vectors, derived.vectors)
-        assert loaded.provenance == "loaded"
 
     def test_load_rejects_missing_items(self, tmp_path):
         path = tmp_path / "vectors.tsv"
@@ -306,7 +304,7 @@ class TestEmbeddings:
 
     def test_non_finite_matrix_rejected(self):
         with pytest.raises(EmbeddingError, match="non-finite"):
-            EmbeddingMatrix(np.array([[1.0, np.nan]]), provenance="derived")
+            EmbeddingMatrix(np.array([[1.0, np.nan]]))
 
 
 class TestExternalScores:
