@@ -31,9 +31,7 @@ from .diagnostics import (
 from .errors import (
     ConfigError, DiagnosticsError, EvaluationError, ModelError, RecauditError, SplitError,
 )
-from .evaluation import (
-    EMBEDDING_SAMPLERS, RANDOM_SAMPLERS, SAMPLER_NONE, SamplerSpec, crossing_analysis, evaluate,
-)
+from .evaluation import EMBEDDING_SAMPLERS, SAMPLER_NONE, SamplerSpec, crossing_analysis, evaluate
 from .events import dump_canonical, ingest_csv
 from .models import ExternalScoresModel, build_model, derive_embeddings, load_embeddings
 from .preprocess import preprocess
@@ -236,8 +234,7 @@ def _grid(cfg: RunConfig, args) -> tuple[list[str], list[SamplerSpec]]:
     if not samplers:
         raise ConfigError("--samplers needs at least one sampler spec")
     _no_repeats("--samplers", samplers, SamplerSpec.describe)
-    if any(sampler.strategy in RANDOM_SAMPLERS for sampler in samplers):
-        cfg.sampling_seed()
+    cfg.resolve_sampler_seeds(samplers)
     return names, samplers
 
 
@@ -343,7 +340,7 @@ def _fit_model(cfg: RunConfig, name: str, params: dict, train):
 def _embeddings(cfg: RunConfig, train):
     path = cfg.get("model.embeddings_path")
     if path is not None:
-        return load_embeddings(path, train.item_index)
+        return load_embeddings(path, train.item_ids)
     return derive_embeddings(train, cfg.get("model.embedding_dim"), cfg.embedding_seed())
 
 
@@ -448,6 +445,7 @@ def _stage_diagnose(ctx: _Context):
         ctx.note(f"skipping new_transition_rate: {exc}")
     ctx.data = None  # nor the dataset after this one: the models read the split
     if ctx.split is not None:
+        _warn_split(ctx)
         try:
             overlap = transition_overlap(ctx.split)
         except DiagnosticsError as exc:

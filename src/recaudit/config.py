@@ -244,11 +244,7 @@ class RunConfig:
                 f"diagnostics.sequential_baseline must be one of {SEQUENTIAL_BASELINES}"
             )
         self.check_model(v["model.name"])
-        sampler = self.sampler_spec()
-        if sampler.strategy in RANDOM_SAMPLERS or v["eval.tie_policy"] == TIE_RANDOM:
-            self.sampling_seed()
-        if sampler.strategy in EMBEDDING_SAMPLERS and v["model.embeddings_path"] is None:
-            self.embedding_seed()
+        self.resolve_sampler_seeds([self.sampler_spec()])
         self.eval_config()
         self.pipeline_config()
         self.split_spec()
@@ -343,6 +339,15 @@ class RunConfig:
 
     def embedding_seed(self) -> int:
         return self._require_seed("model.embedding_seed", "deriving item embeddings")
+
+    def resolve_sampler_seeds(self, samplers: list[SamplerSpec]) -> None:
+        """Resolve the seeds that random ties and ``samplers`` need; raise if one is unset."""
+        strategies = {sampler.strategy for sampler in samplers}
+        v = self._values
+        if strategies.intersection(RANDOM_SAMPLERS) or v["eval.tie_policy"] == TIE_RANDOM:
+            self.sampling_seed()
+        if strategies.intersection(EMBEDDING_SAMPLERS) and v["model.embeddings_path"] is None:
+            self.embedding_seed()
 
     def model_request(self) -> tuple[str, dict]:
         params = self._values["model.params"]

@@ -12,8 +12,8 @@ matters: re-sorting equal-timestamp events by item id is exactly the kind of
 silent mangling that manufactures artificial sequential patterns, so ordering
 provenance is made explicit here and checked by fixtures.
 
-Item ids stay raw strings at this stage; the dense item index of a dataset is
-built only after preprocessing, once support filters have settled the catalog.
+A dataset's ``item_ids`` are what the support filters leave of the log's;
+:func:`write_tsv` writes every canonical dump, the log's and the datasets'.
 """
 
 from __future__ import annotations
@@ -51,26 +51,6 @@ class ColumnMapping:
     item: str
     time: str
     type: str | None = None
-
-
-@dataclass(frozen=True)
-class ItemIndex:
-    """Bijection between raw item ids and dense indices in [0, catalog size)."""
-
-    forward: dict[str, int]
-    reverse: tuple[str, ...]
-
-    @classmethod
-    def from_items(cls, items: Iterable[str]) -> "ItemIndex":
-        """Build an index over the given items, sorted for reproducibility."""
-        ordered = sorted(set(items))
-        return cls(forward={item: i for i, item in enumerate(ordered)}, reverse=tuple(ordered))
-
-    def __len__(self) -> int:
-        return len(self.reverse)
-
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self.forward
 
 
 # a string column as first-seen codes: each distinct string's code, and the
@@ -355,6 +335,33 @@ def ingest_csv(
 DUMP_BLOCK_ROWS = 1 << 14
 
 
+def _tsv_field(value: str) -> str:
+    """``value`` as ``csv.writer(delimiter="\\t", lineterminator="\\n")`` writes it:
+    quoted, inner quotes doubled, if it holds a tab, a quote or a newline."""
+    if "\t" in value or '"' in value or "\n" in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def write_tsv(stream: TextIO, header: tuple[str, ...], columns: tuple) -> None:
+    """Write a header and tab-separated rows, a block of rows at a time.
+
+    A column is an int64 array of numbers, or a pair of an int64 array of
+    codes and the vocabulary they index (code -1 writes an empty field).  Each
+    vocabulary entry is quoted once, by :func:`_tsv_field`.
+    """
+    decoded = [
+        (column, str) if isinstance(column, np.ndarray)
+        else (column[0], (tuple(map(_tsv_field, column[1])) + ("",)).__getitem__)
+        for column in columns
+    ]
+    stream.write("\t".join(header) + "\n")
+    for lo in range(0, len(decoded[0][0]), DUMP_BLOCK_ROWS):
+        fields = [map(decode, values[lo : lo + DUMP_BLOCK_ROWS].tolist())
+                  for values, decode in decoded]
+        stream.write("\n".join(map("\t".join, zip(*fields))) + "\n")
+
+
 def dump_canonical(log: EventLog, stream: TextIO) -> None:
     """Write the canonical tab-separated dump used for reproducible fixtures.
 
@@ -362,16 +369,7 @@ def dump_canonical(log: EventLog, stream: TextIO) -> None:
     the dump reproduces the log byte-for-byte.  Rows are written a block at
     a time, never held as one string.
     """
-    writer = csv.writer(stream, delimiter="\t", lineterminator="\n")
-    writer.writerow(["entity", "item", "timestamp", "type"])
-    types = ("",) + log.event_type_ids  # code -1 (untyped) reads index 0
-    for lo in range(0, log.num_events, DUMP_BLOCK_ROWS):
-        block = slice(lo, lo + DUMP_BLOCK_ROWS)
-        writer.writerows(
-            zip(
-                map(log.entity_ids.__getitem__, log.entity_codes[block].tolist()),
-                map(log.item_ids.__getitem__, log.item_codes[block].tolist()),
-                log.timestamps[block].tolist(),
-                map(types.__getitem__, (log.type_codes[block] + 1).tolist()),
-            )
-        )
+    write_tsv(stream, ("entity", "item", "timestamp", "type"), (
+        (log.entity_codes, log.entity_ids), (log.item_codes, log.item_ids),
+        log.timestamps, (log.type_codes, log.event_type_ids),
+    ))

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import EmbeddingError, ModelError
-from .events import ItemIndex
 from .preprocess import Dataset
 
 if TYPE_CHECKING:
@@ -215,7 +214,7 @@ class MarkovModel(RecommenderModel):
 
     def fit(self, train: Dataset) -> "MarkovModel":
         self.fallback_ = _popularity_vector(train)
-        n = len(train.item_index)
+        n = train.num_items
         items, offsets = _flatten(train)
         self.transitions_ = CountMatrix.from_keys(
             _pair_keys(items, offsets, n, reach=1, symmetric=False), n
@@ -404,7 +403,7 @@ class CooccurrenceModel(RecommenderModel):
 
     def fit(self, train: Dataset) -> "CooccurrenceModel":
         self.fallback_ = _popularity_vector(train)
-        n = len(train.item_index)
+        n = train.num_items
         items, offsets = _flatten(train)
         if self.window is None:
             self.counts_ = _whole_sequence_counts(items, offsets, n)
@@ -505,7 +504,7 @@ class SessionKNNModel(RecommenderModel):
 
     def fit(self, train: Dataset) -> "SessionKNNModel":
         self.fallback_ = _popularity_vector(train)
-        n = len(train.item_index)
+        n = train.num_items
         items, offsets = _flatten(train)
         lengths = np.diff(offsets)
         count = len(lengths)
@@ -607,7 +606,7 @@ def derive_embeddings(train: Dataset, d: int, seed: int) -> EmbeddingMatrix:
     Items with identical co-occurrence rows get identical embeddings; rows
     with no co-occurrence signal stay at the origin.  Rows are L2-normalized.
     """
-    n = len(train.item_index)
+    n = train.num_items
     if not 1 <= d <= n:
         raise EmbeddingError(f"embedding dimension must be in [1, {n}], got {d}")
     counts = CooccurrenceModel(window=None).fit(train).counts_
@@ -646,21 +645,22 @@ def _text_lines(path: Path, error: type[Exception], what: str):
         raise error(f"cannot read {what} {path}: {exc}") from None
 
 
-def load_embeddings(source, item_index: ItemIndex) -> EmbeddingMatrix:
-    """Parse tab-separated ``item_id<TAB>v1..vd`` rows covering the catalog.
+def load_embeddings(source, item_ids: tuple[str, ...]) -> EmbeddingMatrix:
+    """Parse tab-separated ``item_id<TAB>v1..vd`` rows covering the catalog ``item_ids``.
 
     Rows for unknown items are ignored; a catalog item without a row is an
     error (the message lists the first few missing ids).
     """
     path = Path(source)
+    codes = {item_id: code for code, item_id in enumerate(item_ids)}
     seen: dict[int, np.ndarray] = {}
     dimension: int | None = None
     for line_no, line in _text_lines(path, EmbeddingError, "embeddings"):
         parts = line.split("\t")
         if len(parts) < 2:
             raise EmbeddingError(f"{path}:{line_no}: expected item_id and values")
-        item_id = parts[0]
-        if item_id not in item_index:
+        code = codes.get(parts[0])
+        if code is None:
             continue
         try:
             values = np.array([float(v) for v in parts[1:]], dtype=np.float64)
@@ -672,8 +672,8 @@ def load_embeddings(source, item_index: ItemIndex) -> EmbeddingMatrix:
             raise EmbeddingError(
                 f"{path}:{line_no}: dimension {len(values)} != {dimension}"
             )
-        seen[item_index.forward[item_id]] = values
-    missing = [item for item in item_index.reverse if item_index.forward[item] not in seen]
+        seen[code] = values
+    missing = [item for code, item in enumerate(item_ids) if code not in seen]
     if missing:
         sample = ", ".join(missing[:5])
         raise EmbeddingError(
@@ -681,7 +681,7 @@ def load_embeddings(source, item_index: ItemIndex) -> EmbeddingMatrix:
         )
     if dimension is None:
         raise EmbeddingError(f"{path} holds no usable embedding rows")
-    vectors = np.zeros((len(item_index), dimension), dtype=np.float64)
+    vectors = np.zeros((len(item_ids), dimension), dtype=np.float64)
     for code, values in seen.items():
         vectors[code] = values
     return EmbeddingMatrix(vectors=vectors)

@@ -11,7 +11,7 @@ Every step is an array pass over one :class:`SequenceTable`: flat int64
 time, ties in input order) with CSR ``offsets`` marking where each sequence
 starts.  Items are the event log's item codes throughout; once the catalog
 has settled, the support filter compacts codes and vocabulary together into
-the dataset's :class:`~recaudit.events.ItemIndex`.  There is no
+the dataset's sorted ``item_ids``.  There is no
 per-sequence object: sequence ``k`` is the slice ``offsets[k]:offsets[k + 1]``
 of the columns, and every consumer reads the columns directly.
 """
@@ -26,9 +26,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import PreprocessError
-from .events import (
-    DUMP_BLOCK_ROWS, RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog, ItemIndex, _compact,
-)
+from .events import RESOLUTION_DAYS, SECONDS_PER_DAY, EventLog, _compact, write_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -141,16 +139,16 @@ class StepRecord:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Preprocessed sequences plus the item index and the step ledger."""
+    """Preprocessed sequences, the sorted item vocabulary they index, and the step ledger."""
 
     sequences: SequenceTable
-    item_index: ItemIndex
+    item_ids: tuple[str, ...]
     provenance: list[StepRecord] = field(default_factory=list)
 
     @cached_property
     def item_support(self) -> np.ndarray:
         """Occurrences of each catalog item."""
-        return np.bincount(self.sequences.items, minlength=len(self.item_index))
+        return np.bincount(self.sequences.items, minlength=self.num_items)
 
     @property
     def num_events(self) -> int:
@@ -162,25 +160,17 @@ class Dataset:
 
     @property
     def num_items(self) -> int:
-        return len(self.item_index)
+        return len(self.item_ids)
 
     def dump_canonical(self, stream: TextIO) -> None:
         """Write the deterministic dump to ``stream``, a block of rows at a time."""
         table = self.sequences
-        entity_codes = np.repeat(table.entity_codes, table.lengths)
-        seq_ids = np.repeat(table.seq_ids, table.lengths)
-        stream.write("seq_id\tentity\titem\ttimestamp\n")
-        for lo in range(0, table.num_events, DUMP_BLOCK_ROWS):
-            block = slice(lo, lo + DUMP_BLOCK_ROWS)
-            rows = zip(
-                seq_ids[block].tolist(),
-                map(table.entity_ids.__getitem__, entity_codes[block].tolist()),
-                map(self.item_index.reverse.__getitem__, table.items[block].tolist()),
-                table.timestamps[block].tolist(),
-            )
-            stream.writelines(
-                f"{seq_id}\t{entity}\t{item}\t{ts}\n" for seq_id, entity, item, ts in rows
-            )
+        write_tsv(stream, ("seq_id", "entity", "item", "timestamp"), (
+            np.repeat(table.seq_ids, table.lengths),
+            (np.repeat(table.entity_codes, table.lengths), table.entity_ids),
+            (table.items, self.item_ids),
+            table.timestamps,
+        ))
 
 
 def _table_counts(table: SequenceTable) -> tuple[int, int, int]:
@@ -272,7 +262,7 @@ def iterative_support_filter(
     adjacent repeats the removals exposed.  Passes repeat until one changes
     nothing.  One ledger record is appended per pass, so cascades are visible
     pass by pass.  The surviving codes and vocabulary are compacted together,
-    keeping their order, into the dataset's item index.
+    keeping their order, into the dataset's ``item_ids``.
 
     Raises:
         PreprocessError: the filter emptied the dataset; the message replays
@@ -315,7 +305,7 @@ def iterative_support_filter(
         )
 
     codes, vocabulary = _compact(current.items, item_ids)
-    return Dataset(replace(current, items=codes), ItemIndex.from_items(vocabulary), records)
+    return Dataset(replace(current, items=codes), vocabulary, records)
 
 
 def preprocess(log: EventLog, cfg: PipelineConfig) -> Dataset:

@@ -125,8 +125,8 @@ def _make_split(
     split_time: int | None = None,
     window_days: int | None = None,
 ) -> DatasetSplit:
-    train = Dataset(train_seqs, data.item_index, list(data.provenance))
-    test = Dataset(test_seqs, data.item_index, list(data.provenance))
+    train = Dataset(train_seqs, data.item_ids, list(data.provenance))
+    test = Dataset(test_seqs, data.item_ids, list(data.provenance))
     missing = test_seqs.items[train.item_support[test_seqs.items] == 0]
     stats = SplitStats(
         train=_side_stats(train_seqs),

@@ -8,9 +8,9 @@ run wrote except ``manifest.json``, with the input, output and source paths
 replaced by placeholders, and compares the two trees' hashes.
 
 The inputs are written, not downloaded: the ``audit-run`` and
-``sampled-compare`` logs of ``perfbench/gen.py`` at seeds 5 and 6, and a
+``sampled-compare`` logs of ``perfbench/gen.py`` at seeds 5 and 6, a
 day-resolution log with an event-type column derived from a small generated
-one.  At most two processes run at once; a ``--threads 2`` run counts as two.
+one, and a log whose ids hold tabs and quotes derived from another.  At most two processes run at once; a ``--threads 2`` run counts as two.
 
 It prints one line per difference and a summary line, and exits 1 on any
 difference that no ``--allow`` glob matches.  A glob matches
@@ -19,6 +19,7 @@ difference that no ``--allow`` glob matches.  A glob matches
 
     python tests/byte_matrix.py --base HEAD~1
     python tests/byte_matrix.py --base HEAD --allow 'window-error-*'
+    python tests/byte_matrix.py --base HEAD --allow '*-quoted/*/dataset.tsv'
 
 The name does not start with ``test_``, so pytest does not collect it.
 """
@@ -26,6 +27,7 @@ The name does not start with ``test_``, so pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import csv
 import fnmatch
 import hashlib
 import io
@@ -141,6 +143,10 @@ def invocations() -> dict[str, tuple[str, tuple[str, ...]]]:
             "preprocess", "--type-column", "type", "--keep-event-type", "view",
         )),
         "run-daily-loo": ("daily", ("run", *LOO, "--type-column", "type", "--csv")),
+        # ids holding a tab or a quote, which every dump quotes
+        "ingest-quoted": ("quoted", ("ingest",)),
+        "preprocess-quoted": ("quoted", ("preprocess",)),
+        "split-quoted": ("quoted", ("split", *TIME)),
         # known errors
         "error-daily-one-test-day": ("daily", ("split", *TIME)),
         "error-missing-input": ("missing", ("ingest",)),
@@ -174,6 +180,26 @@ def _write_daily_log(path: str) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+def _write_quoted_log(path: str) -> None:
+    """A generated log in which some entity and item ids hold a tab or a quote."""
+    from gen import LogSpec, generate
+
+    spec = LogSpec(entities=500, events_per_entity=10, items=300, days=10)
+    rows = generate(spec, seed=8).decode("ascii").splitlines()
+    marks = ("\t", '"', "", "", "")  # by id number mod 5
+
+    def marked(identifier: str) -> str:
+        return identifier[0] + marks[int(identifier[1:]) % 5] + identifier[1:]
+
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(rows[0].split(","))
+        for row in rows[1:]:
+            entity, item, stamp = row.split(",")
+            writer.writerow((marked(entity) if int(entity[1:]) % 3 == 0 else entity,
+                             marked(item), stamp))
+
+
 def write_inputs(corpus: str) -> dict[str, str]:
     """Write every input log and config document; name -> path."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -189,6 +215,8 @@ def write_inputs(corpus: str) -> dict[str, str]:
                 write_log(WORKLOADS[workload].log, seed, paths[f"{log}-{seed}"])
         paths["daily"] = os.path.join(corpus, "daily.csv")
         _write_daily_log(paths["daily"])
+        paths["quoted"] = os.path.join(corpus, "quoted.csv")
+        _write_quoted_log(paths["quoted"])
     finally:
         sys.dont_write_bytecode = writing
         sys.path.remove(os.path.join(ROOT, "perfbench"))

@@ -14,7 +14,7 @@ import numpy as np
 from recaudit.diagnostics import probe_models, sequentiality_probe
 from recaudit.errors import SplitError
 from recaudit.evaluation import EvalConfig, SamplerSpec, evaluate
-from recaudit.events import SECONDS_PER_DAY, ColumnMapping, EventLog, ItemIndex, dump_canonical
+from recaudit.events import SECONDS_PER_DAY, ColumnMapping, EventLog, dump_canonical
 from recaudit.models import build_model
 from recaudit.preprocess import Dataset, SequenceTable
 from recaudit.splitting import (
@@ -32,7 +32,8 @@ def day(d, offset=0):
 
 
 def make_index(n):
-    return ItemIndex.from_items([f"i{k:03d}" for k in range(n)])
+    """A sorted vocabulary of ``n`` item ids."""
+    return tuple(f"i{k:03d}" for k in range(n))
 
 
 class EventRecord(NamedTuple):
@@ -269,7 +270,7 @@ def canonical_text(source):
 
 def verify(dataset, cfg=None):
     """Check a dataset's structural invariants; raises AssertionError on violation."""
-    if len(dataset.item_support) > len(dataset.item_index):
+    if len(dataset.item_support) > dataset.num_items:
         raise AssertionError("item code out of catalog range")
     if cfg is not None:
         if np.any(dataset.sequences.lengths < cfg.min_seq_len):
@@ -287,11 +288,11 @@ def toarray(counts):
     return dense
 
 
-def dump_embeddings(matrix, item_index, destination):
+def dump_embeddings(matrix, item_ids, destination):
     """Write embeddings in the format ``load_embeddings`` reads, losslessly."""
-    matrix.check_catalog(len(item_index))
+    matrix.check_catalog(len(item_ids))
     with open(destination, "w", encoding="utf-8") as fh:
-        for code, item_id in enumerate(item_index.reverse):
+        for code, item_id in enumerate(item_ids):
             values = "\t".join(repr(float(v)) for v in matrix.vectors[code])
             fh.write(f"{item_id}\t{values}\n")
 

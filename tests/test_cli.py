@@ -192,19 +192,29 @@ class TestSplit:
         stats = payload["stats"]
         assert stats["train"]["events"] > 0 and stats["test"]["events"] > 0
 
+    # diagnose audits the split it computes its overlap and sequentiality on,
+    # so it warns about that split as split does
     def test_loo_split_warns(self, events_csv, tmp_path):
-        code, payload, _ = run_cli(
-            ["split", "--input", events_csv, "--output-dir", str(tmp_path),
-             "--strategy", "loo", "--selection", "most_recent:1"]
-        )
-        assert code == 2 and warning_codes(payload) == ["W-LOO-LEAKAGE"]
+        for command in ("split", "diagnose"):
+            code, payload, err = run_cli(
+                [command, "--input", events_csv, "--output-dir", str(tmp_path / command),
+                 "--strategy", "loo", "--selection", "most_recent:1"]
+            )
+            assert code == 2 and warning_codes(payload) == ["W-LOO-LEAKAGE"], command
+            assert "W-LOO-LEAKAGE: " in err
+        written = json.loads((tmp_path / "diagnose" / "diagnostics.json").read_text())
+        assert warning_codes(written) == ["W-LOO-LEAKAGE"]
 
     def test_random_split_warns(self, events_csv, tmp_path):
-        code, payload, _ = run_cli(
-            ["split", "--input", events_csv, "--output-dir", str(tmp_path),
-             "--strategy", "random", "--fraction", "0.2", "--split-seed", "5"]
-        )
-        assert code == 2 and warning_codes(payload) == ["W-RANDOM-SPLIT"]
+        for command in ("split", "diagnose"):
+            code, payload, err = run_cli(
+                [command, "--input", events_csv, "--output-dir", str(tmp_path / command),
+                 "--strategy", "random", "--fraction", "0.2", "--split-seed", "5"]
+            )
+            assert code == 2 and warning_codes(payload) == ["W-RANDOM-SPLIT"], command
+            assert "W-RANDOM-SPLIT: " in err
+        written = json.loads((tmp_path / "diagnose" / "diagnostics.json").read_text())
+        assert warning_codes(written) == ["W-RANDOM-SPLIT"]
 
     def test_random_split_without_seed_fails(self, events_csv, tmp_path):
         code, _, err = run_cli(
@@ -270,7 +280,8 @@ class TestDiagnose:
                 ["diagnose", "--input", events_csv, "--output-dir", str(tmp_path / start),
                  "--strategy", *strategy, "--seed", "0", "--prefix-start", start]
             )
-            assert code == 0
+            # a leave-one-out split warns: W-LOO-LEAKAGE
+            assert code == (2 if strategy == ("loo",) else 0)
             overlaps.append(payload["overlap"])
         assert overlaps[0] == overlaps[1]
 
@@ -421,6 +432,34 @@ class TestCompare:
             "set 'eval.master_seed' or the global 'seed'"
         ]
         assert not (tmp_path / "out").exists()
+
+    def test_embedding_sampler_without_seed_fails_before_any_stage(self, events_csv, tmp_path):
+        code, payload, err = run_cli(
+            ["compare", "--input", events_csv, "--output-dir", str(tmp_path / "out"),
+             "--strategy", "loo", "--models", "markov", "--samplers", "none,close_embedding:10"]
+        )
+        assert code == 1 and payload == ""
+        assert err.splitlines() == [
+            "error: deriving item embeddings needs a seed: "
+            "set 'model.embedding_seed' or the global 'seed'"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_embedding_seed_resolves_as_in_evaluate(self, events_csv, tmp_path):
+        seeds = []
+        for command, flags in (
+            ("evaluate", ["--model", "markov", "--sampler", "close_embedding:5"]),
+            ("compare", ["--models", "markov", "--samplers", "none,close_embedding:5"]),
+        ):
+            outdir = tmp_path / command
+            code, _, _ = run_cli(
+                [command, "--input", events_csv, "--output-dir", str(outdir),
+                 "--strategy", "time", "--test-days", "1", "--seed", "3", *flags]
+            )
+            assert code == 2, command
+            resolved = json.loads((outdir / "resolved_config.json").read_text())
+            seeds.append(resolved["model"]["embedding_seed"])
+        assert seeds == [3, 3]
 
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
     @pytest.mark.parametrize(

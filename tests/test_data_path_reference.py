@@ -25,7 +25,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import recaudit.events
-import recaudit.preprocess
 from recaudit.cli import main
 from recaudit.config import RunConfig
 from recaudit.diagnostics import (
@@ -54,7 +53,6 @@ from recaudit.events import (
     RESOLUTION_SECONDS,
     SECONDS_PER_DAY,
     ColumnMapping,
-    ItemIndex,
     _parse_timestamp,
     ingest_csv,
 )
@@ -173,9 +171,10 @@ def ref_sessionize(groups, cfg, index):
         if groups and ref_resolution(groups) == RESOLUTION_DAYS:
             raise PreprocessError("undetectable gap")
     sequences = []
+    code = {item_id: k for k, item_id in enumerate(index)}
     for entity in sorted(groups):
         group = groups[entity]
-        codes = np.array([index.forward[e.item_id] for e in group], dtype=np.int64)
+        codes = np.array([code[e.item_id] for e in group], dtype=np.int64)
         times = np.array([e.timestamp for e in group], dtype=np.int64)
         if cfg.session_mode == "gap" and len(group) > 1:
             breaks = np.flatnonzero(np.diff(times) > cfg.gap_seconds) + 1
@@ -245,10 +244,10 @@ def ref_support_filter(sequences, cfg, index, records):
     if not current:
         raise PreprocessError("Shrinkage per pass: " + "; ".join(rows))
     survivors = sorted({code for seq in current for code in seq.items.tolist()})
-    compact = ItemIndex.from_items(index.reverse[code] for code in survivors)
+    compact = tuple(sorted(index[code] for code in survivors))
     remap = np.full(len(index), -1, dtype=np.int64)
     for code in survivors:
-        remap[code] = compact.forward[index.reverse[code]]
+        remap[code] = compact.index(index[code])
     remapped = [
         SeqRecord(s.seq_id, s.entity_id, remap[s.items], s.timestamps) for s in current
     ]
@@ -268,7 +267,7 @@ def ref_preprocess(groups, cfg):
             "filter_event_type", {"keep": cfg.keep_event_type},
             before[0], after[0], before[1], after[1], before[2], after[2],
         ))
-    index = ItemIndex.from_items(e.item_id for g in groups.values() for e in g)
+    index = tuple(sorted({e.item_id for g in groups.values() for e in g}))
     log_counts = ref_log_counts(groups)
     sequences = ref_sessionize(groups, cfg, index)
     params = {"mode": cfg.session_mode}
@@ -290,11 +289,13 @@ def ref_preprocess(groups, cfg):
 
 
 def ref_canonical_text(sequences, index):
-    lines = ["seq_id\tentity\titem\ttimestamp"]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter="\t", lineterminator="\n")
+    writer.writerow(["seq_id", "entity", "item", "timestamp"])
     for seq in sequences:
         for code, ts in zip(seq.items.tolist(), seq.timestamps.tolist()):
-            lines.append(f"{seq.seq_id}\t{seq.entity_id}\t{index.reverse[code]}\t{ts}")
-    return "\n".join(lines) + "\n"
+            writer.writerow([seq.seq_id, seq.entity_id, index[code], ts])
+    return buffer.getvalue()
 
 
 def ref_side_stats(sequences):
@@ -630,7 +631,7 @@ class TestPreprocessMatchesLoops:
         sequences, index, records = expected
         assert canonical_text(data) == ref_canonical_text(sequences, index)
         assert plain(data.provenance) == plain(records)
-        assert data.item_index == index
+        assert data.item_ids == index
         support = np.zeros(len(index), dtype=np.int64)
         for seq in sequences:
             np.add.at(support, seq.items, 1)
@@ -765,7 +766,7 @@ class TestDiagnosticsMatchLoops:
             assert plain(report) == expected
 
     def test_overlap_needs_a_training_prefix_for_every_loo_test_sequence(self):
-        index = ItemIndex.from_items(["a", "b", "c"])
+        index = ("a", "b", "c")
         train = Dataset(sequence_table([([0, 1], [0, 1])], seq_ids=[4]), index)
         test = Dataset(sequence_table([([2], [2]), ([1], [3])], seq_ids=[4, 9]), index)
         split = DatasetSplit(
@@ -790,7 +791,7 @@ CASE_SPECS = {
     STRATEGY_RANDOM: SplitSpec(strategy=STRATEGY_RANDOM, fraction=0.5, seed=0),
     STRATEGY_LOO: SplitSpec(strategy=STRATEGY_LOO),
 }
-CASE_INDEX = ItemIndex.from_items("abcdef")
+CASE_INDEX = tuple("abcdef")
 item_rows = st.lists(st.integers(0, 5), min_size=1, max_size=6)
 
 
@@ -890,7 +891,6 @@ class TestDumpsStreamToTheirFiles:
     def test_written_dumps_equal_the_whole_text(self, tmp_path, monkeypatch):
         # blocks of 7 rows, so every dump crosses many block boundaries
         monkeypatch.setattr(recaudit.events, "DUMP_BLOCK_ROWS", 7)
-        monkeypatch.setattr(recaudit.preprocess, "DUMP_BLOCK_ROWS", 7)
         path = write_events_csv(tmp_path / "events.csv", browsing_rows())
         split_flags = ["--strategy", "time", "--test-days", "1"]
         for command, flags in (("ingest", []), ("preprocess", []), ("split", split_flags)):
@@ -904,9 +904,9 @@ class TestDumpsStreamToTheirFiles:
         split = apply_split(data, cfg.split_spec())
         expected = {
             "ingest/canonical_events.tsv": ref_dump(groups),
-            "preprocess/dataset.tsv": ref_canonical_text(records(data.sequences), data.item_index),
-            "split/train.tsv": ref_canonical_text(records(split.train.sequences), data.item_index),
-            "split/test.tsv": ref_canonical_text(records(split.test.sequences), data.item_index),
+            "preprocess/dataset.tsv": ref_canonical_text(records(data.sequences), data.item_ids),
+            "split/train.tsv": ref_canonical_text(records(split.train.sequences), data.item_ids),
+            "split/test.tsv": ref_canonical_text(records(split.test.sequences), data.item_ids),
         }
         for name, text in expected.items():
             assert len(text.splitlines()) > 3 * 7, name

@@ -25,7 +25,6 @@ from recaudit.evaluation import (
     rank_of_target,
     sample_negatives,
 )
-from recaudit.events import ItemIndex
 from recaudit.models import (
     EmbeddingMatrix,
     MarkovModel,
@@ -46,7 +45,7 @@ from recaudit.splitting import (
 )
 from synth import build_dataset, build_split, evaluate_cell, first_flip, make_index
 
-INDEX = ItemIndex.from_items("abcdefgh")
+INDEX = tuple("abcdefgh")
 A, B, C, D, E, F, G, H = range(8)
 
 
@@ -54,7 +53,7 @@ def dataset_from(words, index=INDEX, t0=0, seq_id_base=0):
     rows = []
     t = t0
     for word in words:
-        codes = [index.forward[ch] for ch in word]
+        codes = [index.index(ch) for ch in word]
         rows.append((codes, np.arange(t, t + len(codes))))
         t += 100
     return build_dataset(index, rows, seq_id_base)
@@ -454,7 +453,7 @@ class TestEvaluate:
 
     def test_sampled_recall_matches_closed_form_probability(self):
         catalog = 50
-        index = ItemIndex.from_items([f"i{k:02d}" for k in range(catalog)])
+        index = tuple(f"i{k:02d}" for k in range(catalog))
         train = build_dataset(
             index,
             [

@@ -1,5 +1,6 @@
 """Ingestion tests: ordering provenance, reject accounting, canonical dumps."""
 
+import csv
 import dataclasses
 import gzip
 import io
@@ -10,9 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recaudit.errors import IngestError
-from recaudit.events import ColumnMapping, ItemIndex, dump_canonical, ingest_csv
-from synth import CANONICAL_MAPPING, EventRecord, canonical_text, event_log, events_of, groups_of
+from recaudit.cli import main
+from recaudit.errors import IngestError, PreprocessError
+from recaudit.events import ColumnMapping, dump_canonical, ingest_csv
+from recaudit.preprocess import PipelineConfig, preprocess
+from recaudit.splitting import STRATEGY_LOO, SplitSpec, apply_split
+from synth import (
+    CANONICAL_MAPPING, EventRecord, canonical_text, event_log, events_of, groups_of, records,
+)
 
 MAPPING = ColumnMapping(entity="user", item="item", time="ts")
 MAPPING_TYPED = ColumnMapping(entity="user", item="item", time="ts", type="kind")
@@ -241,6 +247,79 @@ class TestCanonicalDump:
         assert lines[1:] == ["u1\tc\t20\t", "u1\ta\t30\t", "u2\tb\t10\t"]
 
 
+def quoting_logs(alphabet):
+    """Event records whose entity, item and type ids are drawn from ``alphabet``."""
+    ids = st.text(alphabet=alphabet, min_size=1, max_size=3)
+    return st.lists(
+        st.builds(
+            EventRecord,
+            entity_id=st.sampled_from(["u1", "u2", "u3"]) | ids,
+            item_id=st.sampled_from(["a", "b", "c"]) | ids,
+            timestamp=st.integers(min_value=0, max_value=50),
+            event_type=st.none() | ids,
+        ),
+        min_size=1,
+        max_size=30,
+    )
+
+
+def read_tsv(text):
+    return list(csv.reader(io.StringIO(text, newline=""), delimiter="\t"))
+
+
+class TestDumpQuoting:
+    """Every dump quotes an id as ``csv.writer(delimiter="\\t")`` writes it."""
+
+    @given(quoting_logs('ab\t"\r\n, '))
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_dump_is_what_csv_writer_writes(self, events):
+        log = event_log(events)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, delimiter="\t", lineterminator="\n")
+        writer.writerow(["entity", "item", "timestamp", "type"])
+        writer.writerows(
+            (e.entity_id, e.item_id, e.timestamp, e.event_type or "") for e in events_of(log)
+        )
+        assert canonical_text(log) == buffer.getvalue()
+
+    # csv.writer leaves a CR unquoted and csv.reader ends a row at one, so ids
+    # holding a CR do not read back from any dump (canonical_events.tsv too)
+    @given(quoting_logs('ab\t"\n, '))
+    @settings(max_examples=150, deadline=None)
+    def test_dataset_and_split_dumps_read_back_as_their_fields(self, events):
+        try:
+            data = preprocess(event_log(events), PipelineConfig(min_item_support=1))
+        except PreprocessError:  # no sequence of two events survives
+            return
+        split = apply_split(data, SplitSpec(STRATEGY_LOO))
+        for dataset in (data, split.train, split.test):
+            expected = [["seq_id", "entity", "item", "timestamp"]] + [
+                [str(seq.seq_id), seq.entity_id, data.item_ids[code], str(ts)]
+                for seq in records(dataset.sequences)
+                for code, ts in zip(seq.items.tolist(), seq.timestamps.tolist())
+            ]
+            assert read_tsv(canonical_text(dataset)) == expected
+
+    def test_an_id_holding_a_tab_keeps_every_row_at_four_fields(self, tmp_path):
+        rows = [(f"u{k % 20}", "i\t3" if k % 7 == 3 else f"i{k % 7}", k) for k in range(240)]
+        path = tmp_path / "events.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows([("entity", "item", "timestamp"), *rows])
+        loo = ["--strategy", "loo"]
+        for command, flags, code, names in (
+            ("preprocess", [], 0, ("dataset.tsv",)),
+            ("split", loo, 2, ("train.tsv", "test.tsv")),  # 2: W-LOO-LEAKAGE
+        ):
+            outdir = tmp_path / command
+            argv = [command, "--input", str(path), "--output-dir", str(outdir),
+                    "--min-item-support", "1", *flags]
+            assert main(argv) == code
+            for name in names:
+                dumped = read_tsv((outdir / name).read_text(encoding="utf-8"))
+                assert {len(row) for row in dumped} == {4}, name
+                assert "i\t3" in {row[2] for row in dumped}, name
+
+
 events_strategy = st.lists(
     st.builds(
         EventRecord,
@@ -298,12 +377,3 @@ class TestProperties:
         log_a = ingest_csv(io.StringIO(make(rows)), MAPPING)
         log_b = ingest_csv(io.StringIO(make(shuffled)), MAPPING)
         assert groups_of(log_a) == groups_of(log_b)
-
-
-class TestItemIndex:
-    def test_sorted_dense_and_bijective(self):
-        index = ItemIndex.from_items(["pear", "apple", "pear", "fig"])
-        assert index.reverse == ("apple", "fig", "pear")
-        assert index.forward == {"apple": 0, "fig": 1, "pear": 2}
-        assert len(index) == 3
-        assert "fig" in index and "kiwi" not in index

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recaudit.errors import EmbeddingError, ModelError
-from recaudit.events import ItemIndex
 from recaudit.models import (
     CooccurrenceModel,
     EmbeddingMatrix,
@@ -23,7 +22,7 @@ from recaudit.models import (
 )
 from synth import build_dataset, dump_embeddings, toarray
 
-INDEX = ItemIndex.from_items("abcdef")
+INDEX = tuple("abcdef")
 A, B, C, D, E, F = range(6)
 
 
@@ -31,7 +30,7 @@ def make_dataset(words, start=0):
     rows = []
     t = start
     for word in words:
-        codes = [INDEX.forward[ch] for ch in word]
+        codes = [INDEX.index(ch) for ch in word]
         rows.append((codes, np.arange(t, t + len(codes))))
         t += 1000
     return build_dataset(INDEX, rows)

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from recaudit.evaluation import CaseTable
-from recaudit.events import ItemIndex
 from recaudit.models import (
     CooccurrenceModel,
     CountMatrix,
@@ -36,7 +35,7 @@ from synth import build_dataset, records, toarray
 
 
 def reference_cooccurrence_counts(train, window):
-    n = len(train.item_index)
+    n = train.num_items
     rows, cols = [], []
     for seq in records(train.sequences):
         items = seq.items.tolist()
@@ -57,7 +56,7 @@ def reference_cooccurrence_counts(train, window):
 
 
 def reference_transitions(train):
-    n = len(train.item_index)
+    n = train.num_items
     rows, cols = [], []
     for seq in records(train.sequences):
         items = seq.items.tolist()
@@ -125,7 +124,7 @@ def reference_session_knn_scores(train, prefix, k, sample_size, decay):
         similarity = overlap / math.sqrt(len(session) * len(prefix_set))
         scored.append((similarity, sid))
     scored.sort(key=lambda pair: (-pair[0], recency[pair[1]]))
-    scores = np.zeros(len(train.item_index), dtype=np.float64)
+    scores = np.zeros(train.num_items, dtype=np.float64)
     for similarity, sid in scored[:k]:
         items = sessions[sid]
         length = len(items)
@@ -142,7 +141,7 @@ def reference_session_knn_scores(train, prefix, k, sample_size, decay):
 # Training items come from codes 0..5 of an 8-item catalog, so codes 6 and 7
 # occur in no training session; prefixes may use all 8.
 CATALOG = 8
-INDEX = ItemIndex.from_items([f"i{c}" for c in range(CATALOG)])
+INDEX = tuple(f"i{c}" for c in range(CATALOG))
 
 
 def make_dataset(sessions):

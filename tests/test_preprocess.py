@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recaudit.errors import PreprocessError
-from recaudit.events import ColumnMapping, ItemIndex, ingest_csv
+from recaudit.events import ColumnMapping, ingest_csv
 from recaudit.preprocess import (
     PipelineConfig,
     collapse_repeats,
@@ -21,12 +21,12 @@ from recaudit.reports import plain
 from synth import canonical_text, event_log as log_of, groups_of, records, sequence_table, verify
 
 ALPHABET = "abcdef"
-INDEX = ItemIndex.from_items(ALPHABET)
+INDEX = tuple(ALPHABET)
 
 
 def seq(seq_id, spelled, timestamps=None, entity="u"):
     """(seq id, entity, (items, timestamps)): one sequence for :func:`table`."""
-    codes = [INDEX.forward[ch] for ch in spelled]
+    codes = [INDEX.index(ch) for ch in spelled]
     if timestamps is None:
         timestamps = list(range(len(codes)))
     return seq_id, entity, (codes, timestamps)
@@ -38,7 +38,7 @@ def table(*sequences):
 
 
 def spelled(sequence, index=INDEX):
-    return "".join(index.reverse[c] for c in sequence.items.tolist())
+    return "".join(index[c] for c in sequence.items.tolist())
 
 
 class TestFilterEventType:
@@ -150,7 +150,7 @@ class TestSupportFilterCascade:
 
     def test_cascade_empties_and_raises_with_shrink_report(self):
         with pytest.raises(PreprocessError) as info:
-            iterative_support_filter(self.make_cascade(), CFG5, INDEX.reverse)
+            iterative_support_filter(self.make_cascade(), CFG5, INDEX)
         message = str(info.value)
         assert "pass 1: events 10->5, sequences 5->5, items 3->1" in message
         assert "pass 2: events 5->0, sequences 5->0, items 1->0" in message
@@ -158,7 +158,7 @@ class TestSupportFilterCascade:
     def test_cascade_per_pass_ledger_records(self):
         ledger = []
         with pytest.raises(PreprocessError):
-            iterative_support_filter(self.make_cascade(), CFG5, INDEX.reverse, provenance=ledger)
+            iterative_support_filter(self.make_cascade(), CFG5, INDEX, provenance=ledger)
         assert [r.params["iteration"] for r in ledger] == [1, 2]
         first, second = ledger
         assert (first.events_before, first.events_after) == (10, 5)
@@ -170,7 +170,7 @@ class TestSupportFilterCascade:
 
     def test_stable_input_is_fixpoint_in_one_pass(self):
         stable = table(*[seq(i, "ab") for i in range(5)])
-        dataset = iterative_support_filter(stable, CFG5, INDEX.reverse)
+        dataset = iterative_support_filter(stable, CFG5, INDEX)
         assert dataset.num_sequences == 5
         assert dataset.num_events == 10
         assert [r.step for r in dataset.provenance] == ["support_filter"]
@@ -178,8 +178,8 @@ class TestSupportFilterCascade:
 
     def test_output_index_is_compacted_and_sorted(self):
         stable = table(*[seq(i, "bf") for i in range(5)])
-        dataset = iterative_support_filter(stable, CFG5, INDEX.reverse)
-        assert dataset.item_index.reverse == ("b", "f")
+        dataset = iterative_support_filter(stable, CFG5, INDEX)
+        assert dataset.item_ids == ("b", "f")
         assert records(dataset.sequences)[0].items.tolist() == [0, 1]
         assert dataset.item_support.tolist() == [5, 5]
 
@@ -188,8 +188,8 @@ class TestSupportFilterCascade:
         # event keeps the first timestamp.
         cfg = PipelineConfig(min_seq_len=2, min_item_support=4)
         sequences = table(*[seq(i, "afab", [0, 1, 2, 3]) for i in range(3)], seq(3, "ab"))
-        dataset = iterative_support_filter(sequences, cfg, INDEX.reverse)
-        assert [spelled(s, dataset.item_index) for s in records(dataset.sequences)] == ["ab"] * 4
+        dataset = iterative_support_filter(sequences, cfg, INDEX)
+        assert [spelled(s, dataset.item_ids) for s in records(dataset.sequences)] == ["ab"] * 4
         assert records(dataset.sequences)[0].timestamps.tolist() == [0, 3]
         verify(dataset, cfg)
 
@@ -210,7 +210,7 @@ class TestSupportFilterProperties:
     def test_fixpoint_satisfies_both_constraints(self, sequences, min_support):
         cfg = PipelineConfig(min_seq_len=2, min_item_support=min_support)
         try:
-            dataset = iterative_support_filter(sequences, cfg, INDEX.reverse)
+            dataset = iterative_support_filter(sequences, cfg, INDEX)
         except PreprocessError:
             return
         verify(dataset, cfg)
@@ -222,10 +222,10 @@ class TestSupportFilterProperties:
     def test_filter_is_idempotent(self, sequences, min_support):
         cfg = PipelineConfig(min_seq_len=2, min_item_support=min_support)
         try:
-            first = iterative_support_filter(sequences, cfg, INDEX.reverse)
+            first = iterative_support_filter(sequences, cfg, INDEX)
         except PreprocessError:
             return
-        second = iterative_support_filter(first.sequences, cfg, first.item_index.reverse)
+        second = iterative_support_filter(first.sequences, cfg, first.item_ids)
         assert canonical_text(second) == canonical_text(first)
 
     @given(random_sequences(), st.integers(min_value=1, max_value=3))
@@ -234,7 +234,7 @@ class TestSupportFilterProperties:
         cfg = PipelineConfig(min_seq_len=2, min_item_support=min_support)
         ledger = []
         try:
-            iterative_support_filter(sequences, cfg, INDEX.reverse, provenance=ledger)
+            iterative_support_filter(sequences, cfg, INDEX, provenance=ledger)
         except PreprocessError:
             pass
         for record in ledger:
@@ -265,7 +265,7 @@ class TestFullPipeline:
         dataset = self.run()
         # cart event dropped, gamma below support, all five alpha-beta pairs kept
         assert dataset.num_sequences == 5
-        assert dataset.item_index.reverse == ("alpha", "beta")
+        assert dataset.item_ids == ("alpha", "beta")
         assert dataset.item_support.tolist() == [5, 5]
 
     def test_provenance_step_order(self):

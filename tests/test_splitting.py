@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recaudit.errors import SplitError
-from recaudit.events import ItemIndex
 from recaudit.splitting import (
     LeaveOneOutSelection,
     SplitSpec,
@@ -19,7 +18,7 @@ from recaudit.splitting import (
 )
 from synth import build_dataset, make_validation, matched_loo_k, records
 
-INDEX = ItemIndex.from_items("abcdefgh")
+INDEX = tuple("abcdefgh")
 DAY = 86400
 
 
@@ -30,7 +29,7 @@ def day(n, offset=0):
 def dataset(specs):
     """specs: list of (spelled_items, timestamps)."""
     return build_dataset(
-        INDEX, [([INDEX.forward[ch] for ch in word], times) for word, times in specs]
+        INDEX, [([INDEX.index(ch) for ch in word], times) for word, times in specs]
     )
 
 
@@ -56,7 +55,7 @@ class TestTimeSplit:
         data = dataset([("abc", [10, 20, 99]), ("de", [30, 40])])
         split = time_split(data, 25)
         (train_seq,) = records(split.train.sequences)
-        assert train_seq.items.tolist() == [INDEX.forward["a"], INDEX.forward["b"]]
+        assert train_seq.items.tolist() == [INDEX.index("a"), INDEX.index("b")]
         assert train_seq.timestamps.tolist() == [10, 20]
 
     def test_sequence_starting_at_boundary_belongs_to_train(self):
@@ -87,7 +86,7 @@ class TestTimeSplit:
     def test_sides_share_item_index(self):
         data = dataset([("ab", [10, 20]), ("cd", [30, 40])])
         split = time_split(data, 25)
-        assert split.train.item_index is split.test.item_index is data.item_index
+        assert split.train.item_ids is split.test.item_ids is data.item_ids
 
     def test_unseen_test_items_counted(self):
         data = dataset([("ab", [10, 20]), ("cf", [30, 40]), ("af", [33, 44])])
@@ -135,8 +134,8 @@ class TestLeaveOneOut:
         split = leave_one_out_split(data, LeaveOneOutSelection())
         (prefix,) = records(split.train.sequences)
         (target,) = records(split.test.sequences)
-        assert prefix.items.tolist() == [INDEX.forward["a"], INDEX.forward["b"]]
-        assert target.items.tolist() == [INDEX.forward["c"]]
+        assert prefix.items.tolist() == [INDEX.index("a"), INDEX.index("b")]
+        assert target.items.tolist() == [INDEX.index("c")]
         assert target.timestamps.tolist() == [3]
         assert prefix.seq_id == target.seq_id == 0
 
