@@ -61,6 +61,8 @@ PLANS = {
 
 _DELIMITER_ALIASES = {"comma": ",", "tab": "\t"}
 
+_SPLIT_WARNINGS = {STRATEGY_LOO: W_LOO_LEAKAGE, STRATEGY_RANDOM: W_RANDOM_SPLIT}
+
 _WARNING_TEXT = {
     W_LOO_LEAKAGE: (
         "leave-one-out split: test answers precede training events in time, "
@@ -330,18 +332,15 @@ def _fit_model(cfg: RunConfig, name: str, params: dict, train):
     """The one place a model is built from config and fitted."""
     if name == "external":
         return ExternalScoresModel(cfg.get("model.scores_path"), train.num_items).fit(train)
-    try:
-        model = build_model(name, **params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model.params does not fit model {name!r}: {exc}") from exc
-    return model.fit(train)
+    return build_model(name, **params).fit(train)
 
 
 def _embeddings(cfg: RunConfig, train):
     path = cfg.get("model.embeddings_path")
     if path is not None:
         return load_embeddings(path, train.item_ids)
-    return derive_embeddings(train, cfg.get("model.embedding_dim"), cfg.embedding_seed())
+    dimension, seed = cfg.get("model.embedding_dim"), cfg.get("model.embedding_seed")
+    return derive_embeddings(train, dimension, seed)
 
 
 # ---- stages: each computes, records its stats, writes its reports when the
@@ -351,8 +350,6 @@ def _embeddings(cfg: RunConfig, train):
 def _stage_ingest(ctx: _Context):
     cfg = ctx.cfg
     path = cfg.get("input.path")
-    if path is None:
-        raise ConfigError("input.path is required (set it or pass --input)")
     ctx.log = log = ingest_csv(
         path, cfg.column_mapping(), delimiter=cfg.get("input.delimiter"),
         max_reject_fraction=cfg.get("input.max_reject_fraction"),
@@ -368,7 +365,7 @@ def _stage_ingest(ctx: _Context):
         return None
     return {
         **stats,
-        "event_types": sorted(log.event_types()),
+        "event_types": list(log.event_type_ids),
         "canonical_path": ctx.write(
             "canonical_events.tsv", lambda stream: dump_canonical(log, stream)
         ),
@@ -394,14 +391,6 @@ def _stage_preprocess(ctx: _Context):
     }
 
 
-def _warn_split(ctx: _Context) -> None:
-    strategy = ctx.cfg.get("split.strategy")
-    if strategy == STRATEGY_LOO:
-        ctx.warn(W_LOO_LEAKAGE)
-    elif strategy == STRATEGY_RANDOM:
-        ctx.warn(W_RANDOM_SPLIT)
-
-
 def _stage_split(ctx: _Context):
     cfg = ctx.cfg
     try:
@@ -409,13 +398,15 @@ def _stage_split(ctx: _Context):
         window = cfg.get("split.window_days")
         if window is not None:
             split = truncate_training_window(split, window, cfg.get("split.min_seq_len"))
-        ctx.split = split
-    except (SplitError, ConfigError) as exc:
+    except SplitError as exc:
         # the diagnostics can do without a split; evaluation cannot
         if ctx.plan[-1] != "diagnose":
             raise
         ctx.note(f"split unavailable, overlap and sequentiality omitted: {exc}")
         return None
+    ctx.split = split
+    if split.spec.strategy in _SPLIT_WARNINGS:
+        ctx.warn(_SPLIT_WARNINGS[split.spec.strategy])
     if not ctx.reporting("split"):
         return None
     payload = {
@@ -427,9 +418,8 @@ def _stage_split(ctx: _Context):
     if not ctx.full_run:
         payload["train_path"] = ctx.write("train.tsv", split.train.dump_canonical)
         payload["test_path"] = ctx.write("test.tsv", split.test.dump_canonical)
-    ctx.write("split.json", payload)
-    _warn_split(ctx)
-    return ctx.embed_warnings(payload)
+    ctx.write("split.json", ctx.embed_warnings(payload))
+    return payload
 
 
 def _stage_diagnose(ctx: _Context):
@@ -445,7 +435,6 @@ def _stage_diagnose(ctx: _Context):
         ctx.note(f"skipping new_transition_rate: {exc}")
     ctx.data = None  # nor the dataset after this one: the models read the split
     if ctx.split is not None:
-        _warn_split(ctx)
         try:
             overlap = transition_overlap(ctx.split)
         except DiagnosticsError as exc:
@@ -502,7 +491,6 @@ def _stage_evaluate(ctx: _Context):
         "scored_lists_per_second": round(lists / seconds, 2) if seconds > 0 else None,
     }
     # every command that runs this stage reports it
-    _warn_split(ctx)
     if any(s.strategy != SAMPLER_NONE for s in ctx.samplers):
         ctx.warn(W_SAMPLED_METRICS)
     csv = ctx.cfg.get("output.csv")
@@ -519,12 +507,9 @@ def _stage_evaluate(ctx: _Context):
         for i in range(width)
         for j in range(i + 1, width)
     ]
-    payload = {
-        "metric": metric,
-        "reports": plain(reports),
-        "crossings": plain(crossings),
-        "warnings": ctx.manifest.warnings,
-    }
+    payload = ctx.embed_warnings(
+        {"metric": metric, "reports": plain(reports), "crossings": plain(crossings)}
+    )
     ctx.write("comparison.json", payload)
     if csv:
         ctx.write("comparison.csv", metrics_csv_text(reports))
@@ -566,6 +551,8 @@ def _run(args, argv: list[str]) -> int:
             "resolved_config": cfg.resolved(),
         })
         return 0
+    if cfg.get("input.path") is None:
+        raise ConfigError("input.path is required (set it or pass --input)")
     ctx = _Context(cfg, args, argv, names, samplers)
     manifest = ctx.manifest
     ctx.write("resolved_config.json", cfg.resolved())

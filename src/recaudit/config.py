@@ -245,31 +245,46 @@ class RunConfig:
             )
         self.check_model(v["model.name"])
         self.resolve_sampler_seeds([self.sampler_spec()])
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in v["eval.cutoffs"]):
+            raise ConfigError("eval.cutoffs must be a list of integers")
+        v["eval.master_seed"] = self._seed("eval.master_seed") or 0
         self.eval_config()
         self.pipeline_config()
         self.split_spec()
+        cutoff = v["diagnostics.verdict_cutoff"]
+        if cutoff is not None and cutoff not in v["eval.cutoffs"]:
+            raise ConfigError(
+                f"diagnostics.verdict_cutoff {cutoff} is not in eval.cutoffs {v['eval.cutoffs']}"
+            )
+        if v["model.embedding_dim"] < 1:
+            raise ConfigError(
+                f"model.embedding_dim must be at least 1, got {v['model.embedding_dim']}"
+            )
+        name, params = v["model.name"], v["model.params"]
+        if any(not isinstance(key, str) for key in params):
+            raise ConfigError("model.params keys must be strings")
+        if name != "external":
+            try:
+                MODEL_BUILDERS[name](**params)  # built, not fitted: its params are checked
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"model.params does not fit model {name!r}: {exc}") from exc
 
     # ---- domain-object builders -------------------------------------------
 
+    def _section(self, prefix: str) -> dict[str, Any]:
+        """The keys under ``prefix``, named as the fields of the object they build."""
+        return {
+            path[len(prefix) :]: value
+            for path, value in self._values.items()
+            if path.startswith(prefix)
+        }
+
     def column_mapping(self) -> ColumnMapping:
-        v = self._values
-        return ColumnMapping(
-            entity=v["input.columns.entity"],
-            item=v["input.columns.item"],
-            time=v["input.columns.time"],
-            type=v["input.columns.type"],
-        )
+        return ColumnMapping(**self._section("input.columns."))
 
     def pipeline_config(self) -> PipelineConfig:
-        v = self._values
         try:
-            return PipelineConfig(
-                keep_event_type=v["preprocess.keep_event_type"],
-                session_mode=v["preprocess.session_mode"],
-                gap_seconds=v["preprocess.gap_seconds"],
-                min_seq_len=v["preprocess.min_seq_len"],
-                min_item_support=v["preprocess.min_item_support"],
-            )
+            return PipelineConfig(**self._section("preprocess."))
         except ValueError as exc:
             raise ConfigError(f"preprocess.*: {exc}") from exc
 
@@ -304,19 +319,10 @@ class RunConfig:
             raise ConfigError(f"split.*: {exc}") from exc
 
     def eval_config(self) -> EvalConfig:
-        v = self._values
-        cutoffs = v["eval.cutoffs"]
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in cutoffs):
-            raise ConfigError("eval.cutoffs must be a list of integers")
-        master = self._seed("eval.master_seed")
-        v["eval.master_seed"] = master = 0 if master is None else master
+        fields = self._section("eval.")
+        del fields["sampler"]
         try:
-            return EvalConfig(
-                cutoffs=tuple(cutoffs),
-                tie_policy=v["eval.tie_policy"],
-                master_seed=master,
-                prefix_start=v["eval.prefix_start"],
-            )
+            return EvalConfig(**fields)
         except ValueError as exc:
             raise ConfigError(f"eval.*: {exc}") from exc
 
@@ -334,23 +340,14 @@ class RunConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"eval.sampler: {exc}") from exc
 
-    def sampling_seed(self) -> int:
-        return self._require_seed("eval.master_seed", "stochastic evaluation")
-
-    def embedding_seed(self) -> int:
-        return self._require_seed("model.embedding_seed", "deriving item embeddings")
-
     def resolve_sampler_seeds(self, samplers: list[SamplerSpec]) -> None:
         """Resolve the seeds that random ties and ``samplers`` need; raise if one is unset."""
         strategies = {sampler.strategy for sampler in samplers}
         v = self._values
         if strategies.intersection(RANDOM_SAMPLERS) or v["eval.tie_policy"] == TIE_RANDOM:
-            self.sampling_seed()
+            self._require_seed("eval.master_seed", "stochastic evaluation")
         if strategies.intersection(EMBEDDING_SAMPLERS) and v["model.embeddings_path"] is None:
-            self.embedding_seed()
+            self._require_seed("model.embedding_seed", "deriving item embeddings")
 
     def model_request(self) -> tuple[str, dict]:
-        params = self._values["model.params"]
-        if any(not isinstance(key, str) for key in params):
-            raise ConfigError("model.params keys must be strings")
-        return self._values["model.name"], dict(params)
+        return self._values["model.name"], dict(self._values["model.params"])

@@ -116,11 +116,11 @@ class SamplerSpec:
     def parse(cls, text: str) -> "SamplerSpec":
         """Parse CLI forms: ``none``, ``uniform:100``, ``uniform:0.1%``."""
         text = text.strip()
-        if text == SAMPLER_NONE:
-            return cls(strategy=SAMPLER_NONE)
         strategy, sep, amount = text.partition(":")
         if not sep:
             return cls(strategy=strategy)
+        if strategy == SAMPLER_NONE:
+            raise ValueError(f"sampler {SAMPLER_NONE!r} takes no sample size, got {text!r}")
         if amount.endswith("%"):
             return cls(strategy=strategy, sample_fraction=float(amount[:-1]) / 100.0)
         return cls(strategy=strategy, sample_count=int(amount))

@@ -183,9 +183,6 @@ class EventLog:
     def num_entities(self) -> int:
         return len(self.entity_ids)
 
-    def event_types(self) -> set[str]:
-        return set(self.event_type_ids)
-
 
 def _parse_timestamp(raw: str) -> int:
     raw = raw.strip()
@@ -243,12 +240,13 @@ def _read_rows(stream: TextIO, schema: ColumnMapping, delimiter: str | None):
     sep = delimiter if delimiter is not None else ("\t" if "\t" in first_line else ",")
     header = next(csv.reader([first_line], delimiter=sep))
     positions = {name.strip(): i for i, name in enumerate(header)}
-    for column in (schema.entity, schema.item, schema.time):
+    mapped = (schema.entity, schema.item, schema.time) + ((schema.type,) if schema.type else ())
+    for column in mapped:
         if column not in positions:
             raise IngestError(
                 f"mapped column {column!r} not found in header {sorted(positions)}"
             )
-    type_pos = positions.get(schema.type) if schema.type else None
+    type_pos = positions[schema.type] if schema.type else None
     entity_pos = positions[schema.entity]
     item_pos = positions[schema.item]
     time_pos = positions[schema.time]

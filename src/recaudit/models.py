@@ -263,11 +263,16 @@ def _whole_sequence_counts(
     3,000-item catalog makes at most 9M pairs, not 4 × 10⁸.
 
     The rows are built in blocks of consecutive items, each making at most
-    ``budget`` pairs; a single item's row that makes more is taken
-    ``budget`` pairs at a time.  The blocks fill the result in row order, so
-    the memory is the result plus a fixed amount, whatever the sequence
-    lengths.  A block with at least a quarter as many pairs as cells counts
-    them into one dense array of its cells; a sparser one sorts its keys.
+    ``budget`` pairs unless it is a single item's row that makes more.  A
+    block with at least a quarter as many pairs as cells counts them into
+    one dense array of its cells, ``budget`` pairs at a time (one
+    sequence's pairs at a time where those alone are more); a sparser one
+    makes its pairs in one call and sorts their keys.  So a single row of
+    more than ``budget`` pairs is taken in parts only while it makes at
+    least n / 4 pairs, which always holds while the catalog has at most
+    4 × ``budget`` items; a sparser row, of fewer than n / 4 pairs, is made
+    whole.  The blocks fill the result in row order, so the memory is the
+    result plus a fixed amount, whatever the sequence lengths.
 
     A sequence of length L adds at most L² to any count (c_a · c_b and
     c_a · (c_a − 1) are both at most L²), so the sum of L² over the

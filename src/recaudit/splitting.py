@@ -151,13 +151,6 @@ def _cut(table: SequenceTable, events: np.ndarray, min_seq_len: int) -> Sequence
     return table.take(events & np.repeat(whole_or_long, table.lengths))
 
 
-def _time_range(data: Dataset) -> tuple[int, int]:
-    if not data.sequences:
-        raise SplitError("cannot split an empty dataset")
-    timestamps = data.sequences.timestamps
-    return int(timestamps.min()), int(timestamps.max())
-
-
 def choose_split_time(data: Dataset, target_test_days: int) -> int:
     """Day boundary leaving the final ``target_test_days`` days as test.
 
@@ -167,7 +160,10 @@ def choose_split_time(data: Dataset, target_test_days: int) -> int:
     """
     if target_test_days < 1:
         raise SplitError("target_test_days must be at least 1")
-    first, last = _time_range(data)
+    if not data.sequences:
+        raise SplitError("cannot split an empty dataset")
+    timestamps = data.sequences.timestamps
+    first, last = int(timestamps.min()), int(timestamps.max())
     boundary = (last // SECONDS_PER_DAY + 1 - target_test_days) * SECONDS_PER_DAY
     if boundary <= first:
         raise SplitError(

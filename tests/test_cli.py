@@ -167,6 +167,19 @@ class TestIngest:
 
 
 class TestPreprocess:
+    def test_type_column_missing_from_the_header_fails_ingest(self, events_csv, tmp_path):
+        code, payload, err = run_cli(
+            ["preprocess", "--input", events_csv, "--output-dir", str(tmp_path),
+             "--type-column", "kind", "--keep-event-type", "view"]
+        )
+        assert code == 1 and payload == ""
+        assert err.splitlines() == [
+            "error in stage ingest: mapped column 'kind' not found in header "
+            "['entity', 'item', 'timestamp']"
+        ]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["error"]["stage"] == "ingest"
+
     def test_writes_provenance_and_dataset(self, events_csv, tmp_path):
         code, payload, _ = run_cli(
             ["preprocess", "--input", events_csv, "--output-dir", str(tmp_path)]
@@ -215,6 +228,24 @@ class TestSplit:
             assert "W-RANDOM-SPLIT: " in err
         written = json.loads((tmp_path / "diagnose" / "diagnostics.json").read_text())
         assert warning_codes(written) == ["W-RANDOM-SPLIT"]
+
+    @pytest.mark.parametrize(
+        "strategy, codes",
+        [
+            (("--strategy", "time", "--test-days", "1"), []),
+            (("--strategy", "loo", "--selection", "most_recent:1"), ["W-LOO-LEAKAGE"]),
+            (("--strategy", "random", "--fraction", "0.2", "--split-seed", "5"),
+             ["W-RANDOM-SPLIT"]),
+        ],
+        ids=["time", "loo", "random"],
+    )
+    def test_split_json_is_what_split_prints(self, events_csv, tmp_path, strategy, codes):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["split", "--input", events_csv, "--output-dir", str(tmp_path), *strategy])
+        assert code == (2 if codes else 0)
+        assert (tmp_path / "split.json").read_text(encoding="utf-8") == out.getvalue()
+        assert warning_codes(json.loads(out.getvalue())) == codes
 
     def test_random_split_without_seed_fails(self, events_csv, tmp_path):
         code, _, err = run_cli(
@@ -475,9 +506,12 @@ class TestCompare:
             ("markov", "none,uniform:10%, uniform:10.0%",
              "error: --samplers lists 'uniform:10%' twice"),
             ("markov", "none,none", "error: --samplers lists 'none' twice"),
+            ("markov", "none,none:5",
+             "error: --samplers: sampler 'none' takes no sample size, got 'none:5'"),
         ],
         ids=["unknown-model", "repeated-model", "repeated-model-spaced",
-             "sampler-default-count", "sampler-percent-spelling", "repeated-none"],
+             "sampler-default-count", "sampler-percent-spelling", "repeated-none",
+             "none-with-size"],
     )
     def test_bad_grid_is_rejected_before_any_stage(
         self, events_csv, tmp_path, models, samplers, message, dry_run
@@ -1181,20 +1215,34 @@ class TestStageRunner:
         for path in manifest["report_paths"].values():
             assert os.path.exists(path), path
 
+    # the training window's settings and every other setting a stage reads:
+    # each is checked before the first stage, whether or not the command uses it
     @pytest.mark.parametrize("command", sorted(PLANNED))
     @pytest.mark.parametrize(
-        "split, message",
+        "sections, message",
         [
-            ({"window_days": 0}, "error: split.window_days must be at least 1"),
-            ({"strategy": "loo", "window_days": 3},
+            ({"split": {"window_days": 0}}, "error: split.window_days must be at least 1"),
+            ({"split": {"strategy": "loo", "window_days": 3}},
              "error: split.window_days needs the time split strategy"),
+            ({"model": {"params": {"bogus": 1}}},
+             "error: model.params does not fit model 'markov': "
+             "MarkovModel.__init__() got an unexpected keyword argument 'bogus'"),
+            ({"diagnostics": {"verdict_cutoff": 7}},
+             "error: diagnostics.verdict_cutoff 7 is not in eval.cutoffs [1, 5, 10, 20]"),
+            ({"model": {"embedding_dim": 0}},
+             "error: model.embedding_dim must be at least 1, got 0"),
+            ({"input": {"path": None}},
+             "error: input.path is required (set it or pass --input)"),
+            ({"eval": {"sampler": "none:5"}},
+             "error: eval.sampler: sampler 'none' takes no sample size, got 'none:5'"),
         ],
-        ids=["zero-days", "loo-window"],
+        ids=["zero-days", "loo-window", "model-params", "verdict-cutoff", "embedding-dim",
+             "no-input", "none-with-size"],
     )
     def test_bad_training_window_is_rejected_before_any_stage(
-        self, events_csv, tmp_path, command, split, message
+        self, events_csv, tmp_path, command, sections, message
     ):
-        config = write_config(tmp_path, input={"path": events_csv}, split=split)
+        config = write_config(tmp_path, **{"input": {"path": events_csv}, **sections})
         code, payload, err = run_cli(
             [command, "--config", config, "--output-dir", str(tmp_path / "out"),
              *command_args(command)]

@@ -174,6 +174,11 @@ class TestSamplerSpec:
         with pytest.raises(ValueError):
             SamplerSpec(strategy="uniform", sample_fraction=1.5)
 
+    @pytest.mark.parametrize("text", ["none:5", "none:5%", "none:"])
+    def test_full_ranking_takes_no_sample_size(self, text):
+        with pytest.raises(ValueError, match="takes no sample size"):
+            SamplerSpec.parse(text)
+
 
 class TestSampleNegatives:
     SUPPORT = np.array([9, 5, 1, 3, 7, 2, 4, 6], dtype=np.int64)

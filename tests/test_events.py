@@ -54,7 +54,7 @@ class TestIngestBasics:
         log = ingest_csv(io.StringIO(text), MAPPING_TYPED)
         kinds = [e.event_type for e in groups_of(log)["u1"]]
         assert kinds == ["click", None, "buy"]
-        assert log.event_types() == {"click", "buy"}
+        assert log.event_type_ids == ("buy", "click")
 
     def test_tab_delimiter_autodetected(self):
         text = "user\titem\tts\nu1\ta\t5\n"
