@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,23 +94,29 @@ class EvalConfig:
 class SamplerSpec:
     """Which negatives to rank the target against, and how many.
 
-    ``sample_count`` is an absolute size; ``sample_fraction`` expresses it as
-    a share of the catalog instead and is resolved per dataset.
+    ``sample_count`` is an absolute size, 100 unless given; ``sample_fraction``
+    expresses it as a share of the catalog instead and is resolved per
+    dataset.  Full ranking (``none``) takes neither.
     """
 
     strategy: str = SAMPLER_NONE
-    sample_count: int = 100
+    sample_count: int | None = None
     sample_fraction: float | None = None
 
     def __post_init__(self) -> None:
         if self.strategy not in SAMPLER_STRATEGIES:
             raise ValueError(f"unknown sampler strategy {self.strategy!r}")
-        if self.strategy != SAMPLER_NONE:
-            if self.sample_fraction is not None:
-                if not 0 < self.sample_fraction < 1:
-                    raise ValueError("sample_fraction must be in (0, 1)")
-            elif self.sample_count < 1:
-                raise ValueError("sample_count must be at least 1")
+        if self.strategy == SAMPLER_NONE:
+            if self.sample_count is not None or self.sample_fraction is not None:
+                raise ValueError(f"sampler {SAMPLER_NONE!r} takes no sample size")
+            return
+        if self.sample_count is None:
+            object.__setattr__(self, "sample_count", 100)
+        if self.sample_fraction is not None:
+            if not 0 < self.sample_fraction < 1:
+                raise ValueError("sample_fraction must be in (0, 1)")
+        elif self.sample_count < 1:
+            raise ValueError("sample_count must be at least 1")
 
     @classmethod
     def parse(cls, text: str) -> "SamplerSpec":
@@ -259,41 +265,110 @@ _SUCCESSIVE_ROUNDS = 4
 
 
 def _successive_sample(
-    weights: np.ndarray, count: int, rng: np.random.Generator
+    locate: Callable[[np.ndarray], np.ndarray],
+    total: float,
+    positive: int,
+    count: int,
+    rng: np.random.Generator,
+    weights: Callable[[], np.ndarray],
 ) -> np.ndarray:
     """``count`` distinct items drawn one after another in proportion to weight.
 
-    Draws with replacement through the cumulative table and keeps first
-    occurrences in draw order: that is successive sampling without
-    replacement, zero weights never drawn.  Whatever a few rounds leave
-    short is finished with exponential keys over the items not yet chosen,
-    the exact conditional law of the rest of a successive sample.
-    ``weights`` is non-negative and is overwritten.
+    ``locate`` maps points of [0, ``total``) to items through the cumulative
+    weights, each item owning the interval its weight spans, so that a zero
+    weight is never drawn; ``positive`` items have weight.  Draws with
+    replacement and keeps first occurrences in draw order: that is successive
+    sampling without replacement.  Whatever a few rounds leave short is
+    finished with exponential keys over the items not yet chosen, the exact
+    conditional law of the rest of a successive sample; only then is the
+    weight array built, by ``weights()``, which returns one the draw may
+    overwrite.
     """
-    positive = int(np.count_nonzero(weights))
     if positive < count:
         raise EvaluationError(
             f"only {positive} items have positive sampling weight, need {count}"
         )
-    cumulative = np.cumsum(weights)
-    # u * total < total for u in [0, 1), so no draw lands past the last
-    # positive weight, and side="right" skips every zero-width interval
-    total = cumulative[-1]
     chosen = np.empty(0, dtype=np.intp)
     for _ in range(_SUCCESSIVE_ROUNDS):
         need = count - len(chosen)
         # an eighth more than needed, so that repeats rarely force another round
-        draws = np.searchsorted(
-            cumulative, rng.random(need + need // 8 + 1) * total, side="right"
-        )
+        draws = locate(rng.random(need + need // 8 + 1) * total)
         pool = np.concatenate((chosen, draws))
         _, first = np.unique(pool, return_index=True)
         chosen = pool[np.sort(first)[:count]]
         if len(chosen) == count:
             return chosen
-    weights[chosen] = 0.0
-    rest = _weighted_without_replacement(weights, count - len(chosen), rng)
+    rest_weights = weights()
+    rest_weights[chosen] = 0.0
+    rest = _weighted_without_replacement(rest_weights, count - len(chosen), rng)
     return np.concatenate((chosen, rest))
+
+
+def _weighted_sample(
+    weights: np.ndarray, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Successive sample by the non-negative ``weights``, which it may overwrite."""
+    cumulative = np.cumsum(weights)
+    # u * total < total for u in [0, 1), so no draw lands past the last
+    # positive weight, and side="right" skips every zero-width interval
+    return _successive_sample(
+        lambda points: np.searchsorted(cumulative, points, side="right"),
+        cumulative[-1],
+        int(np.count_nonzero(weights)),
+        count,
+        rng,
+        lambda: weights,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _PopularityTable:
+    """The cumulative ``support`` that every ``popularity`` draw of a pass reads.
+
+    Supports are integer counts of training events, far fewer than 2⁵³, so
+    every entry of ``cumulative`` is an exact float64 integer.
+    """
+
+    support: np.ndarray
+    cumulative: np.ndarray
+    positive: int  # items of positive support
+
+    @classmethod
+    def of(cls, support: np.ndarray) -> "_PopularityTable":
+        return cls(support, np.cumsum(support, dtype=np.float64), int(np.count_nonzero(support)))
+
+
+def _popularity_sample(
+    table: _PopularityTable, target: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The successive sample in proportion to support, the target excluded.
+
+    It draws the items :func:`_weighted_sample` draws from the support with
+    the target's weight w zeroed, without that table: the zeroed table is
+    ``cumulative`` before the target and ``cumulative - w`` from it on, all
+    integers.  A point x lies past an integer entry exactly when floor(x)
+    does, and floor(x) reaches the shifted entries exactly when it is at
+    least the entry before the target, so x falls in the interval of
+    ``searchsorted(cumulative, floor(x) + w·[floor(x) ≥ cumulative[t−1]],
+    "right")``, with cumulative[−1] read as 0.
+    """
+    cumulative = table.cumulative
+    weight = float(table.support[target])
+    before = cumulative[target - 1] if target else 0.0
+
+    def locate(points: np.ndarray) -> np.ndarray:
+        floors = np.floor(points)
+        floors[floors >= before] += weight
+        return np.searchsorted(cumulative, floors, side="right")
+
+    def weights() -> np.ndarray:
+        zeroed = table.support.astype(np.float64)
+        zeroed[target] = 0.0
+        return zeroed
+
+    return _successive_sample(
+        locate, cumulative[-1] - weight, table.positive - (weight > 0), count, rng, weights
+    )
 
 
 def _top_by_value(values: np.ndarray, count: int, target: int) -> np.ndarray:
@@ -324,7 +399,10 @@ def sample_negatives(
     index tie-breaks); the others draw through ``rng``: ``uniform`` without
     replacement over the catalog minus the target, ``popularity`` and
     ``inverse_popularity`` successively in proportion to support or its
-    inverse, the target excluded.
+    inverse, the target excluded.  Inside :func:`compute_case_ranks`,
+    ``popularity`` reads the pass's one cumulative table when handed the
+    pass's own ``support`` array; any other call builds that table itself
+    and draws the same items.
     """
     count = spec.resolve_count(catalog_size)
     strategy = spec.strategy
@@ -333,14 +411,16 @@ def sample_negatives(
         negatives = rng.choice(catalog_size - 1, size=count, replace=False, shuffle=False)
         negatives += negatives >= target
         return negatives
-    if strategy in (SAMPLER_POPULARITY, SAMPLER_INVERSE_POPULARITY):
-        if strategy == SAMPLER_POPULARITY:
-            weights = support.astype(np.float64)
-        else:
-            weights = np.zeros(catalog_size)
-            np.divide(1.0, support, out=weights, where=support > 0)
+    if strategy == SAMPLER_POPULARITY:
+        table = _PASS[-1].popularity if _PASS else None
+        if table is None or table.support is not support:
+            table = _PopularityTable.of(support)
+        return _popularity_sample(table, target, count, rng)
+    if strategy == SAMPLER_INVERSE_POPULARITY:
+        weights = np.zeros(catalog_size)
+        np.divide(1.0, support, out=weights, where=support > 0)
         weights[target] = 0.0
-        return _successive_sample(weights, count, rng)
+        return _weighted_sample(weights, count, rng)
     if strategy == SAMPLER_TOP_POPULAR:
         return _top_by_value(support.astype(np.float64), count, target)
     if strategy in EMBEDDING_SAMPLERS:
@@ -417,11 +497,13 @@ def _rank_case_range(
     """Ranks of cases ``start:stop`` as a (models, samplers, cases) block.
 
     Each model scores the block's scoreable cases as one stream from its
-    :meth:`~RecommenderModel.score_cases` hook.  Each sampler builds the
-    case's generator once and draws its negatives once; with random ties
-    every model ranks from the generator's state right after that draw,
-    restored between models, so each cell sees the draws a fresh generator
-    would give it.
+    :meth:`~RecommenderModel.score_cases` hook.  Each case builds one
+    generator, and every sampler starts from that generator's fresh state:
+    it is kept after the build and restored before each sampler after the
+    first.  Each sampler draws its negatives once; with random ties every
+    model ranks from the generator's state right after that draw, restored
+    between models, so each cell sees the draws a generator built for it
+    alone would give it.
     """
     ranks = np.full((len(models), len(samplers), stop - start), -1, dtype=np.int64)
     restore = cfg.tie_policy == TIE_RANDOM and len(models) > 1
@@ -431,8 +513,11 @@ def _rank_case_range(
         rows.tolist(), cases.targets[rows].tolist(), *streams
     ):
         offset = case_index - start
+        rng = case_rng(cfg.master_seed, case_index)
+        fresh = rng.bit_generator.state if len(samplers) > 1 else None
         for s, (sampler, fixed) in enumerate(zip(samplers, fixed_candidates)):
-            rng = case_rng(cfg.master_seed, case_index)
+            if s:
+                rng.bit_generator.state = fresh
             if sampler.strategy == SAMPLER_NONE:
                 candidates = None
             elif fixed is not None:
@@ -451,9 +536,24 @@ def _rank_case_range(
     return ranks
 
 
-# (models, cases, the rest of _rank_case_range's arguments) while a fork pool
-# runs: the workers inherit it through the fork instead of unpickling it
-_FORK_STATE: list[tuple] = []
+@dataclass(frozen=True, eq=False)
+class _Pass:
+    """What every block of the evaluation pass in progress shares.
+
+    ``args`` are the rest of :func:`_rank_case_range`'s arguments, and
+    ``popularity`` is the table of their support when a sampler draws by
+    popularity.  Fork-pool workers inherit the pass through the fork instead
+    of unpickling it.
+    """
+
+    models: list[RecommenderModel]
+    cases: CaseTable
+    args: tuple
+    popularity: _PopularityTable | None
+
+
+# the pass compute_case_ranks is running, while it runs
+_PASS: list[_Pass] = []
 
 
 def _usable_cpus() -> int:
@@ -477,8 +577,8 @@ def _fork_pool(workers: int):
 
 def _forked_rank_range(bounds: tuple[int, int]) -> tuple[int, np.ndarray]:
     start, stop = bounds
-    models, cases, args = _FORK_STATE[0]
-    return start, _rank_case_range(models, cases, start, stop, *args)
+    current = _PASS[-1]
+    return start, _rank_case_range(current.models, current.cases, start, stop, *current.args)
 
 
 def _fixed_candidates(
@@ -516,6 +616,8 @@ def compute_case_ranks(
     case blocks and the parent reassembles them by position.  The pool never
     holds more processes than there are blocks or CPUs this process may run
     on: a fork pool starts all of its processes at once, whatever the work.
+    While it runs, the pass is in the ``_PASS`` slot: the fork hands it to
+    the workers, and ``popularity`` draws read its one cumulative table.
     """
     support = split.train.item_support
     scoreable = support > 0
@@ -524,22 +626,23 @@ def compute_case_ranks(
         for sampler in samplers
     ]
     args = (cfg, samplers, support, embeddings, scoreable, fixed_candidates)
+    by_popularity = any(sampler.strategy == SAMPLER_POPULARITY for sampler in samplers)
+    popularity = _PopularityTable.of(support) if by_popularity else None
 
     workers = min(workers, _usable_cpus())
-    if workers <= 1 or len(cases) < 2:
-        return _rank_case_range(models, cases, 0, len(cases), *args)
-
-    ranks = np.empty((len(models), len(samplers), len(cases)), dtype=np.int64)
-    chunk = max(1, math.ceil(len(cases) / (workers * 4)))
-    bounds = [(lo, min(lo + chunk, len(cases))) for lo in range(0, len(cases), chunk)]
-    _FORK_STATE.append((models, cases, args))
+    _PASS.append(_Pass(models, cases, args, popularity))
     try:
+        if workers <= 1 or len(cases) < 2:
+            return _rank_case_range(models, cases, 0, len(cases), *args)
+        ranks = np.empty((len(models), len(samplers), len(cases)), dtype=np.int64)
+        chunk = max(1, math.ceil(len(cases) / (workers * 4)))
+        bounds = [(lo, min(lo + chunk, len(cases))) for lo in range(0, len(cases), chunk)]
         with _fork_pool(min(workers, len(bounds))) as pool:
             for start, block in pool.map(_forked_rank_range, bounds):
                 ranks[:, :, start : start + block.shape[2]] = block
+        return ranks
     finally:
-        _FORK_STATE.clear()
-    return ranks
+        _PASS.pop()
 
 
 def metrics_from_ranks(ranks: np.ndarray, cutoffs: tuple[int, ...]):

@@ -486,6 +486,14 @@ class SessionKNNModel(RecommenderModel):
     neighbors' items in neighbor order.  That multiplies the same floats and
     accumulates them in the same order as adding one neighbor at a time, so
     the scores are bit-identical to that loop.
+
+    :meth:`score_cases` walks nested prefixes as cooccurrence's does.  A
+    chain starts with :meth:`score_all`; only when a later row extends the
+    prefix does the chain count its prefix into one dense per-session
+    overlap array and list the sessions hit.  Each new distinct item then
+    adds its incidence row, its newly hit sessions join the candidates, and
+    the same vote as :meth:`score_all`'s runs on them.  A row that adds no
+    new distinct item yields the previous vector again.
     """
 
     def __init__(self, k: int = 100, sample_size: int = 1000, decay: str = "linear") -> None:
@@ -554,16 +562,68 @@ class SessionKNNModel(RecommenderModel):
         if len(sessions) == 0:
             return self.fallback_.copy()
         candidates, overlap = np.unique(sessions, return_counts=True)
+        return self._vote(candidates, overlap, len(distinct))
+
+    def _vote(self, candidates: np.ndarray, overlap: np.ndarray, distinct: int) -> np.ndarray:
+        """Scores from the sessions sharing an item with a prefix of ``distinct`` distinct items.
+
+        ``overlap`` holds each candidate's shared items.  The candidates may
+        come in any order: recency ranks are distinct, so the sample and the
+        neighbor order depend only on the set.
+        """
         recency = self.recency_[candidates]
         if len(candidates) > self.sample_size:
             recent = np.argpartition(recency, self.sample_size - 1)[: self.sample_size]
             candidates, overlap, recency = candidates[recent], overlap[recent], recency[recent]
-        similarity = overlap / np.sqrt(self.distinct_counts_[candidates] * len(distinct))
+        similarity = overlap / np.sqrt(self.distinct_counts_[candidates] * distinct)
         best = np.lexsort((recency, -similarity))[: self.k]
         at, lengths = _row_positions(self.offsets_, candidates[best])
         votes = np.repeat(similarity[best], lengths) * self.weights_[at]
         # every vote is positive, so the scores are never all zero
         return np.bincount(self.items_[at], weights=votes, minlength=len(self.fallback_))
+
+    def score_cases(self, cases: "CaseTable", rows: np.ndarray) -> Iterator[np.ndarray]:
+        _require_fitted(self.items_)
+        indptr, incidence = self.incidence_indptr_, self.incidence_sessions_
+        items = cases.items
+        rows = np.asarray(rows, dtype=np.int64)
+        fallback = self.fallback_.view()
+        fallback.flags.writeable = False
+        overlap = np.zeros(len(self.recency_), dtype=np.int32)
+        candidates = np.empty(0, dtype=incidence.dtype)
+        seen: set[int] | None = None  # the chain's distinct items, once it has state
+        start = stop = -1
+        for lo, hi in zip(cases.starts[rows].tolist(), cases.stops[rows].tolist()):
+            if lo != start or hi < stop:
+                scores = self.score_all(items[lo:hi])
+                scores.flags.writeable = False
+                seen = None
+            else:
+                if seen is None:  # the chain's first extension: count its whole prefix
+                    overlap[candidates] = 0
+                    candidates = candidates[:0]
+                    seen = set()
+                    fresh = items[lo:hi]
+                else:
+                    fresh = items[stop:hi]
+                added = [code for code in dict.fromkeys(fresh.tolist()) if code not in seen]
+                # a prefix's scores depend on its distinct items only
+                if added:
+                    seen.update(added)
+                    joined = [candidates]
+                    for code in added:
+                        row = incidence[indptr[code] : indptr[code + 1]]
+                        joined.append(row[overlap[row] == 0])
+                        # a row's sessions are distinct, so one fancy add is exact
+                        overlap[row] += 1
+                    candidates = np.concatenate(joined)
+                    if len(candidates):
+                        scores = self._vote(candidates, overlap[candidates], len(seen))
+                        scores.flags.writeable = False
+                    else:
+                        scores = fallback
+            start, stop = lo, hi
+            yield scores
 
 
 MODEL_BUILDERS = {

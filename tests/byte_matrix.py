@@ -121,6 +121,11 @@ def invocations() -> dict[str, tuple[str, tuple[str, ...]]]:
             "--samplers", "similar_embedding:50,farthest_embedding:50,uniform:50",
             "--tie-policy", "pessimistic", "--seed", "4", "--metric", "mrr",
         )),
+        # session_knn where every case starts a chain
+        "compare-loo-session-knn": (compare, (
+            "compare", *LOO, "--models", "markov,session_knn",
+            "--samplers", "none,popularity:100", "--tie-policy", "random", "--seed", "5",
+        )),
         "compare-least-similar": (audit, (
             "compare", *TIME, "--models", "markov,session_knn",
             "--samplers", "least_similar_embedding:20,inverse_popularity:1%", "--seed", "8",

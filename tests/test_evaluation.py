@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from recaudit import evaluation
@@ -179,6 +179,102 @@ class TestSamplerSpec:
         with pytest.raises(ValueError, match="takes no sample size"):
             SamplerSpec.parse(text)
 
+    @pytest.mark.parametrize("size", [{"sample_count": 5}, {"sample_fraction": 0.1}])
+    def test_full_ranking_built_directly_takes_no_sample_size(self, size):
+        # else two full-ranking cells of one grid would share the label "none"
+        with pytest.raises(ValueError, match="takes no sample size"):
+            SamplerSpec("none", **size)
+
+    def test_sample_count_defaults_to_100_for_sampled_strategies(self):
+        assert SamplerSpec().sample_count is None
+        assert SamplerSpec("uniform") == SamplerSpec("uniform", sample_count=100)
+        assert hash(SamplerSpec("uniform")) == hash(SamplerSpec.parse("uniform:100"))
+        fraction = SamplerSpec("popularity", sample_fraction=0.1)
+        assert fraction.sample_count == 100 and fraction.describe() == "popularity:10%"
+
+
+def reference_popularity_sample(support, target, count, rng):
+    """``popularity`` as one call draws it: through its own target-zeroed table."""
+    weights = support.astype(np.float64)
+    weights[target] = 0.0
+    cumulative = np.cumsum(weights)
+    chosen = np.empty(0, dtype=np.intp)
+    for _ in range(evaluation._SUCCESSIVE_ROUNDS):
+        need = count - len(chosen)
+        draws = np.searchsorted(
+            cumulative, rng.random(need + need // 8 + 1) * cumulative[-1], side="right"
+        )
+        pool = np.concatenate((chosen, draws))
+        _, first = np.unique(pool, return_index=True)
+        chosen = pool[np.sort(first)[:count]]
+        if len(chosen) == count:
+            return chosen
+    weights[chosen] = 0.0
+    rest = evaluation._weighted_without_replacement(weights, count - len(chosen), rng)
+    return np.concatenate((chosen, rest))
+
+
+def assert_popularity_draws_agree(support, target, count, rng):
+    """The pass table's draw, the reference and an out-of-pass call agree in bytes."""
+    state = rng.bit_generator.state
+    rngs = [np.random.default_rng() for _ in range(3)]
+    for generator in rngs:
+        generator.bit_generator.state = state
+    table = evaluation._PopularityTable.of(support)
+    spec = SamplerSpec(strategy="popularity", sample_count=count)
+    drawn = [
+        evaluation._popularity_sample(table, target, count, rngs[0]),
+        reference_popularity_sample(support, target, count, rngs[1]),
+        sample_negatives(spec, target, len(support), support, None, rngs[2]),
+    ]
+    assert drawn[0].tolist() == drawn[1].tolist() == drawn[2].tolist()
+    assert drawn[0].dtype == drawn[1].dtype == drawn[2].dtype
+    states = [generator.bit_generator.state for generator in rngs]
+    assert states[0] == states[1] == states[2]
+
+
+class TestPopularityTable:
+    """One cumulative table per pass draws what a table per call draws."""
+
+    @given(
+        support=st.lists(st.integers(0, 9), min_size=2, max_size=40),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pass_table_draw_equals_per_call_draw(self, support, data, seed):
+        support = np.array(support, dtype=np.int64)
+        last = len(support) - 1
+        target = data.draw(
+            st.one_of(st.just(0), st.just(last), st.integers(0, last)), label="target"
+        )
+        if support[target] and data.draw(st.booleans(), label="zero target"):
+            support[target] = 0
+        positive = int(np.count_nonzero(support)) - (support[target] > 0)
+        assume(positive >= 1)
+        count = data.draw(st.integers(1, positive), label="count")
+        assert_popularity_draws_agree(support, target, count, case_rng(seed, target))
+
+    def test_one_table_per_pass(self, grid_inputs, monkeypatch):
+        split, models, _ = grid_inputs
+        fitted = list(models.values())
+        built = []
+        build = evaluation._PopularityTable.of
+        monkeypatch.setattr(
+            evaluation._PopularityTable, "of", lambda support: built.append(1) or build(support)
+        )
+        cfg = EvalConfig(tie_policy="random", master_seed=3)
+        samplers = [SamplerSpec.parse("popularity:5"), SamplerSpec.parse("uniform:5")]
+        cases = enumerate_cases(split)
+        whole = compute_case_ranks(fitted, cases, split, cfg, samplers)
+        assert built == [1] and not evaluation._PASS
+        # outside a pass every draw builds its own table, and ranks the same
+        support = split.train.item_support
+        args = (cfg, samplers, support, None, support > 0, [None, None])
+        alone = evaluation._rank_case_range(fitted, cases, 0, len(cases), *args)
+        assert alone.tolist() == whole.tolist()
+        assert len(built) == 1 + np.count_nonzero(support[cases.targets] > 0)
+
 
 class TestSampleNegatives:
     SUPPORT = np.array([9, 5, 1, 3, 7, 2, 4, 6], dtype=np.int64)
@@ -234,6 +330,22 @@ class TestSampleNegatives:
             counts[sample_negatives(spec, 3, 4, support, None, rng)[0]] += 1
         assert counts[2] == 0  # zero support, never drawn
         assert counts[1] > counts[0]
+
+    @pytest.mark.parametrize("target", [0, 2, 5])
+    def test_keyed_finish_draws_as_the_per_call_table(self, target, monkeypatch):
+        # one heavy item: four rounds rarely find the light ones, so keys finish
+        support = np.array([0, 1, 1, 1, 0, 1], dtype=np.int64)
+        support[(target + 1) % 6] = 5000
+        keyed = []
+        keys = evaluation._weighted_without_replacement
+        monkeypatch.setattr(
+            evaluation, "_weighted_without_replacement",
+            lambda *args: keyed.append(1) or keys(*args),
+        )
+        count = int(np.count_nonzero(support)) - (support[target] > 0)
+        for case in range(20):
+            assert_popularity_draws_agree(support, target, count, case_rng(4, case))
+        assert len(keyed) > 20
 
     def test_weighted_pool_too_small_is_an_error(self):
         support = np.array([4, 0, 0, 0], dtype=np.int64)
@@ -576,7 +688,8 @@ class TestGridEvaluation:
         assert len(indices) < len(cases)
         for name in models:
             assert scored[name] == Counter(indices), name
-        assert rngs == Counter({i: len(GRID_SAMPLERS) for i in indices})
+        # one generator per case, its fresh state restored for each later sampler
+        assert rngs == Counter({i: 1 for i in indices})
         # random samplers draw per case, deterministic ones once per distinct target
         assert draws == {
             "uniform": len(indices),

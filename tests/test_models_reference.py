@@ -445,6 +445,43 @@ class TestScoreCasesHook:
         assert yielded == len(rows)
         assert model.fallback_.tolist() == fallback
 
+    @given(
+        sessions=sessions_strategy,
+        table=case_rows(),
+        k=st.sampled_from([1, 3, 100]),
+        sample_size=st.sampled_from([1, 2, 1000]),
+        decay=st.sampled_from(["linear", "none"]),
+    )
+    @example(  # a chain of untrained items, then repeats; a second chain reuses the counts
+        sessions=[([0, 1, 2], 0), ([1, 3], 1), ([2, 0, 4], 2)],
+        table=(
+            CaseTable(
+                items=np.array([6, 7, 6, 0, 0, 1, 2, 6, 4, 3], dtype=np.int32),
+                starts=np.array([0, 0, 0, 0, 0, 0, 5, 5, 5], dtype=np.int64),
+                stops=np.array([1, 2, 3, 4, 5, 7, 6, 8, 10], dtype=np.int64),
+                targets=np.zeros(9, dtype=np.int64),
+            ),
+            np.arange(9),
+        ),
+        k=3,
+        sample_size=2,
+        decay="linear",
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_session_knn_walk_equals_score_all(self, sessions, table, k, sample_size, decay):
+        cases, rows = table
+        model = SessionKNNModel(k=k, sample_size=sample_size, decay=decay)
+        model.fit(make_dataset(sessions))
+        fallback = model.fallback_.tolist()
+        yielded = 0
+        for row, scores in zip(rows.tolist(), model.score_cases(cases, rows)):
+            prefix = cases.items[cases.starts[row] : cases.stops[row]]
+            assert scores.tolist() == model.score_all(prefix).tolist(), row
+            assert not scores.flags.writeable
+            yielded += 1
+        assert yielded == len(rows)
+        assert model.fallback_.tolist() == fallback
+
     @given(table=case_rows(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_default_hook_replays_external_rows_by_case(self, table, seed):
