@@ -1,3 +1,3 @@
 """Offline-evaluation harness and audit toolkit for next-item recommenders."""
 
-__version__ = "0.3.1"
+__version__ = "0.4.0"

@@ -245,8 +245,11 @@ class SequentialityReport:
     """Order-aware vs order-agnostic baseline on identical data.
 
     ``relative_change_*`` maps each cutoff to (agnostic - aware) / aware;
-    negative values mean discarding order hurt.  The verdict threshold is a
-    knob, not a constant of nature.
+    negative values mean discarding order hurt.  The verdict is
+    ``sequential_signal`` only when the order-aware model wins, the relative
+    recall change at the verdict cutoff being at most ``-verdict_threshold``;
+    a tie, or an order-agnostic model that wins, reads as a weak signal.
+    The verdict threshold is a knob, not a constant of nature.
     """
 
     cutoffs: tuple[int, ...]
@@ -298,9 +301,9 @@ def sequentiality_probe(
         raise DiagnosticsError(f"verdict cutoff {chosen} is not in {cutoffs}")
     probe = rel_recall[chosen]
     verdict = (
-        VERDICT_WEAK
-        if probe is None or abs(probe) < verdict_threshold
-        else VERDICT_PRESENT
+        VERDICT_PRESENT
+        if probe is not None and probe <= -verdict_threshold
+        else VERDICT_WEAK
     )
     return SequentialityReport(
         cutoffs=cutoffs,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +63,11 @@ EMBEDDING_SAMPLERS = (
 # strategies whose candidate set depends only on the target, not the rng
 DETERMINISTIC_SAMPLERS = (SAMPLER_TOP_POPULAR,) + EMBEDDING_SAMPLERS
 
+# strategies that draw in proportion to a weight per item
+WEIGHTED_SAMPLERS = (SAMPLER_POPULARITY, SAMPLER_INVERSE_POPULARITY)
+
 # strategies that draw their candidates from the case's generator
-RANDOM_SAMPLERS = (SAMPLER_UNIFORM, SAMPLER_POPULARITY, SAMPLER_INVERSE_POPULARITY)
+RANDOM_SAMPLERS = (SAMPLER_UNIFORM,) + WEIGHTED_SAMPLERS
 
 
 @dataclass(frozen=True)
@@ -259,116 +262,70 @@ def _weighted_without_replacement(
     return np.argpartition(keys, count - 1)[:count]
 
 
+@dataclass(frozen=True, eq=False)
+class _WeightTable:
+    """The weights a weighted strategy draws by, over the whole catalog.
+
+    ``popularity`` weighs an item by its training support, ``inverse_popularity``
+    by the inverse of it; an item of zero support weighs nothing either way.
+    """
+
+    weights: np.ndarray
+    cumulative: np.ndarray
+    positive: int  # items of positive weight
+
+    @classmethod
+    def of(cls, strategy: str, support: np.ndarray) -> "_WeightTable":
+        if strategy == SAMPLER_POPULARITY:
+            weights = support.astype(np.float64)
+        else:
+            weights = np.zeros(len(support))
+            np.divide(1.0, support, out=weights, where=support > 0)
+        return cls(weights, np.cumsum(weights), int(np.count_nonzero(weights)))
+
+
 # rounds of with-replacement draws before the rest of a weighted sample is
 # keyed; enough that only weight piled on a few items reaches the keys
 _SUCCESSIVE_ROUNDS = 4
 
 
 def _successive_sample(
-    locate: Callable[[np.ndarray], np.ndarray],
-    total: float,
-    positive: int,
-    count: int,
-    rng: np.random.Generator,
-    weights: Callable[[], np.ndarray],
+    table: _WeightTable, target: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``count`` distinct items drawn one after another in proportion to weight.
+    """``count`` distinct items other than ``target``, drawn one after another
+    in proportion to weight.
 
-    ``locate`` maps points of [0, ``total``) to items through the cumulative
-    weights, each item owning the interval its weight spans, so that a zero
-    weight is never drawn; ``positive`` items have weight.  Draws with
-    replacement and keeps first occurrences in draw order: that is successive
-    sampling without replacement.  Whatever a few rounds leave short is
-    finished with exponential keys over the items not yet chosen, the exact
-    conditional law of the rest of a successive sample; only then is the
-    weight array built, by ``weights()``, which returns one the draw may
-    overwrite.
+    Draws with replacement from the whole table and keeps first occurrences
+    in draw order, dropping the target as it drops repeats: that is
+    successive sampling without replacement over the catalog minus the
+    target.  Whatever a few rounds leave short is finished with exponential
+    keys over the items not yet chosen, the exact conditional law of the
+    rest of a successive sample.
     """
+    positive = table.positive - bool(table.weights[target] > 0)
     if positive < count:
         raise EvaluationError(
             f"only {positive} items have positive sampling weight, need {count}"
         )
+    cumulative = table.cumulative
     chosen = np.empty(0, dtype=np.intp)
     for _ in range(_SUCCESSIVE_ROUNDS):
         need = count - len(chosen)
+        # u * total < total for u in [0, 1), so no draw lands past the last
+        # positive weight, and side="right" skips every zero-width interval;
         # an eighth more than needed, so that repeats rarely force another round
-        draws = locate(rng.random(need + need // 8 + 1) * total)
-        pool = np.concatenate((chosen, draws))
+        points = rng.random(need + need // 8 + 1) * cumulative[-1]
+        draws = np.searchsorted(cumulative, points, side="right")
+        pool = np.concatenate((chosen, draws[draws != target]))
         _, first = np.unique(pool, return_index=True)
         chosen = pool[np.sort(first)[:count]]
         if len(chosen) == count:
             return chosen
-    rest_weights = weights()
+    rest_weights = table.weights.copy()
     rest_weights[chosen] = 0.0
+    rest_weights[target] = 0.0
     rest = _weighted_without_replacement(rest_weights, count - len(chosen), rng)
     return np.concatenate((chosen, rest))
-
-
-def _weighted_sample(
-    weights: np.ndarray, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Successive sample by the non-negative ``weights``, which it may overwrite."""
-    cumulative = np.cumsum(weights)
-    # u * total < total for u in [0, 1), so no draw lands past the last
-    # positive weight, and side="right" skips every zero-width interval
-    return _successive_sample(
-        lambda points: np.searchsorted(cumulative, points, side="right"),
-        cumulative[-1],
-        int(np.count_nonzero(weights)),
-        count,
-        rng,
-        lambda: weights,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class _PopularityTable:
-    """The cumulative ``support`` that every ``popularity`` draw of a pass reads.
-
-    Supports are integer counts of training events, far fewer than 2⁵³, so
-    every entry of ``cumulative`` is an exact float64 integer.
-    """
-
-    support: np.ndarray
-    cumulative: np.ndarray
-    positive: int  # items of positive support
-
-    @classmethod
-    def of(cls, support: np.ndarray) -> "_PopularityTable":
-        return cls(support, np.cumsum(support, dtype=np.float64), int(np.count_nonzero(support)))
-
-
-def _popularity_sample(
-    table: _PopularityTable, target: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """The successive sample in proportion to support, the target excluded.
-
-    It draws the items :func:`_weighted_sample` draws from the support with
-    the target's weight w zeroed, without that table: the zeroed table is
-    ``cumulative`` before the target and ``cumulative - w`` from it on, all
-    integers.  A point x lies past an integer entry exactly when floor(x)
-    does, and floor(x) reaches the shifted entries exactly when it is at
-    least the entry before the target, so x falls in the interval of
-    ``searchsorted(cumulative, floor(x) + w·[floor(x) ≥ cumulative[t−1]],
-    "right")``, with cumulative[−1] read as 0.
-    """
-    cumulative = table.cumulative
-    weight = float(table.support[target])
-    before = cumulative[target - 1] if target else 0.0
-
-    def locate(points: np.ndarray) -> np.ndarray:
-        floors = np.floor(points)
-        floors[floors >= before] += weight
-        return np.searchsorted(cumulative, floors, side="right")
-
-    def weights() -> np.ndarray:
-        zeroed = table.support.astype(np.float64)
-        zeroed[target] = 0.0
-        return zeroed
-
-    return _successive_sample(
-        locate, cumulative[-1] - weight, table.positive - (weight > 0), count, rng, weights
-    )
 
 
 def _top_by_value(values: np.ndarray, count: int, target: int) -> np.ndarray:
@@ -399,10 +356,10 @@ def sample_negatives(
     index tie-breaks); the others draw through ``rng``: ``uniform`` without
     replacement over the catalog minus the target, ``popularity`` and
     ``inverse_popularity`` successively in proportion to support or its
-    inverse, the target excluded.  Inside :func:`compute_case_ranks`,
-    ``popularity`` reads the pass's one cumulative table when handed the
-    pass's own ``support`` array; any other call builds that table itself
-    and draws the same items.
+    inverse, the target excluded.  Inside :func:`compute_case_ranks`, these
+    two read the pass's one table of their weights when handed the pass's
+    own ``support`` array; any other call builds that table itself and draws
+    the same items.
     """
     count = spec.resolve_count(catalog_size)
     strategy = spec.strategy
@@ -411,16 +368,9 @@ def sample_negatives(
         negatives = rng.choice(catalog_size - 1, size=count, replace=False, shuffle=False)
         negatives += negatives >= target
         return negatives
-    if strategy == SAMPLER_POPULARITY:
-        table = _PASS[-1].popularity if _PASS else None
-        if table is None or table.support is not support:
-            table = _PopularityTable.of(support)
-        return _popularity_sample(table, target, count, rng)
-    if strategy == SAMPLER_INVERSE_POPULARITY:
-        weights = np.zeros(catalog_size)
-        np.divide(1.0, support, out=weights, where=support > 0)
-        weights[target] = 0.0
-        return _weighted_sample(weights, count, rng)
+    if strategy in WEIGHTED_SAMPLERS:
+        table = _PASS[-1].tables.get(strategy) if _PASS and _PASS[-1].support is support else None
+        return _successive_sample(table or _WeightTable.of(strategy, support), target, count, rng)
     if strategy == SAMPLER_TOP_POPULAR:
         return _top_by_value(support.astype(np.float64), count, target)
     if strategy in EMBEDDING_SAMPLERS:
@@ -482,18 +432,64 @@ class GridReport:
         return self.reports[name, sampler]
 
 
-def _rank_case_range(
-    models: list[RecommenderModel],
+def _fixed_candidates(
+    sampler: SamplerSpec,
     cases: CaseTable,
-    start: int,
-    stop: int,
-    cfg: EvalConfig,
-    samplers: list[SamplerSpec],
     support: np.ndarray,
     embeddings: EmbeddingMatrix | None,
-    scoreable: np.ndarray,
-    fixed_candidates: list[dict[int, np.ndarray] | None],
-) -> np.ndarray:
+) -> dict[int, np.ndarray] | None:
+    """One negative set per distinct scoreable target for a deterministic sampler."""
+    if sampler.strategy not in DETERMINISTIC_SAMPLERS:
+        return None
+    throwaway = np.random.default_rng(0)
+    targets = np.unique(cases.targets)
+    return {
+        target: sample_negatives(sampler, target, len(support), support, embeddings, throwaway)
+        for target in targets[support[targets] > 0].tolist()
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class _Pass:
+    """What every block of one evaluation pass reads.
+
+    ``fixed`` holds, per sampler, the negative set of each scoreable target
+    when the sampler is deterministic, and None otherwise; ``tables`` holds
+    the one weight table of each weighted strategy in the pass.  Fork-pool
+    workers inherit the pass through the fork instead of unpickling it.
+    """
+
+    models: list[RecommenderModel]
+    cases: CaseTable
+    cfg: EvalConfig
+    samplers: list[SamplerSpec]
+    support: np.ndarray
+    embeddings: EmbeddingMatrix | None
+    fixed: list[dict[int, np.ndarray] | None]
+    tables: dict[str, _WeightTable]
+
+    @classmethod
+    def of(
+        cls,
+        models: list[RecommenderModel],
+        cases: CaseTable,
+        split: DatasetSplit,
+        cfg: EvalConfig,
+        samplers: list[SamplerSpec],
+        embeddings: EmbeddingMatrix | None = None,
+    ) -> "_Pass":
+        support = split.train.item_support
+        strategies = {sampler.strategy for sampler in samplers}
+        fixed = [_fixed_candidates(sampler, cases, support, embeddings) for sampler in samplers]
+        tables = {s: _WeightTable.of(s, support) for s in WEIGHTED_SAMPLERS if s in strategies}
+        return cls(models, cases, cfg, samplers, support, embeddings, fixed, tables)
+
+
+# the pass compute_case_ranks is running, while it runs
+_PASS: list[_Pass] = []
+
+
+def _rank_case_range(run: _Pass, start: int, stop: int) -> np.ndarray:
     """Ranks of cases ``start:stop`` as a (models, samplers, cases) block.
 
     Each model scores the block's scoreable cases as one stream from its
@@ -505,17 +501,18 @@ def _rank_case_range(
     between models, so each cell sees the draws a generator built for it
     alone would give it.
     """
-    ranks = np.full((len(models), len(samplers), stop - start), -1, dtype=np.int64)
-    restore = cfg.tie_policy == TIE_RANDOM and len(models) > 1
-    rows = start + np.flatnonzero(scoreable[cases.targets[start:stop]])
-    streams = [model.score_cases(cases, rows) for model in models]
+    cases, cfg, support = run.cases, run.cfg, run.support
+    ranks = np.full((len(run.models), len(run.samplers), stop - start), -1, dtype=np.int64)
+    restore = cfg.tie_policy == TIE_RANDOM and len(run.models) > 1
+    rows = start + np.flatnonzero(support[cases.targets[start:stop]] > 0)
+    streams = [model.score_cases(cases, rows) for model in run.models]
     for case_index, target, *scores in zip(
         rows.tolist(), cases.targets[rows].tolist(), *streams
     ):
         offset = case_index - start
         rng = case_rng(cfg.master_seed, case_index)
-        fresh = rng.bit_generator.state if len(samplers) > 1 else None
-        for s, (sampler, fixed) in enumerate(zip(samplers, fixed_candidates)):
+        fresh = rng.bit_generator.state if len(run.samplers) > 1 else None
+        for s, (sampler, fixed) in enumerate(zip(run.samplers, run.fixed)):
             if s:
                 rng.bit_generator.state = fresh
             if sampler.strategy == SAMPLER_NONE:
@@ -524,7 +521,7 @@ def _rank_case_range(
                 candidates = fixed[target]
             else:
                 candidates = sample_negatives(
-                    sampler, target, len(support), support, embeddings, rng
+                    sampler, target, len(support), support, run.embeddings, rng
                 )
             state = rng.bit_generator.state if restore else None
             for m, model_scores in enumerate(scores):
@@ -534,26 +531,6 @@ def _rank_case_range(
                     model_scores, target, cfg.tie_policy, rng, candidates
                 )
     return ranks
-
-
-@dataclass(frozen=True, eq=False)
-class _Pass:
-    """What every block of the evaluation pass in progress shares.
-
-    ``args`` are the rest of :func:`_rank_case_range`'s arguments, and
-    ``popularity`` is the table of their support when a sampler draws by
-    popularity.  Fork-pool workers inherit the pass through the fork instead
-    of unpickling it.
-    """
-
-    models: list[RecommenderModel]
-    cases: CaseTable
-    args: tuple
-    popularity: _PopularityTable | None
-
-
-# the pass compute_case_ranks is running, while it runs
-_PASS: list[_Pass] = []
 
 
 def _usable_cpus() -> int:
@@ -577,26 +554,7 @@ def _fork_pool(workers: int):
 
 def _forked_rank_range(bounds: tuple[int, int]) -> tuple[int, np.ndarray]:
     start, stop = bounds
-    current = _PASS[-1]
-    return start, _rank_case_range(current.models, current.cases, start, stop, *current.args)
-
-
-def _fixed_candidates(
-    sampler: SamplerSpec,
-    cases: CaseTable,
-    support: np.ndarray,
-    scoreable: np.ndarray,
-    embeddings: EmbeddingMatrix | None,
-) -> dict[int, np.ndarray] | None:
-    """One negative set per distinct scoreable target for a deterministic sampler."""
-    if sampler.strategy not in DETERMINISTIC_SAMPLERS:
-        return None
-    throwaway = np.random.default_rng(0)
-    targets = np.unique(cases.targets)
-    return {
-        target: sample_negatives(sampler, target, len(support), support, embeddings, throwaway)
-        for target in targets[scoreable[targets]].tolist()
-    }
+    return start, _rank_case_range(_PASS[-1], start, stop)
 
 
 def compute_case_ranks(
@@ -617,23 +575,14 @@ def compute_case_ranks(
     holds more processes than there are blocks or CPUs this process may run
     on: a fork pool starts all of its processes at once, whatever the work.
     While it runs, the pass is in the ``_PASS`` slot: the fork hands it to
-    the workers, and ``popularity`` draws read its one cumulative table.
+    the workers, and weighted draws read its tables.
     """
-    support = split.train.item_support
-    scoreable = support > 0
-    fixed_candidates = [
-        _fixed_candidates(sampler, cases, support, scoreable, embeddings)
-        for sampler in samplers
-    ]
-    args = (cfg, samplers, support, embeddings, scoreable, fixed_candidates)
-    by_popularity = any(sampler.strategy == SAMPLER_POPULARITY for sampler in samplers)
-    popularity = _PopularityTable.of(support) if by_popularity else None
-
+    run = _Pass.of(models, cases, split, cfg, samplers, embeddings)
     workers = min(workers, _usable_cpus())
-    _PASS.append(_Pass(models, cases, args, popularity))
+    _PASS.append(run)
     try:
         if workers <= 1 or len(cases) < 2:
-            return _rank_case_range(models, cases, 0, len(cases), *args)
+            return _rank_case_range(run, 0, len(cases))
         ranks = np.empty((len(models), len(samplers), len(cases)), dtype=np.int64)
         chunk = max(1, math.ceil(len(cases) / (workers * 4)))
         bounds = [(lo, min(lo + chunk, len(cases))) for lo in range(0, len(cases), chunk)]

@@ -334,9 +334,11 @@ DUMP_BLOCK_ROWS = 1 << 14
 
 
 def _tsv_field(value: str) -> str:
-    """``value`` as ``csv.writer(delimiter="\\t", lineterminator="\\n")`` writes it:
-    quoted, inner quotes doubled, if it holds a tab, a quote or a newline."""
-    if "\t" in value or '"' in value or "\n" in value:
+    """``value`` as a tab-separated field: quoted, inner quotes doubled, if it
+    holds a tab, a quote, a newline or a carriage return, as
+    ``csv.writer(delimiter="\\t")`` quotes it under its default ``"\\r\\n"``
+    line terminator."""
+    if "\t" in value or '"' in value or "\n" in value or "\r" in value:
         return '"' + value.replace('"', '""') + '"'
     return value
 

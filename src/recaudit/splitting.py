@@ -155,8 +155,10 @@ def choose_split_time(data: Dataset, target_test_days: int) -> int:
     """Day boundary leaving the final ``target_test_days`` days as test.
 
     Days are UTC.  The boundary is ``(D + 1 - target_test_days)`` days in epoch
-    seconds, where D is the last event's day index, so a target of one keeps
-    every sequence starting on the last (possibly partial) day for testing.
+    seconds, where D is the last event's day index: the midnight that starts
+    the first test day.  A target of one keeps every sequence starting on the
+    last (possibly partial) day for testing, a sequence starting at its
+    midnight included, as on a log of day resolution.
     """
     if target_test_days < 1:
         raise SplitError("target_test_days must be at least 1")
@@ -176,10 +178,11 @@ def choose_split_time(data: Dataset, target_test_days: int) -> int:
 def time_split(data: Dataset, split_time: int, min_seq_len: int = 2) -> DatasetSplit:
     """Split at a timestamp: model sees the past, is tested on the future.
 
-    Test takes every sequence whose first event is after ``split_time``, whole.
-    Train takes all events at or before it; sequences straddling the boundary
-    are cut there, and cut stumps shorter than ``min_seq_len`` are dropped
-    (their count shows up in the stats as missing sequences).
+    The boundary is half-open: test takes every sequence whose first event is
+    at or after ``split_time``, whole, and train takes all events before it.
+    Sequences straddling the boundary are cut there, and cut stumps shorter
+    than ``min_seq_len`` are dropped (their count shows up in the stats as
+    missing sequences).
 
     A boundary outside the data's range surfaces as one of the empty-side
     errors below; :func:`choose_split_time` always returns a usable one.
@@ -187,10 +190,10 @@ def time_split(data: Dataset, split_time: int, min_seq_len: int = 2) -> DatasetS
     table = data.sequences
     if not table:
         raise SplitError("cannot split an empty dataset")
-    # events up to the boundary form a prefix of each sequence; a test
+    # events before the boundary form a prefix of each sequence; a test
     # sequence has none of them, so no test event reaches train
-    train_seqs = _cut(table, table.timestamps <= split_time, min_seq_len)
-    test_seqs = table.select(table.start_times > split_time)
+    train_seqs = _cut(table, table.timestamps < split_time, min_seq_len)
+    test_seqs = table.select(table.start_times >= split_time)
     if not train_seqs:
         raise SplitError(f"split_time {split_time} leaves an empty training side")
     if not test_seqs:
@@ -272,9 +275,13 @@ def truncate_training_window(
 ) -> DatasetSplit:
     """Shrink train to its last ``window_days`` days before the split boundary.
 
-    Sequences straddling the window start are cut there; stumps shorter than
-    ``min_seq_len`` are dropped.  Test is untouched, so metric changes across
-    windows isolate how much the model leans on older history.
+    The window is half-open like the boundary: it keeps the training events
+    at or after ``split_time - window_days`` days, all of them before
+    ``split_time``, so a window on day boundaries spans exactly
+    ``window_days`` days.  Sequences straddling the window start are cut
+    there; stumps shorter than ``min_seq_len`` are dropped.  Test is
+    untouched, so metric changes across windows isolate how much the model
+    leans on older history.
     """
     if window_days < 1:
         raise SplitError("window_days must be at least 1")

@@ -13,7 +13,8 @@ day-resolution log with an event-type column derived from a small generated
 one, and a log whose ids hold tabs and quotes derived from another.  At most two processes run at once; a ``--threads 2`` run counts as two.
 
 It prints one line per difference and a summary line, and exits 1 on any
-difference that no ``--allow`` glob matches.  A glob matches
+difference that no ``--allow`` glob matches, or on any item that the working
+tree writes differently at ``--threads 1`` and ``2``.  A glob matches
 ``INVOCATION/threads-N/ITEM``, where ITEM is ``exit``, ``stdout``,
 ``stderr``, ``output-dir`` or a file name::
 
@@ -148,12 +149,13 @@ def invocations() -> dict[str, tuple[str, tuple[str, ...]]]:
             "preprocess", "--type-column", "type", "--keep-event-type", "view",
         )),
         "run-daily-loo": ("daily", ("run", *LOO, "--type-column", "type", "--csv")),
+        "split-daily-one-test-day": ("daily", ("split", *TIME)),
+        "split-daily-two-test-days": ("daily", ("split", "--strategy", "time", "--test-days", "2")),
         # ids holding a tab or a quote, which every dump quotes
         "ingest-quoted": ("quoted", ("ingest",)),
         "preprocess-quoted": ("quoted", ("preprocess",)),
         "split-quoted": ("quoted", ("split", *TIME)),
         # known errors
-        "error-daily-one-test-day": ("daily", ("split", *TIME)),
         "error-missing-input": ("missing", ("ingest",)),
         "error-random-split-without-seed": (audit, ("split", "--strategy", "random",
                                                    "--fraction", "0.2")),
@@ -343,12 +345,22 @@ def main(argv=None) -> int:
                 else:
                     differences += 1
                     print(f"DIFFERS: {key}: {_pair(base, tree, item)}")
+    # the working tree must give the same bytes at every thread count
+    split_pairs = 0
+    for name in cases:
+        one, two = (results[name, threads, "tree"] for threads in THREADS)
+        for item in sorted(set(one) | set(two)):
+            if one.get(item) != two.get(item):
+                split_pairs += 1
+                print(f"THREADS DIFFER: {name}/{item}: "
+                      f"{str(one.get(item))[:12]} vs {str(two.get(item))[:12]}")
     print(
         f"byte matrix: {len(cases)} invocations x threads {','.join(THREADS)} against "
         f"{args.base}: {compared} items compared, {differences} differ, {allowed} allowed "
-        f"differences, {time.perf_counter() - started:.0f} s"
+        f"differences, {split_pairs} differ between thread counts, "
+        f"{time.perf_counter() - started:.0f} s"
     )
-    return 1 if differences else 0
+    return 1 if differences or split_pairs else 0
 
 
 if __name__ == "__main__":

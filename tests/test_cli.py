@@ -664,8 +664,8 @@ class TestRun:
             cli, "probe_models",
             lambda name: alive.append(logs[0]() is not None) or probe_models(name),
         )
-        # day-resolution entities starting on staggered days, so a time split
-        # has a test side: those starting on day 4, after the boundary at day 3
+        # day-resolution entities starting on staggered days: a two-day time
+        # split tests those starting on days 3 and 4, at or after its boundary
         rows = [
             (f"u{user}", f"i{(user + 3 * d + k) % 20:03d}", d * DAY)
             for user in range(40)

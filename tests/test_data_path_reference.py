@@ -325,10 +325,10 @@ def ref_split_stats(train, test, catalog):
 def ref_time_split(sequences, split_time, min_seq_len=2):
     train, test = [], []
     for seq in sequences:
-        if seq.start_time > split_time:
+        if seq.start_time >= split_time:
             test.append(seq)
             continue
-        cut = int(np.searchsorted(seq.timestamps, split_time, side="right"))
+        cut = int(np.searchsorted(seq.timestamps, split_time, side="left"))
         if cut == len(seq):
             train.append(seq)
         elif cut >= min_seq_len:
@@ -676,14 +676,17 @@ def assert_same_split(split, expected, index):
 
 
 class TestSplitsMatchLoops:
-    @given(logs(), st.integers(0, 6), st.integers(0, 90000))
+    @given(logs(), st.integers(0, 6), st.integers(0, 90000), st.none() | st.integers(0, 99))
     @SETTINGS
-    def test_time_split(self, text, day, offset):
+    def test_time_split(self, text, day, offset, event):
         prep = prepared(text, SPLIT_CFG)
         if prep is None:
             return
         _, _, data, sequences, index = prep
         boundary = day * SECONDS_PER_DAY + offset
+        if event is not None:  # a boundary at an event's own timestamp
+            stamps = np.concatenate([seq.timestamps for seq in sequences])
+            boundary = int(stamps[event % len(stamps)])
         expected, split = both(
             lambda: ref_time_split(sequences, boundary), lambda: time_split(data, boundary)
         )

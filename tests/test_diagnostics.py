@@ -28,6 +28,7 @@ from recaudit.splitting import LeaveOneOutSelection, leave_one_out_split
 from synth import (
     build_dataset,
     build_split,
+    chain_rows,
     chain_split,
     day,
     first_seen_day,
@@ -365,6 +366,24 @@ class TestSequentialityProbe:
         change = report.relative_change_recall[20]
         assert change is not None
         assert abs(change) < 0.02
+        assert report.verdict == VERDICT_WEAK
+
+    @pytest.mark.parametrize("tie_policy", ("optimistic", "pessimistic", "random"))
+    def test_order_agnostic_win_is_no_sequential_signal(self, tie_policy):
+        # test chains walk backwards: markov has learnt only the forward
+        # transitions, while co-occurrence serves both directions
+        index = make_index(7 * 8)
+        train = chain_rows(7, 8, 30, start_time=0)
+        boundary = max(int(times[-1]) for _, times in train) + 1
+        test = [(items[::-1].copy(), times)
+                for items, times in chain_rows(7, 8, 10, start_time=boundary + 1)]
+        split = build_split(index, train, test, split_time=boundary)
+        report = fit_and_probe(
+            split, cutoffs=(1, 5), tie_policy=tie_policy, master_seed=3, verdict_cutoff=1
+        )
+        assert report.order_agnostic.recall[1] > report.sequential.recall[1]
+        change = report.relative_change_recall[1]  # None where markov's recall is 0
+        assert change is None or change > 10 * report.verdict_threshold
         assert report.verdict == VERDICT_WEAK
 
     def test_identical_predictions_mean_no_signal(self):

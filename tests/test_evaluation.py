@@ -193,38 +193,40 @@ class TestSamplerSpec:
         assert fraction.sample_count == 100 and fraction.describe() == "popularity:10%"
 
 
-def reference_popularity_sample(support, target, count, rng):
-    """``popularity`` as one call draws it: through its own target-zeroed table."""
-    weights = support.astype(np.float64)
-    weights[target] = 0.0
+def reference_weighted_sample(strategy, support, target, count, rng):
+    """A weighted draw as the rule states it: with replacement from the whole
+    catalog's weights, the target dropped as repeats are, keys for the rest."""
+    if strategy == "popularity":
+        weights = support.astype(np.float64)
+    else:
+        weights = np.array([1.0 / s if s else 0.0 for s in support.tolist()])
     cumulative = np.cumsum(weights)
-    chosen = np.empty(0, dtype=np.intp)
+    chosen = []
     for _ in range(evaluation._SUCCESSIVE_ROUNDS):
         need = count - len(chosen)
-        draws = np.searchsorted(
-            cumulative, rng.random(need + need // 8 + 1) * cumulative[-1], side="right"
-        )
-        pool = np.concatenate((chosen, draws))
-        _, first = np.unique(pool, return_index=True)
-        chosen = pool[np.sort(first)[:count]]
+        points = rng.random(need + need // 8 + 1) * cumulative[-1]
+        for item in np.searchsorted(cumulative, points, side="right").tolist():
+            if item != target and item not in chosen and len(chosen) < count:
+                chosen.append(item)
         if len(chosen) == count:
-            return chosen
+            return np.array(chosen, dtype=np.intp)
     weights[chosen] = 0.0
+    weights[target] = 0.0
     rest = evaluation._weighted_without_replacement(weights, count - len(chosen), rng)
-    return np.concatenate((chosen, rest))
+    return np.concatenate((np.array(chosen, dtype=np.intp), rest))
 
 
-def assert_popularity_draws_agree(support, target, count, rng):
+def assert_weighted_draws_agree(strategy, support, target, count, rng):
     """The pass table's draw, the reference and an out-of-pass call agree in bytes."""
     state = rng.bit_generator.state
     rngs = [np.random.default_rng() for _ in range(3)]
     for generator in rngs:
         generator.bit_generator.state = state
-    table = evaluation._PopularityTable.of(support)
-    spec = SamplerSpec(strategy="popularity", sample_count=count)
+    table = evaluation._WeightTable.of(strategy, support)
+    spec = SamplerSpec(strategy=strategy, sample_count=count)
     drawn = [
-        evaluation._popularity_sample(table, target, count, rngs[0]),
-        reference_popularity_sample(support, target, count, rngs[1]),
+        evaluation._successive_sample(table, target, count, rngs[0]),
+        reference_weighted_sample(strategy, support, target, count, rngs[1]),
         sample_negatives(spec, target, len(support), support, None, rngs[2]),
     ]
     assert drawn[0].tolist() == drawn[1].tolist() == drawn[2].tolist()
@@ -233,16 +235,17 @@ def assert_popularity_draws_agree(support, target, count, rng):
     assert states[0] == states[1] == states[2]
 
 
-class TestPopularityTable:
-    """One cumulative table per pass draws what a table per call draws."""
+class TestWeightTable:
+    """One weight table per pass draws what the rule draws, target rejected."""
 
+    @pytest.mark.parametrize("strategy", ("popularity", "inverse_popularity"))
     @given(
         support=st.lists(st.integers(0, 9), min_size=2, max_size=40),
         data=st.data(),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_pass_table_draw_equals_per_call_draw(self, support, data, seed):
+    def test_table_draw_equals_reference_draw(self, strategy, support, data, seed):
         support = np.array(support, dtype=np.int64)
         last = len(support) - 1
         target = data.draw(
@@ -253,27 +256,65 @@ class TestPopularityTable:
         positive = int(np.count_nonzero(support)) - (support[target] > 0)
         assume(positive >= 1)
         count = data.draw(st.integers(1, positive), label="count")
-        assert_popularity_draws_agree(support, target, count, case_rng(seed, target))
+        assert_weighted_draws_agree(strategy, support, target, count, case_rng(seed, target))
 
-    def test_one_table_per_pass(self, grid_inputs, monkeypatch):
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_one_table_per_weighted_strategy_per_pass(
+        self, grid_inputs, inline_pool, monkeypatch, workers
+    ):
         split, models, _ = grid_inputs
         fitted = list(models.values())
         built = []
-        build = evaluation._PopularityTable.of
+        build = evaluation._WeightTable.of
         monkeypatch.setattr(
-            evaluation._PopularityTable, "of", lambda support: built.append(1) or build(support)
+            evaluation._WeightTable, "of",
+            lambda strategy, support: built.append(strategy) or build(strategy, support),
+        )
+        monkeypatch.setattr(
+            evaluation.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False
         )
         cfg = EvalConfig(tie_policy="random", master_seed=3)
-        samplers = [SamplerSpec.parse("popularity:5"), SamplerSpec.parse("uniform:5")]
+        samplers = [
+            SamplerSpec.parse(text)
+            for text in ("popularity:5", "uniform:5", "inverse_popularity:5", "popularity:3")
+        ]
         cases = enumerate_cases(split)
-        whole = compute_case_ranks(fitted, cases, split, cfg, samplers)
-        assert built == [1] and not evaluation._PASS
+        whole = compute_case_ranks(fitted, cases, split, cfg, samplers, workers=workers)
+        assert built == ["popularity", "inverse_popularity"] and not evaluation._PASS
+        assert (len(inline_pool[1]) > 1) == (workers > 1)  # blocks ran in the pool
         # outside a pass every draw builds its own table, and ranks the same
-        support = split.train.item_support
-        args = (cfg, samplers, support, None, support > 0, [None, None])
-        alone = evaluation._rank_case_range(fitted, cases, 0, len(cases), *args)
+        run = evaluation._Pass.of(fitted, cases, split, cfg, samplers)
+        built.clear()
+        alone = evaluation._rank_case_range(run, 0, len(cases))
         assert alone.tolist() == whole.tolist()
-        assert len(built) == 1 + np.count_nonzero(support[cases.targets] > 0)
+        scoreable = int(np.count_nonzero(split.train.item_support[cases.targets] > 0))
+        assert Counter(built) == {"popularity": 2 * scoreable, "inverse_popularity": scoreable}
+
+    def test_out_of_pass_draw_equals_the_draw_in_a_pass(self, grid_inputs, monkeypatch):
+        split, models, _ = grid_inputs
+        draws = []
+        draw = evaluation.sample_negatives
+
+        def recorded(spec, target, catalog_size, support, embeddings, rng):
+            # the draw reads the pass's table
+            assert spec.strategy in evaluation._PASS[-1].tables
+            assert evaluation._PASS[-1].support is support
+            before = rng.bit_generator.state
+            drawn = draw(spec, target, catalog_size, support, embeddings, rng)
+            draws.append((spec, target, support, before, drawn, rng.bit_generator.state))
+            return drawn
+
+        monkeypatch.setattr(evaluation, "sample_negatives", recorded)
+        cfg = EvalConfig(tie_policy="random", master_seed=6)
+        samplers = [SamplerSpec.parse("popularity:5"), SamplerSpec.parse("inverse_popularity:7")]
+        evaluate(models, split, cfg, samplers)
+        assert draws and not evaluation._PASS
+        for spec, target, support, before, drawn, after in draws:
+            rng = np.random.default_rng()
+            rng.bit_generator.state = before
+            alone = draw(spec, target, len(support), support, None, rng)
+            assert alone.tolist() == drawn.tolist() and alone.dtype == drawn.dtype
+            assert rng.bit_generator.state == after
 
 
 class TestSampleNegatives:
@@ -331,11 +372,15 @@ class TestSampleNegatives:
         assert counts[2] == 0  # zero support, never drawn
         assert counts[1] > counts[0]
 
+    @pytest.mark.parametrize("strategy", ("popularity", "inverse_popularity"))
+    @pytest.mark.parametrize("heavy", (0, 1), ids=("target-heavy", "neighbour-heavy"))
     @pytest.mark.parametrize("target", [0, 2, 5])
-    def test_keyed_finish_draws_as_the_per_call_table(self, target, monkeypatch):
-        # one heavy item: four rounds rarely find the light ones, so keys finish
-        support = np.array([0, 1, 1, 1, 0, 1], dtype=np.int64)
-        support[(target + 1) % 6] = 5000
+    def test_keyed_finish_draws_as_the_reference(self, strategy, heavy, target, monkeypatch):
+        # one item, the target or the next one, holds nearly all the weight:
+        # four rounds rarely find the light ones, so keys finish
+        light, weighty = (1, 5000) if strategy == "popularity" else (5000, 1)
+        support = np.array([0, light, light, light, 0, light], dtype=np.int64)
+        support[(target + heavy) % 6] = weighty
         keyed = []
         keys = evaluation._weighted_without_replacement
         monkeypatch.setattr(
@@ -344,7 +389,7 @@ class TestSampleNegatives:
         )
         count = int(np.count_nonzero(support)) - (support[target] > 0)
         for case in range(20):
-            assert_popularity_draws_agree(support, target, count, case_rng(4, case))
+            assert_weighted_draws_agree(strategy, support, target, count, case_rng(4, case))
         assert len(keyed) > 20
 
     def test_weighted_pool_too_small_is_an_error(self):
@@ -465,6 +510,10 @@ class TestWeightedSamplerLaw:
             # distinct items, and the exponential keys finish the sample
             ("popularity", [1, 2, 9, 100_000, 3, 0, 1], True),
             ("inverse_popularity", [3000, 1, 9, 4000, 0, 2000, 5000], True),
+            # the target holds nearly all the weight: the draws rarely miss it,
+            # and each one that lands on it is dropped like a repeat
+            ("popularity", [1, 2, 100_000, 3, 0, 4, 1], True),
+            ("inverse_popularity", [3000, 2000, 1, 4000, 0, 5000, 2500], True),
         ],
     )
     def test_subset_frequencies_match_successive_sampling(
@@ -769,11 +818,10 @@ class TestBlockBoundaries:
         samplers = [SamplerSpec.parse(sampler)]
         cases = enumerate_cases(split)
         whole = compute_case_ranks(fitted, cases, split, cfg, samplers)
-        support = split.train.item_support
-        args = (cfg, samplers, support, None, support > 0, [None])
+        run = evaluation._Pass.of(fitted, cases, split, cfg, samplers)
         for cut in range(len(cases) + 1):
             blocks = [
-                evaluation._rank_case_range(fitted, cases, lo, hi, *args)
+                evaluation._rank_case_range(run, lo, hi)
                 for lo, hi in ((0, cut), (cut, len(cases)))
             ]
             assert np.concatenate(blocks, axis=2).tolist() == whole.tolist(), cut

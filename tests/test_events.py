@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from recaudit.cli import main
 from recaudit.errors import IngestError, PreprocessError
-from recaudit.events import ColumnMapping, dump_canonical, ingest_csv
+from recaudit.events import ColumnMapping, EventLog, dump_canonical, ingest_csv
 from recaudit.preprocess import PipelineConfig, preprocess
 from recaudit.splitting import STRATEGY_LOO, SplitSpec, apply_split
 from synth import (
@@ -267,6 +267,17 @@ def read_tsv(text):
     return list(csv.reader(io.StringIO(text, newline=""), delimiter="\t"))
 
 
+def csv_writer_line(row):
+    """``row`` as ``csv.writer(delimiter="\\t")`` writes it, ended by a newline.
+
+    Under its default ``"\\r\\n"`` terminator the writer quotes a field holding
+    a CR, which ``csv.reader`` would otherwise end a row at.
+    """
+    buffer = io.StringIO()
+    csv.writer(buffer, delimiter="\t").writerow(row)
+    return buffer.getvalue()[: -len("\r\n")] + "\n"
+
+
 class TestDumpQuoting:
     """Every dump quotes an id as ``csv.writer(delimiter="\\t")`` writes it."""
 
@@ -274,17 +285,18 @@ class TestDumpQuoting:
     @settings(max_examples=150, deadline=None)
     def test_canonical_dump_is_what_csv_writer_writes(self, events):
         log = event_log(events)
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, delimiter="\t", lineterminator="\n")
-        writer.writerow(["entity", "item", "timestamp", "type"])
-        writer.writerows(
+        rows = [("entity", "item", "timestamp", "type")] + [
             (e.entity_id, e.item_id, e.timestamp, e.event_type or "") for e in events_of(log)
-        )
-        assert canonical_text(log) == buffer.getvalue()
+        ]
+        assert canonical_text(log) == "".join(map(csv_writer_line, rows))
 
-    # csv.writer leaves a CR unquoted and csv.reader ends a row at one, so ids
-    # holding a CR do not read back from any dump (canonical_events.tsv too)
-    @given(quoting_logs('ab\t"\n, '))
+    def test_an_id_holding_a_cr_reads_back(self):
+        log = EventLog.from_columns(["u1", "u1"], ["a\rb", "c"], [1, 2])
+        again = ingest_csv(canonical_text(log).encode("utf-8"), CANONICAL_MAPPING)
+        assert groups_of(again) == groups_of(log)
+        assert canonical_text(again) == canonical_text(log)
+
+    @given(quoting_logs('ab\t"\r\n, '))
     @settings(max_examples=150, deadline=None)
     def test_dataset_and_split_dumps_read_back_as_their_fields(self, events):
         try:

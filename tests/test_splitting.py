@@ -58,11 +58,13 @@ class TestTimeSplit:
         assert train_seq.items.tolist() == [INDEX.index("a"), INDEX.index("b")]
         assert train_seq.timestamps.tolist() == [10, 20]
 
-    def test_sequence_starting_at_boundary_belongs_to_train(self):
-        data = dataset([("abc", [25, 25, 99]), ("cd", [30, 40])])
+    def test_sequence_starting_at_boundary_belongs_to_test(self):
+        data = dataset([("abc", [25, 25, 99]), ("def", [10, 20, 25])])
         split = time_split(data, 25)
-        assert [s.seq_id for s in records(split.train.sequences)] == [0]
-        assert records(split.train.sequences)[0].timestamps.tolist() == [25, 25]
+        assert [s.seq_id for s in records(split.test.sequences)] == [0]
+        # the boundary is half-open: an event at it is not train's
+        (train_seq,) = records(split.train.sequences)
+        assert (train_seq.seq_id, train_seq.timestamps.tolist()) == (1, [10, 20])
 
     def test_empty_test_is_an_error(self):
         data = dataset([("ab", [10, 20]), ("cd", [30, 40])])
@@ -81,7 +83,7 @@ class TestTimeSplit:
         split = time_split(data, 20)
         max_train = max(s.end_time for s in records(split.train.sequences))
         min_test_start = min(s.start_time for s in records(split.test.sequences))
-        assert max_train <= 20 < min_test_start
+        assert max_train < 20 <= min_test_start
 
     def test_sides_share_item_index(self):
         data = dataset([("ab", [10, 20]), ("cd", [30, 40])])
@@ -119,6 +121,17 @@ class TestChooseSplitTime:
             choose_split_time(data, 60)
         with pytest.raises(SplitError):
             choose_split_time(data, 0)
+
+    @pytest.mark.parametrize("test_days", (1, 2))
+    def test_day_resolution_gets_exactly_the_test_days(self, test_days):
+        # every event at a midnight; entities start on staggered days 0-4
+        data = dataset([("ab", [day(k % 5), day(min(k % 5 + 1, 4))]) for k in range(40)])
+        split = apply_split(data, SplitSpec(strategy="time", test_days=test_days))
+        last = max(s.end_time for s in records(data.sequences)) // DAY
+        assert split.split_time == day(last + 1 - test_days)
+        assert split.stats.test.days == test_days
+        starts = {s.start_time // DAY for s in records(split.test.sequences)}
+        assert starts == set(range(last + 1 - test_days, last + 1))
 
     def test_chosen_time_yields_valid_split(self):
         data = dataset(
@@ -344,9 +357,9 @@ class TestSplitProperties:
             return
         assert positions(split.train).isdisjoint(positions(split.test))
         max_train = max(s.end_time for s in records(split.train.sequences))
-        assert max_train <= split_time
+        assert max_train < split_time
         for seq in records(split.test.sequences):
-            assert seq.start_time > split_time
+            assert seq.start_time >= split_time
 
     @given(random_dataset())
     @settings(max_examples=60, deadline=None)
