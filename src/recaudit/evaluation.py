@@ -222,15 +222,18 @@ def rank_of_target(
     scores: np.ndarray,
     target: int,
     tie_policy: str = TIE_OPTIMISTIC,
-    rng: np.random.Generator | None = None,
+    tie_draw: float | None = None,
     candidates: np.ndarray | None = None,
 ) -> int:
     """Position of the target when scores are sorted descending.
 
     ``candidates`` restricts the comparison to a negative set (the target
     itself must not be in it); None means the full catalog.  Ties resolve per
-    policy: optimistic puts the target first, pessimistic last, random draws a
-    position from ``rng``.
+    policy: optimistic puts the target first, pessimistic last, random at
+    ``int(tie_draw * (ties + 1))`` of its ties for ``tie_draw`` uniform in
+    [0, 1): each position equally likely to within 2**-52, never later for
+    fewer ties, so a case's rankings, which share its draw, keep a sampled
+    rank no worse than the full one.
     """
     target_score = scores[target]
     if candidates is None:
@@ -247,9 +250,9 @@ def rank_of_target(
     ties = int(np.count_nonzero(field_scores == target_score)) - self_tie
     if tie_policy == TIE_PESSIMISTIC:
         return 1 + greater + ties
-    if rng is None:
-        raise EvaluationError("random tie policy needs a generator")
-    return 1 + greater + int(rng.integers(0, ties + 1))
+    if tie_draw is None:
+        raise EvaluationError("random tie policy needs a tie draw")
+    return 1 + greater + int(tie_draw * (ties + 1))
 
 
 def _weighted_without_replacement(
@@ -494,16 +497,14 @@ def _rank_case_range(run: _Pass, start: int, stop: int) -> np.ndarray:
 
     Each model scores the block's scoreable cases as one stream from its
     :meth:`~RecommenderModel.score_cases` hook.  Each case builds one
-    generator, and every sampler starts from that generator's fresh state:
-    it is kept after the build and restored before each sampler after the
-    first.  Each sampler draws its negatives once; with random ties every
-    model ranks from the generator's state right after that draw, restored
-    between models, so each cell sees the draws a generator built for it
-    alone would give it.
+    generator.  With random ties its first draw is the case's tie draw, which
+    every (model, sampler) cell of the case ranks with.  Every sampler then
+    starts from the generator's state after that: it is kept and restored
+    before each sampler after the first, so each cell sees the draws a
+    generator built for it alone would give it.
     """
     cases, cfg, support = run.cases, run.cfg, run.support
     ranks = np.full((len(run.models), len(run.samplers), stop - start), -1, dtype=np.int64)
-    restore = cfg.tie_policy == TIE_RANDOM and len(run.models) > 1
     rows = start + np.flatnonzero(support[cases.targets[start:stop]] > 0)
     streams = [model.score_cases(cases, rows) for model in run.models]
     for case_index, target, *scores in zip(
@@ -511,6 +512,7 @@ def _rank_case_range(run: _Pass, start: int, stop: int) -> np.ndarray:
     ):
         offset = case_index - start
         rng = case_rng(cfg.master_seed, case_index)
+        tie_draw = rng.random() if cfg.tie_policy == TIE_RANDOM else None
         fresh = rng.bit_generator.state if len(run.samplers) > 1 else None
         for s, (sampler, fixed) in enumerate(zip(run.samplers, run.fixed)):
             if s:
@@ -523,12 +525,9 @@ def _rank_case_range(run: _Pass, start: int, stop: int) -> np.ndarray:
                 candidates = sample_negatives(
                     sampler, target, len(support), support, run.embeddings, rng
                 )
-            state = rng.bit_generator.state if restore else None
             for m, model_scores in enumerate(scores):
-                if m and restore:
-                    rng.bit_generator.state = state
                 ranks[m, s, offset] = rank_of_target(
-                    model_scores, target, cfg.tie_policy, rng, candidates
+                    model_scores, target, cfg.tie_policy, tie_draw, candidates
                 )
     return ranks
 

@@ -217,9 +217,10 @@ def _open_source(source) -> TextIO:
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
+            # newline="" as the csv module asks: a quoted CR stays in its field
             if path.suffix == ".gz":
-                return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-            return open(path, "r", encoding="utf-8")
+                return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", newline="")
+            return open(path, "r", encoding="utf-8", newline="")
         except OSError as exc:
             raise IngestError(f"cannot read {path}: {exc}") from exc
     if isinstance(source, (bytes, bytearray)):

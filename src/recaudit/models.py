@@ -14,6 +14,7 @@ replays precomputed per-case score rows instead of computing them.
 
 from __future__ import annotations
 
+import math
 import operator
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
@@ -28,6 +29,14 @@ from .preprocess import Dataset
 
 if TYPE_CHECKING:
     from .evaluation import CaseTable
+
+
+def _number(name: str, value):
+    """A hyperparameter that must be a number: a boolean is refused, though
+    Python counts it as an int."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, not a boolean")
+    return value
 
 
 class RecommenderModel(ABC):
@@ -206,8 +215,8 @@ class MarkovModel(RecommenderModel):
     """
 
     def __init__(self, smoothing: float = 0.0) -> None:
-        if smoothing < 0:
-            raise ValueError("smoothing must be non-negative")
+        if not math.isfinite(_number("smoothing", smoothing)) or smoothing < 0:
+            raise ValueError("smoothing must be finite and non-negative")
         self.smoothing = smoothing
         self.transitions_: CountMatrix | None = None
         self.fallback_: np.ndarray | None = None
@@ -400,7 +409,7 @@ class CooccurrenceModel(RecommenderModel):
 
     def __init__(self, window: int | None = None) -> None:
         # operator.index refuses a fractional window before a fit trips on it
-        if window is not None and operator.index(window) < 1:
+        if window is not None and operator.index(_number("window", window)) < 1:
             raise ValueError("window must be >= 1 (or None for whole-sequence)")
         self.window = window
         self.counts_: CountMatrix | None = None
@@ -497,9 +506,9 @@ class SessionKNNModel(RecommenderModel):
     """
 
     def __init__(self, k: int = 100, sample_size: int = 1000, decay: str = "linear") -> None:
-        if operator.index(k) < 1:
+        if operator.index(_number("k", k)) < 1:
             raise ValueError("k must be >= 1")
-        if operator.index(sample_size) < 1:
+        if operator.index(_number("sample_size", sample_size)) < 1:
             raise ValueError("sample_size must be >= 1")
         if decay not in ("linear", "none"):
             raise ValueError("decay must be 'linear' or 'none'")

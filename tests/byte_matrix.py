@@ -10,7 +10,9 @@ replaced by placeholders, and compares the two trees' hashes.
 The inputs are written, not downloaded: the ``audit-run`` and
 ``sampled-compare`` logs of ``perfbench/gen.py`` at seeds 5 and 6, a
 day-resolution log with an event-type column derived from a small generated
-one, and a log whose ids hold tabs and quotes derived from another.  At most two processes run at once; a ``--threads 2`` run counts as two.
+one, a log whose ids hold tabs and quotes derived from another, and a log
+with CRLF line ends whose ids hold a quoted CR or CRLF derived from a third.
+At most two processes run at once; a ``--threads 2`` run counts as two.
 
 It prints one line per difference and a summary line, and exits 1 on any
 difference that no ``--allow`` glob matches, or on any item that the working
@@ -155,6 +157,10 @@ def invocations() -> dict[str, tuple[str, tuple[str, ...]]]:
         "ingest-quoted": ("quoted", ("ingest",)),
         "preprocess-quoted": ("quoted", ("preprocess",)),
         "split-quoted": ("quoted", ("split", *TIME)),
+        # ids holding a quoted CR, in a file with CRLF line ends
+        "ingest-cr": ("cr", ("ingest",)),
+        "preprocess-cr": ("cr", ("preprocess",)),
+        "split-cr": ("cr", ("split", *TIME)),
         # known errors
         "error-missing-input": ("missing", ("ingest",)),
         "error-random-split-without-seed": (audit, ("split", "--strategy", "random",
@@ -187,19 +193,23 @@ def _write_daily_log(path: str) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _write_quoted_log(path: str) -> None:
-    """A generated log in which some entity and item ids hold a tab or a quote."""
+def _write_marked_log(path: str, seed: int, marks: tuple[str, ...], lineterminator: str) -> None:
+    """A generated log in which some entity and item ids hold a mark: the
+    mark of an id is ``marks[n % 5]`` for id number ``n``.
+
+    ``csv.writer`` quotes a field holding a mark it treats as special: a tab,
+    a quote, a LF, and a CR only when ``lineterminator`` holds one.
+    """
     from gen import LogSpec, generate
 
     spec = LogSpec(entities=500, events_per_entity=10, items=300, days=10)
-    rows = generate(spec, seed=8).decode("ascii").splitlines()
-    marks = ("\t", '"', "", "", "")  # by id number mod 5
+    rows = generate(spec, seed=seed).decode("ascii").splitlines()
 
     def marked(identifier: str) -> str:
         return identifier[0] + marks[int(identifier[1:]) % 5] + identifier[1:]
 
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = csv.writer(handle, lineterminator=lineterminator)
         writer.writerow(rows[0].split(","))
         for row in rows[1:]:
             entity, item, stamp = row.split(",")
@@ -223,7 +233,10 @@ def write_inputs(corpus: str) -> dict[str, str]:
         paths["daily"] = os.path.join(corpus, "daily.csv")
         _write_daily_log(paths["daily"])
         paths["quoted"] = os.path.join(corpus, "quoted.csv")
-        _write_quoted_log(paths["quoted"])
+        _write_marked_log(paths["quoted"], 8, ("\t", '"', "", "", ""), "\n")
+        # CRLF line ends, and ids holding a quoted CR or CRLF
+        paths["cr"] = os.path.join(corpus, "cr.csv")
+        _write_marked_log(paths["cr"], 9, ("\r", "\r\n", "", "", ""), "\r\n")
     finally:
         sys.dont_write_bytecode = writing
         sys.path.remove(os.path.join(ROOT, "perfbench"))

@@ -442,6 +442,24 @@ class TestCompare:
         assert code == 1
         assert "model.params" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("params", ('{"smoothing": NaN}', '{"smoothing": Infinity}'))
+    def test_non_finite_smoothing_from_the_environment_is_refused(
+        self, events_csv, tmp_path, monkeypatch, params
+    ):
+        monkeypatch.setenv("RECAUDIT_MODEL__PARAMS", params)
+        outdir = tmp_path / "out"
+        for dry_run in ([], ["--dry-run"]):
+            code, payload, err = run_cli(
+                ["evaluate", "--input", events_csv, "--output-dir", str(outdir),
+                 "--model", "markov", *dry_run]
+            )
+            assert code == 1 and payload == ""
+            assert err.splitlines() == [
+                "error: model.params does not fit model 'markov': "
+                "smoothing must be finite and non-negative"
+            ]
+            assert not outdir.exists()
+
     def test_bad_sampler_text(self, events_csv, tmp_path):
         code, _, err = run_cli(
             ["compare", "--input", events_csv, "--output-dir", str(tmp_path),
@@ -1235,9 +1253,25 @@ class TestStageRunner:
              "error: input.path is required (set it or pass --input)"),
             ({"eval": {"sampler": "none:5"}},
              "error: eval.sampler: sampler 'none' takes no sample size, got 'none:5'"),
+            ({"model": {"params": {"smoothing": float("nan")}}},
+             "error: model.params does not fit model 'markov': "
+             "smoothing must be finite and non-negative"),
+            ({"model": {"params": {"smoothing": float("inf")}}},
+             "error: model.params does not fit model 'markov': "
+             "smoothing must be finite and non-negative"),
+            ({"model": {"params": {"smoothing": True}}},
+             "error: model.params does not fit model 'markov': "
+             "smoothing must be a number, not a boolean"),
+            ({"model": {"name": "session_knn", "params": {"k": True}}},
+             "error: model.params does not fit model 'session_knn': "
+             "k must be a number, not a boolean"),
+            ({"model": {"name": "cooccurrence", "params": {"window": True}}},
+             "error: model.params does not fit model 'cooccurrence': "
+             "window must be a number, not a boolean"),
         ],
         ids=["zero-days", "loo-window", "model-params", "verdict-cutoff", "embedding-dim",
-             "no-input", "none-with-size"],
+             "no-input", "none-with-size", "nan-smoothing", "infinite-smoothing",
+             "boolean-smoothing", "boolean-k", "boolean-window"],
     )
     def test_bad_training_window_is_rejected_before_any_stage(
         self, events_csv, tmp_path, command, sections, message

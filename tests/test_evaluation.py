@@ -100,10 +100,40 @@ class TestRankOfTarget:
 
     def test_random_ties_lie_between_and_are_seeded(self):
         scores = np.array([5.0, 5.0, 5.0])
-        draws = {rank_of_target(scores, 0, "random", case_rng(9, i)) for i in range(60)}
+        draws = {rank_of_target(scores, 0, "random", case_rng(9, i).random()) for i in range(60)}
         assert draws == {1, 2, 3}
-        again = [rank_of_target(scores, 0, "random", case_rng(4, 7)) for _ in range(5)]
+        again = [rank_of_target(scores, 0, "random", case_rng(4, 7).random()) for _ in range(5)]
         assert len(set(again)) == 1
+
+    def test_random_ties_need_a_draw(self):
+        with pytest.raises(EvaluationError, match="tie draw"):
+            rank_of_target(np.array([5.0, 5.0]), 0, "random")
+
+    @given(
+        ties=st.integers(0, 2**20),
+        draw=st.one_of(
+            st.just(0.0), st.just(float(np.nextafter(1.0, 0.0))),
+            st.floats(0.0, 1.0, exclude_max=True),
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_a_draw_places_the_target_among_its_ties(self, ties, draw):
+        # the target scores 1; ties others equal it, two score more, one less
+        scores = np.concatenate([[1.0], np.ones(ties), [2.0, 3.0, 0.0]])
+        rank = rank_of_target(scores, 0, "random", draw)
+        assert 3 <= rank <= 3 + ties
+        assert rank == 3 + int(draw * (ties + 1))
+
+    @pytest.mark.parametrize("ties", (0, 1, 2, 6))
+    def test_each_tied_position_is_equally_likely(self, ties):
+        draws = np.random.default_rng(ties).random(60_000)
+        scores = np.ones(ties + 1)
+        positions = Counter(rank_of_target(scores, 0, "random", u) - 1 for u in draws.tolist())
+        assert set(positions) == set(range(ties + 1))
+        share = 1 / (ties + 1)
+        sigma = (share * (1 - share) / len(draws)) ** 0.5
+        for count in positions.values():
+            assert abs(count / len(draws) - share) <= 5 * sigma
 
     def test_candidate_subset_shrinks_rank(self):
         scores = np.concatenate([[1.0], np.arange(2.0, 11.0)])  # target 0 at full rank 10
@@ -592,13 +622,17 @@ class TestEvaluate:
             assert 0.0 <= report.mrr[n] <= report.recall[n] <= 1.0
         assert report.recall[8] == 1.0  # catalog-wide cutoff catches everything
 
-    def test_sampled_ranks_dominate_full_ranks_per_case(self):
-        split = split_from(["abcd", "bcda", "cdab", "abce"], ["abcd", "dcba", "badc"])
+    @pytest.mark.parametrize("tie_policy", ("optimistic", "pessimistic", "random"))
+    def test_sampled_ranks_dominate_full_ranks_per_case(self, tie_policy):
+        orders = ["".join(order) for order in itertools.permutations("abcd")]
+        split = split_from(["abcd", "bcda", "cdab", "abce"], orders)
         model = MarkovModel().fit(split.train)
-        cfg = EvalConfig(cutoffs=(1, 2))
+        embeddings = derive_embeddings(split.train, 3, 1)
+        cfg = EvalConfig(cutoffs=(1, 2), tie_policy=tie_policy)
         full = evaluate_cell(model, split, cfg)
-        for text in ("uniform:3", "popularity:3", "top_popular:3"):
-            sampled = evaluate_cell(model, split, cfg, SamplerSpec.parse(text))
+        for strategy in evaluation.SAMPLER_STRATEGIES[1:]:
+            sampler = SamplerSpec(strategy, sample_count=3)
+            sampled = evaluate_cell(model, split, cfg, sampler, embeddings)
             mask = full.ranks > 0
             assert np.all(sampled.ranks[mask] <= full.ranks[mask])
             for n in cfg.cutoffs:
@@ -737,7 +771,7 @@ class TestGridEvaluation:
         assert len(indices) < len(cases)
         for name in models:
             assert scored[name] == Counter(indices), name
-        # one generator per case, its fresh state restored for each later sampler
+        # one generator per case, its state after the tie draw restored for each later sampler
         assert rngs == Counter({i: 1 for i in indices})
         # random samplers draw per case, deterministic ones once per distinct target
         assert draws == {
@@ -747,6 +781,27 @@ class TestGridEvaluation:
             "top_popular": len(targets),
             "close_embedding": len(targets),
         }
+
+    def test_cells_with_equal_ties_share_the_case_draw(self, grid_inputs):
+        split, _, _ = grid_inputs
+        catalog = split.train.num_items
+        # every item ties the target: a cell's rank is its tie position plus one
+        models = {"zeros": FixedScores(np.zeros(catalog)), "ones": FixedScores(np.ones(catalog))}
+        samplers = [
+            SamplerSpec.parse(text)
+            for text in ("none", "uniform:5", "popularity:5", "inverse_popularity:5",
+                         "top_popular:5")
+        ]
+        cfg = EvalConfig(tie_policy="random", master_seed=11)
+        grid = evaluate(models, split, cfg, samplers)
+        cases = enumerate_cases(split)
+        scoreable = np.flatnonzero(split.train.item_support[cases.targets] > 0)
+        draws = np.array([case_rng(11, i).random() for i in scoreable.tolist()])
+        for sampler in samplers:
+            ties = catalog - 1 if sampler.strategy == "none" else sampler.sample_count
+            for name in models:
+                ranks = grid[name, sampler].ranks[scoreable]
+                assert ranks.tolist() == (1 + (draws * (ties + 1)).astype(int)).tolist()
 
     def test_repeated_samplers_are_evaluated_once(self, grid_inputs):
         split, models, _ = grid_inputs

@@ -94,6 +94,34 @@ class TestIngestBasics:
                 assert got == expected, column.name
 
 
+    @pytest.mark.parametrize("suffix", (".csv", ".csv.gz"))
+    @pytest.mark.parametrize("newline", ("\n", "\r\n"), ids=("lf", "crlf"))
+    def test_a_quoted_cr_survives_ingest_and_the_dump(self, tmp_path, suffix, newline):
+        lines = ["entity,item,timestamp", 'u1,"a\rb",1', 'u1,"c\r\nd",2', "u1,e,3"]
+        path = tmp_path / f"cr{suffix}"
+        with (gzip.open if suffix.endswith(".gz") else open)(path, "wb") as handle:
+            handle.write((newline.join(lines) + newline).encode("utf-8"))
+        outdir = tmp_path / "out"
+        assert main(["ingest", "--input", str(path), "--output-dir", str(outdir)]) == 0
+        dumped = ingest_csv(outdir / "canonical_events.tsv", CANONICAL_MAPPING)
+        assert [e.item_id for e in groups_of(dumped)["u1"]] == ["a\rb", "c\r\nd", "e"]
+
+    def test_a_file_reads_as_its_bytes_do(self, tmp_path):
+        # CRLF line ends read as LF ones; a stray unquoted CR still ends a line
+        rows = ["u1,a,1", "u1,b,2", "u2,x\r5,3", "u2,c,4"] + [f"u3,i{k},{k}" for k in range(9)]
+        text = csv_text(rows)
+        path = tmp_path / "log.csv"
+        logs = []
+        for data in (text, text.replace("\n", "\r\n")):
+            path.write_bytes(data.encode("utf-8"))
+            logs.append(ingest_csv(path, MAPPING, max_reject_fraction=0.5))
+        logs.append(ingest_csv(text.replace("\r", "\n").encode("utf-8"), MAPPING,
+                               max_reject_fraction=0.5))
+        for log in logs:
+            assert canonical_text(log) == canonical_text(logs[0])
+            assert log.rejected_preview == logs[0].rejected_preview
+        assert logs[0].rejected_count == 2 and logs[0].num_events == 12
+
 class TestTimestampParsing:
     def test_iso_date_is_midnight_utc(self):
         text = csv_text(["u1,a,2020-01-02"])

@@ -105,6 +105,15 @@ class TestMarkov:
         with pytest.raises(ValueError):
             MarkovModel(smoothing=-0.1)
 
+    @pytest.mark.parametrize("smoothing", (float("nan"), float("inf"), float("-inf")))
+    def test_non_finite_smoothing_rejected(self, smoothing):
+        with pytest.raises(ValueError, match="finite"):
+            MarkovModel(smoothing=smoothing)
+
+    def test_boolean_smoothing_rejected(self):
+        with pytest.raises(TypeError, match="boolean"):
+            MarkovModel(smoothing=True)
+
 
 class TestCooccurrence:
     def test_whole_sequence_pairs(self):
@@ -146,6 +155,8 @@ class TestCooccurrence:
             CooccurrenceModel(window=0)
         with pytest.raises(TypeError):
             CooccurrenceModel(window=1.5)
+        with pytest.raises(TypeError, match="boolean"):
+            CooccurrenceModel(window=True)
 
 
 class TestSessionKNN:
@@ -199,6 +210,10 @@ class TestSessionKNN:
             SessionKNNModel(k=2.5)
         with pytest.raises(TypeError):
             SessionKNNModel(sample_size=float("inf"))
+        with pytest.raises(TypeError, match="boolean"):
+            SessionKNNModel(k=True)
+        with pytest.raises(TypeError, match="boolean"):
+            SessionKNNModel(sample_size=True)
 
 
 # each model fitted with default hyperparameters, under its historical test id
