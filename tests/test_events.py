@@ -93,7 +93,6 @@ class TestIngestBasics:
             else:
                 assert got == expected, column.name
 
-
     @pytest.mark.parametrize("suffix", (".csv", ".csv.gz"))
     @pytest.mark.parametrize("newline", ("\n", "\r\n"), ids=("lf", "crlf"))
     def test_a_quoted_cr_survives_ingest_and_the_dump(self, tmp_path, suffix, newline):
@@ -121,6 +120,7 @@ class TestIngestBasics:
             assert canonical_text(log) == canonical_text(logs[0])
             assert log.rejected_preview == logs[0].rejected_preview
         assert logs[0].rejected_count == 2 and logs[0].num_events == 12
+
 
 class TestTimestampParsing:
     def test_iso_date_is_midnight_utc(self):
