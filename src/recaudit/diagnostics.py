@@ -228,12 +228,12 @@ def transition_overlap(split: DatasetSplit) -> OverlapReport:
     occurrences = cases.items[cases.stops - 1] * train.width + cases.targets
     if not len(occurrences):
         raise DiagnosticsError("the test side contains no transitions to compare")
-    distinct_test = np.unique(occurrences)
+    distinct_test, inverse = np.unique(occurrences, return_inverse=True)
+    # train.keys are sorted and distinct, so each distinct pair is looked up once
+    known = np.isin(distinct_test, train.keys, assume_unique=True)
     return OverlapReport(
-        occurrence_overlap=int(np.isin(occurrences, train.keys).sum()) / len(occurrences),
-        distinct_overlap=(
-            int(np.isin(distinct_test, train.keys).sum()) / len(distinct_test)
-        ),
+        occurrence_overlap=int(known[inverse].sum()) / len(occurrences),
+        distinct_overlap=int(known.sum()) / len(distinct_test),
         test_transition_count=len(occurrences),
         distinct_test_transitions=len(distinct_test),
         distinct_train_transitions=len(train),

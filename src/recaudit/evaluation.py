@@ -15,7 +15,9 @@ the output.  Reports carry no timestamps or timing for the same reason.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -213,9 +215,128 @@ def enumerate_cases(split: DatasetSplit, prefix_start: int = 1) -> CaseTable:
     )
 
 
+# numpy's SeedSequence constants: its pool of four uint32 words, the two
+# hash multipliers and their starting values, and the mixing multipliers
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+# case indices per seed block; a power of two that divides 2**32, so a block's
+# indices all take the same number of uint32 words
+_BLOCK_BITS = 12
+_BLOCK_MASK = (1 << _BLOCK_BITS) - 1
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as SeedSequence reads an integer: uint32 words, least significant first."""
+    words = []
+    while True:
+        words.append(value & _MASK32)
+        value >>= 32
+        if not value:
+            return words
+
+
+def _hashmix(words: np.ndarray, const: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's ``hashmix`` of each word, and the hash constant after it."""
+    words = words ^ np.uint32(const)
+    const = const * _MULT_A & _MASK32
+    words *= np.uint32(const)
+    words ^= words >> np.uint32(16)
+    return words, const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    mixed ^= mixed >> np.uint32(16)
+    return mixed
+
+
+@functools.lru_cache(maxsize=1)
+def _seed_block(master_seed: int, block: int) -> np.ndarray:
+    """The four PCG64 seed words of each case of an aligned block of case indices.
+
+    Row ``r`` holds what ``SeedSequence([master_seed, index]).generate_state(4,
+    np.uint64)`` gives for ``index = block * 4096 + r``: SeedSequence's mixing
+    run once over uint32 columns, one element a case.  Only the low word of
+    the index varies inside a block; the hash constants do not depend on the
+    data, so every column follows the same schedule.
+    """
+    first = operator.index(block) << _BLOCK_BITS
+    size = 1 << _BLOCK_BITS
+    low = first & _MASK32
+    # SeedSequence's entropy: the master seed's words, then the index's
+    words = _uint32_words(operator.index(master_seed))
+    entropy = [np.full(size, word, dtype=np.uint32) for word in words]
+    entropy.append(np.arange(low, low + size, dtype=np.uint32))
+    entropy += [np.full(size, word, dtype=np.uint32) for word in _uint32_words(first)[1:]]
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL_WORDS):
+        word = entropy[i] if i < len(entropy) else np.zeros(size, dtype=np.uint32)
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for source in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            hashed, const = _hashmix(source, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    state = np.empty((size, 2 * _POOL_WORDS), dtype=np.uint32)
+    const = _INIT_B
+    for k in range(2 * _POOL_WORDS):
+        word = pool[k % _POOL_WORDS] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        word *= np.uint32(const)
+        word ^= word >> np.uint32(16)
+        state[:, k] = word
+    # pairs of uint32 words, low word first, are the uint64 words
+    table = state.astype("<u4").view("<u8").astype(np.uint64)
+    table.flags.writeable = False  # the cache hands the same table to every case
+    return table
+
+
+@functools.cache
+def _case_seed_type() -> type:
+    """The seed sequence type PCG64 reads a case's seed words from.
+
+    Built on first use, so that only a command that draws loads
+    ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class CaseSeed(ISeedSequence):
+        """Four precomputed uint64 seed words, handed out as PCG64 asks for them."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+                raise ValueError("a case seed holds exactly PCG64's four uint64 words")
+            return self.words
+
+    return CaseSeed
+
+
 def case_rng(master_seed: int, case_index: int) -> np.random.Generator:
-    """The one true per-case generator: depends on seed and case index only."""
-    return np.random.default_rng(np.random.SeedSequence([master_seed, case_index]))
+    """The one true per-case generator: depends on seed and case index only.
+
+    It is ``np.random.default_rng(np.random.SeedSequence([master_seed,
+    case_index]))``, state for state, with the seed words read from the
+    case's block of :func:`_seed_block`.
+    """
+    if master_seed < 0 or case_index < 0:
+        raise ValueError("master seed and case index must be non-negative")
+    words = _seed_block(master_seed, case_index >> _BLOCK_BITS)[case_index & _BLOCK_MASK]
+    return np.random.Generator(np.random.PCG64(_case_seed_type()(words)))
 
 
 def rank_of_target(
@@ -445,10 +566,10 @@ def _fixed_candidates(
     if sampler.strategy not in DETERMINISTIC_SAMPLERS:
         return None
     throwaway = np.random.default_rng(0)
-    targets = np.unique(cases.targets)
+    present = np.bincount(cases.targets, minlength=len(support)) > 0
     return {
         target: sample_negatives(sampler, target, len(support), support, embeddings, throwaway)
-        for target in targets[support[targets] > 0].tolist()
+        for target in np.flatnonzero(present & (support > 0)).tolist()
     }
 
 

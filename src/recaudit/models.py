@@ -212,6 +212,14 @@ class MarkovModel(RecommenderModel):
     outgoing observations (or an empty prefix) falls back to popularity so the
     ranking is always defined.  ``transitions_`` is a :class:`CountMatrix` of
     the adjacent pairs.
+
+    :meth:`score_cases` streams one dense vector, as cooccurrence's chain
+    does.  The first row with transitions takes it from :meth:`score_all`;
+    each later row writes ``smoothing`` back over the previous row's
+    columns and adds its own row, and a row with the previous row's last
+    item yields it unchanged.  A fallback row yields the read-only
+    popularity vector.  Every other entry already holds ``smoothing``, so
+    each vector has the bytes :meth:`score_all` gives.
     """
 
     def __init__(self, smoothing: float = 0.0) -> None:
@@ -240,8 +248,40 @@ class MarkovModel(RecommenderModel):
         if start == end:
             return self.fallback_.copy()
         scores = np.full(matrix.shape[0], self.smoothing, dtype=np.float64)
-        scores[matrix.indices[start:end]] += matrix.data[start:end]
+        scores[matrix.indices[start:end].astype(np.intp)] += matrix.data[start:end]
         return scores
+
+    def score_cases(self, cases: "CaseTable", rows: np.ndarray) -> Iterator[np.ndarray]:
+        _require_fitted(self.transitions_)
+        matrix = self.transitions_
+        items = cases.items
+        rows = np.asarray(rows, dtype=np.int64)
+        starts, stops = cases.starts[rows], cases.stops[rows]
+        empty = starts == stops
+        codes = np.zeros(len(rows), dtype=np.int64)  # each prefix's last item
+        codes[~empty] = items[stops[~empty] - 1]
+        firsts, ends = matrix.indptr[codes], matrix.indptr[codes + 1]
+        ends[empty] = firsts[empty]  # an empty prefix falls back
+        fallback = self.fallback_.view()
+        fallback.flags.writeable = False
+        scores = view = columns = None
+        last = -1  # the item whose row the vector holds
+        bounds = (starts, stops, codes, firsts, ends)
+        for lo, hi, code, a, b in zip(*(column.tolist() for column in bounds)):
+            if a == b:
+                yield fallback
+                continue
+            if code != last:
+                row_columns = matrix.indices[a:b].astype(np.intp)
+                if scores is None:
+                    scores = self.score_all(items[lo:hi])
+                    view = scores.view()
+                    view.flags.writeable = False
+                else:
+                    scores[columns] = self.smoothing
+                    scores[row_columns] += matrix.data[a:b]
+                columns, last = row_columns, code
+            yield view
 
 
 def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -467,8 +507,9 @@ class CooccurrenceModel(RecommenderModel):
             else:
                 for code in items[stop:hi].tolist():
                     a, b = indptr[code], indptr[code + 1]
-                    # a row's columns are distinct, so one fancy add is exact
-                    sums[indices[a:b]] += data[a:b]
+                    # a row's columns are distinct, so one fancy add is exact;
+                    # numpy indexes through intp fastest
+                    sums[indices[a:b].astype(np.intp)] += data[a:b]
                     live = live or a < b
             start, stop = lo, hi
             yield view if live else fallback
@@ -563,10 +604,10 @@ class SessionKNNModel(RecommenderModel):
         _require_fitted(self.items_)
         if len(prefix) == 0:
             return self.fallback_.copy()
-        distinct = np.unique(prefix)
+        distinct = sorted(set(prefix.tolist()))
         indptr, incidence = self.incidence_indptr_, self.incidence_sessions_
         sessions = np.concatenate(
-            [incidence[indptr[code] : indptr[code + 1]] for code in distinct.tolist()]
+            [incidence[indptr[code] : indptr[code + 1]] for code in distinct]
         )
         if len(sessions) == 0:
             return self.fallback_.copy()
@@ -599,7 +640,7 @@ class SessionKNNModel(RecommenderModel):
         fallback = self.fallback_.view()
         fallback.flags.writeable = False
         overlap = np.zeros(len(self.recency_), dtype=np.int32)
-        candidates = np.empty(0, dtype=incidence.dtype)
+        candidates = np.empty(0, dtype=np.intp)
         seen: set[int] | None = None  # the chain's distinct items, once it has state
         start = stop = -1
         for lo, hi in zip(cases.starts[rows].tolist(), cases.stops[rows].tolist()):
@@ -621,7 +662,7 @@ class SessionKNNModel(RecommenderModel):
                     seen.update(added)
                     joined = [candidates]
                     for code in added:
-                        row = incidence[indptr[code] : indptr[code + 1]]
+                        row = incidence[indptr[code] : indptr[code + 1]].astype(np.intp)
                         joined.append(row[overlap[row] == 0])
                         # a row's sessions are distinct, so one fancy add is exact
                         overlap[row] += 1

@@ -132,7 +132,7 @@ def _make_split(
         train=_side_stats(train_seqs),
         test=_side_stats(test_seqs),
         unseen_item_events=len(missing),
-        unseen_items=len(np.unique(missing)),
+        unseen_items=int(np.count_nonzero(np.bincount(missing))),
     )
     return DatasetSplit(
         train=train,

@@ -129,6 +129,12 @@ def invocations() -> dict[str, tuple[str, tuple[str, ...]]]:
             "compare", *LOO, "--models", "markov,session_knn",
             "--samplers", "none,popularity:100", "--tie-policy", "random", "--seed", "5",
         )),
+        # a master seed of two uint32 words
+        "compare-two-word-seed": (compare, (
+            "compare", *TIME, "--models", "markov,session_knn",
+            "--samplers", "uniform:100,popularity:100", "--tie-policy", "random",
+            "--seed", "4294967301",
+        )),
         "compare-least-similar": (audit, (
             "compare", *TIME, "--models", "markov,session_knn",
             "--samplers", "least_similar_embedding:20,inverse_popularity:1%", "--seed", "8",

@@ -1448,8 +1448,9 @@ class TestCompareExternal:
 
 
 # Runs in a fresh interpreter: a run whose sequentiality probe fits markov and
-# cooccurrence, then an evaluation that derives item embeddings, both ranking
-# in one process.  Neither may load scipy, nor the modules of a process pool.
+# cooccurrence, an evaluation that derives item embeddings and a compare with
+# random samplers and ties, all ranking in one process.  None may load scipy,
+# the modules of a process pool, or numpy.ma (a plain np.unique loads it).
 SCIPY_FREE_RUN = """
 import contextlib, io, json, sys
 from recaudit.cli import main
@@ -1460,11 +1461,15 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["run", *common, "--output-dir", out + "/run", "--model", "markov"]),
         main(["evaluate", *common, "--output-dir", out + "/evaluate",
               "--sampler", "similar_embedding:5", "--seed", "1"]),
+        main(["compare", *common, "--output-dir", out + "/compare",
+              "--models", "markov,session_knn", "--samplers", "none,uniform:3,popularity:3",
+              "--tie-policy", "random", "--seed", "2"]),
     ]
 def loaded(*packages):
     return sorted(name for name in sys.modules if name.split(".")[0] in packages)
 print(json.dumps({
     "codes": codes, "scipy": loaded("scipy"), "pool": loaded("multiprocessing", "concurrent"),
+    "masked": sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]),
 }))
 """
 
@@ -1479,7 +1484,7 @@ def test_no_command_imports_scipy(events_csv, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result == {"codes": [0, 2], "scipy": [], "pool": []}
+    assert result == {"codes": [0, 2, 2], "scipy": [], "pool": [], "masked": []}
     diagnostics = json.loads((tmp_path / "run" / "diagnostics.json").read_text())
     assert "sequentiality" in diagnostics
     assert (tmp_path / "evaluate" / "metrics.json").exists()

@@ -153,6 +153,48 @@ def prefixes(cases):
     return [cases.items[lo:hi] for lo, hi in zip(cases.starts, cases.stops)]
 
 
+def seed_sequence_rng(master_seed, case_index):
+    """The reference per-case generator the block seed table reproduces."""
+    return np.random.default_rng(np.random.SeedSequence([master_seed, case_index]))
+
+
+class TestCaseRng:
+    # master seeds of one to five uint32 words; case indices at block and
+    # word boundaries (4,096 divides 2**32, so no block straddles one)
+    @given(
+        master_seed=st.one_of(
+            st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**130]),
+            st.integers(0, 2**130),
+        ),
+        case_index=st.one_of(
+            st.sampled_from([0, 4095, 4096, 2**32 - 1, 2**32, 2**32 + 1]),
+            st.integers(0, 2**70),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_seed_sequence_generator(self, master_seed, case_index):
+        rng = case_rng(master_seed, case_index)
+        reference = seed_sequence_rng(master_seed, case_index)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.random(4).tolist() == reference.random(4).tolist()
+        assert rng.integers(0, 2**63, 4).tolist() == reference.integers(0, 2**63, 4).tolist()
+
+    def test_a_walk_across_blocks_equals_the_reference(self):
+        # ascending, then back into the block before: each block is rebuilt as needed
+        for case_index in [*range(4090, 4102), 4095, 8191, 8192, 0]:
+            assert (
+                case_rng(7, case_index).bit_generator.state
+                == seed_sequence_rng(7, case_index).bit_generator.state
+            ), case_index
+
+    @pytest.mark.parametrize("master_seed, case_index", [(-1, 0), (0, -1), (-(2**40), 3)])
+    def test_a_negative_seed_or_index_is_refused(self, master_seed, case_index):
+        with pytest.raises(ValueError):
+            seed_sequence_rng(master_seed, case_index)
+        with pytest.raises(ValueError):
+            case_rng(master_seed, case_index)
+
+
 class TestEnumerateCases:
     def test_time_split_grows_prefixes(self):
         split = split_from(["abc"], ["abcd"])

@@ -5,7 +5,8 @@ The reference functions below are the straightforward loop implementations
 (Python sets, ``sorted`` and one ``np.add.at`` per neighbor), with count
 matrices built by scipy.sparse, which only the tests use.  The models must
 reproduce their scores bit for bit and the same canonical CSR matrices.
-Co-occurrence's nested-prefix walk has ``score_all`` as its oracle.
+The nested-prefix walks of markov, co-occurrence and session-kNN have
+``score_all`` as their oracle.
 """
 
 import math
@@ -472,6 +473,66 @@ class TestScoreCasesHook:
         cases, rows = table
         model = SessionKNNModel(k=k, sample_size=sample_size, decay=decay)
         model.fit(make_dataset(sessions))
+        fallback = model.fallback_.tolist()
+        yielded = 0
+        for row, scores in zip(rows.tolist(), model.score_cases(cases, rows)):
+            prefix = cases.items[cases.starts[row] : cases.stops[row]]
+            assert scores.tolist() == model.score_all(prefix).tolist(), row
+            assert not scores.flags.writeable
+            yielded += 1
+        assert yielded == len(rows)
+        assert model.fallback_.tolist() == fallback
+
+    # trained on 0 → 1, 1 → 2 and 1 → 0 only: 2 and 3 have no transitions
+    # and 6 never trains, so prefixes ending in them fall back
+    @given(
+        sessions=sessions_strategy,
+        table=case_rows(),
+        smoothing=st.sampled_from([0, 0.5, 3.0]),
+    )
+    @example(  # one chain: rows, a repeated last item, fallbacks between rows
+        sessions=[([0, 1, 2], 0), ([1, 0], 1), ([3], 1)],
+        table=(
+            CaseTable(
+                items=np.array([0, 1, 1, 6, 2, 0, 3, 1], dtype=np.int32),
+                starts=np.zeros(8, dtype=np.int64),
+                stops=np.arange(1, 9, dtype=np.int64),
+                targets=np.zeros(8, dtype=np.int64),
+            ),
+            np.arange(8),
+        ),
+        smoothing=0.5,
+    )
+    @example(  # a block that starts inside a chain, then leave-one-out prefixes
+        sessions=[([0, 1, 2], 0), ([1, 0], 1), ([3], 1)],
+        table=(
+            CaseTable(
+                items=np.array([6, 1, 1, 0, 2, 1, 0], dtype=np.int32),
+                starts=np.array([0, 0, 0, 0, 4, 2, 5, 3, 4], dtype=np.int64),
+                stops=np.array([1, 2, 3, 4, 5, 3, 7, 4, 4], dtype=np.int64),
+                targets=np.zeros(9, dtype=np.int64),
+            ),
+            np.array([2, 3, 4, 5, 6, 7, 8]),
+        ),
+        smoothing=0,
+    )
+    @example(  # only empty prefixes, over an empty item column
+        sessions=[([0, 1, 2], 0)],
+        table=(
+            CaseTable(
+                items=np.empty(0, dtype=np.int32),
+                starts=np.zeros(2, dtype=np.int64),
+                stops=np.zeros(2, dtype=np.int64),
+                targets=np.zeros(2, dtype=np.int64),
+            ),
+            np.arange(2),
+        ),
+        smoothing=1.0,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_markov_stream_equals_score_all(self, sessions, table, smoothing):
+        cases, rows = table
+        model = MarkovModel(smoothing=smoothing).fit(make_dataset(sessions))
         fallback = model.fallback_.tolist()
         yielded = 0
         for row, scores in zip(rows.tolist(), model.score_cases(cases, rows)):
