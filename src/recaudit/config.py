@@ -46,6 +46,9 @@ ENV_PREFIX = "RECAUDIT_"
 STRATEGY_ALIASES = {"loo": STRATEGY_LOO}
 
 _SEED_KEYS = ("seed", "split.seed", "eval.master_seed", "model.embedding_seed")
+_FRACTION_KEYS = (
+    "input.max_reject_fraction", "diagnostics.verdict_threshold", "diagnostics.collision_threshold"
+)
 
 _SCHEMA: dict[str, tuple[type, Any]] = {
     "seed": (int, None),
@@ -214,6 +217,9 @@ class RunConfig:
         for path in _SEED_KEYS:
             if v[path] is not None and v[path] < 0:
                 raise ConfigError(f"config key {path!r} must be non-negative, got {v[path]}")
+        for path in _FRACTION_KEYS:
+            if not 0 <= v[path] <= 1:  # NaN fails every comparison
+                raise ConfigError(f"config key {path!r} must be a number in [0, 1], got {v[path]}")
         if v["input.delimiter"] is not None and len(v["input.delimiter"]) != 1:
             raise ConfigError(
                 f"input.delimiter must be one character, got {v['input.delimiter']!r}"

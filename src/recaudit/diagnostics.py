@@ -114,13 +114,12 @@ class TransitionSet:
 
 def _transitions(data: Dataset) -> tuple[np.ndarray, np.ndarray, int]:
     """Pair key and day of every adjacent pair inside a sequence, and the key width."""
-    table = data.sequences
-    follows = np.ones(table.num_events, dtype=bool)
-    follows[table.offsets[:-1]] = False
+    follows = np.ones(data.num_events, dtype=bool)
+    follows[data.offsets[:-1]] = False
     second = np.flatnonzero(follows)
     width = max(data.num_items, 1)
-    keys = table.items[second - 1] * width + table.items[second]
-    return keys, table.timestamps[second] // SECONDS_PER_DAY, width
+    keys = data.items[second - 1] * width + data.items[second]
+    return keys, data.timestamps[second] // SECONDS_PER_DAY, width
 
 
 def transition_set(data: Dataset) -> TransitionSet:
@@ -158,8 +157,7 @@ def new_transition_rate(
         raise DiagnosticsError(
             f"unknown denominator {denominator!r}, expected one of {RATE_DENOMINATORS}"
         )
-    table = data.sequences
-    days = table.timestamps // SECONDS_PER_DAY
+    days = data.timestamps // SECONDS_PER_DAY
     if not len(days):
         raise DiagnosticsError("cannot compute transition rates without events")
     first_day = int(days.min())
@@ -169,7 +167,7 @@ def new_transition_rate(
         )
     day = days - first_day
     span = int(day.max()) + 1
-    starts = table.offsets[:-1]
+    starts = data.offsets[:-1]
     if denominator == DENOMINATOR_ACTIVE_SEQUENCES:
         # days never decrease inside a sequence: each (sequence, day) is one run
         new_run = np.ones(len(day), dtype=bool)

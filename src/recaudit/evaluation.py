@@ -188,9 +188,9 @@ def enumerate_cases(split: DatasetSplit, prefix_start: int = 1) -> CaseTable:
     Case indices from this enumeration are the seeding unit for everything
     stochastic downstream, so the order is part of the contract.
     """
-    test = split.test.sequences
+    test = split.test
     if split.spec.strategy == STRATEGY_LOO:
-        train = split.train.sequences
+        train = split.train
         rows = loo_prefix_rows(split)
         missing = test.seq_ids[rows < 0]
         if len(missing):
@@ -203,6 +203,9 @@ def enumerate_cases(split: DatasetSplit, prefix_start: int = 1) -> CaseTable:
             stops=train.offsets[rows + 1],
             targets=test.items[test.offsets[:-1]],
         )
+    # no sequence is longer than the column, so a longer prefix start (even one
+    # beyond int64) yields the same empty table
+    prefix_start = min(prefix_start, test.num_events)
     counts = np.maximum(test.lengths - prefix_start, 0)
     # the k-th case of a sequence (case index first + k) predicts its event prefix_start + k
     firsts = np.cumsum(counts) - counts

@@ -310,10 +310,13 @@ def ingest_csv(
             malformed rows.  Rejections below it are counted, never silent.
 
     Raises:
+        ValueError: ``max_reject_fraction`` is NaN or negative.
         IngestError: unreadable or undecodable source, text the CSV parser
             gives up on, missing mapped column, or too many malformed rows
             (the message lists the first ten offenders).
     """
+    if not max_reject_fraction >= 0:  # NaN fails every comparison
+        raise ValueError(f"max_reject_fraction must be non-negative, got {max_reject_fraction}")
     try:
         with _open_source(source) as stream:
             columns, rejects, total = _read_rows(stream, schema, delimiter)

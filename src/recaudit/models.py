@@ -81,14 +81,14 @@ def _require_fitted(attr) -> None:
 
 
 def _popularity_vector(train: Dataset) -> np.ndarray:
-    if not train.sequences:
+    if not train:
         raise ModelError("cannot fit on an empty training set")
     return train.item_support.astype(np.float64)
 
 
 def _flatten(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """All training items in sequence order (int32), and each sequence's CSR offsets."""
-    return train.sequences.items.astype(np.int32), train.sequences.offsets
+    return train.items.astype(np.int32), train.offsets
 
 
 def _pair_keys(
@@ -579,7 +579,7 @@ class SessionKNNModel(RecommenderModel):
             weights /= np.repeat(lengths.astype(np.int32), lengths)
         else:
             weights = np.ones(len(items), dtype=np.float64)
-        end_times = train.sequences.timestamps[offsets[1:] - 1]
+        end_times = train.timestamps[offsets[1:] - 1]
         order = np.lexsort((np.arange(count), end_times))[::-1]
         self.recency_ = np.empty(count, dtype=np.int64)
         self.recency_[order] = np.arange(count)

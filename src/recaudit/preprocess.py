@@ -6,14 +6,15 @@ rare items until both constraints hold at once.  Every step appends a ledger
 record with before/after counts, because aggressive preprocessing quietly
 reshapes a dataset and the numbers are the only honest way to show how much.
 
-Every step is an array pass over one :class:`SequenceTable`: flat int64
+Every step is an array pass over one :class:`Dataset`: flat int64
 ``items`` and ``timestamps`` columns in the event log's order (entity, then
 time, ties in input order) with CSR ``offsets`` marking where each sequence
-starts.  Items are the event log's item codes throughout; once the catalog
-has settled, the support filter compacts codes and vocabulary together into
-the dataset's sorted ``item_ids``.  There is no
-per-sequence object: sequence ``k`` is the slice ``offsets[k]:offsets[k + 1]``
-of the columns, and every consumer reads the columns directly.
+starts, and the vocabularies its codes index.  Items are the event log's
+item codes throughout; once the catalog has settled, the support filter
+compacts codes and vocabulary together into the dataset's sorted
+``item_ids``.  There is no per-sequence object: sequence ``k`` is the slice
+``offsets[k]:offsets[k + 1]`` of the columns, and every consumer reads the
+columns directly.
 """
 
 from __future__ import annotations
@@ -57,64 +58,6 @@ class PipelineConfig:
             raise ValueError("min_item_support must be at least 1")
 
 
-@dataclass(frozen=True, eq=False)
-class SequenceTable:
-    """Sequences as flat columns with CSR offsets.
-
-    Sequence ``k`` holds events ``offsets[k]:offsets[k + 1]`` of the int64
-    ``items`` and ``timestamps`` columns; it is never empty and its timestamps
-    never decrease.  ``seq_ids`` and ``entity_codes`` (indices into
-    ``entity_ids``) hold one int64 per sequence; ``len`` counts sequences.
-    """
-
-    items: np.ndarray
-    timestamps: np.ndarray
-    offsets: np.ndarray
-    seq_ids: np.ndarray
-    entity_codes: np.ndarray
-    entity_ids: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    @property
-    def num_events(self) -> int:
-        return len(self.items)
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    @property
-    def start_times(self) -> np.ndarray:
-        return self.timestamps[self.offsets[:-1]]
-
-    def count(self, events: np.ndarray) -> np.ndarray:
-        """How many events of each sequence a boolean mask selects."""
-        before = np.zeros(len(events) + 1, dtype=np.int64)
-        np.cumsum(events, out=before[1:])
-        return np.diff(before[self.offsets])
-
-    def take(self, events: np.ndarray) -> "SequenceTable":
-        """Keep the events a boolean mask selects; sequences left empty vanish."""
-        if events.all():
-            return self
-        kept = self.count(events)
-        nonempty = kept > 0
-        return SequenceTable(
-            items=self.items[events],
-            timestamps=self.timestamps[events],
-            offsets=np.append(0, np.cumsum(kept[nonempty])),
-            seq_ids=self.seq_ids[nonempty],
-            entity_codes=self.entity_codes[nonempty],
-            entity_ids=self.entity_ids,
-        )
-
-    def select(self, sequences: np.ndarray) -> "SequenceTable":
-        """Keep the whole sequences a boolean mask selects."""
-        return self.take(np.repeat(sequences, self.lengths))
-
-
 @dataclass(frozen=True)
 class StepRecord:
     """Before/after counts for one applied pipeline step."""
@@ -139,41 +82,89 @@ class StepRecord:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Preprocessed sequences, the sorted item vocabulary they index, and the step ledger."""
+    """Sequences as flat columns with CSR offsets, their vocabularies and step ledger.
 
-    sequences: SequenceTable
+    Sequence ``k`` holds events ``offsets[k]:offsets[k + 1]`` of the int64
+    ``items`` and ``timestamps`` columns; it is never empty and its timestamps
+    never decrease.  ``items`` index the sorted ``item_ids``.  ``seq_ids`` and
+    ``entity_codes`` (indices into ``entity_ids``) hold one int64 per
+    sequence; ``len`` counts sequences.  A table cut from another (``take``,
+    ``select``, a split side) keeps its vocabularies and ledger.
+    """
+
+    items: np.ndarray
+    timestamps: np.ndarray
+    offsets: np.ndarray
+    seq_ids: np.ndarray
+    entity_codes: np.ndarray
+    entity_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
     provenance: list[StepRecord] = field(default_factory=list)
 
-    @cached_property
-    def item_support(self) -> np.ndarray:
-        """Occurrences of each catalog item."""
-        return np.bincount(self.sequences.items, minlength=self.num_items)
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
 
     @property
     def num_events(self) -> int:
-        return self.sequences.num_events
+        return len(self.items)
 
     @property
     def num_sequences(self) -> int:
-        return len(self.sequences)
+        return len(self)
 
     @property
     def num_items(self) -> int:
         return len(self.item_ids)
 
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def start_times(self) -> np.ndarray:
+        return self.timestamps[self.offsets[:-1]]
+
+    @cached_property
+    def item_support(self) -> np.ndarray:
+        """Occurrences of each catalog item."""
+        return np.bincount(self.items, minlength=self.num_items)
+
+    def count(self, events: np.ndarray) -> np.ndarray:
+        """How many events of each sequence a boolean mask selects."""
+        before = np.zeros(len(events) + 1, dtype=np.int64)
+        np.cumsum(events, out=before[1:])
+        return np.diff(before[self.offsets])
+
+    def take(self, events: np.ndarray) -> Dataset:
+        """Keep the events a boolean mask selects; sequences left empty vanish."""
+        if events.all():
+            return self
+        kept = self.count(events)
+        nonempty = kept > 0
+        return replace(
+            self,
+            items=self.items[events],
+            timestamps=self.timestamps[events],
+            offsets=np.append(0, np.cumsum(kept[nonempty])),
+            seq_ids=self.seq_ids[nonempty],
+            entity_codes=self.entity_codes[nonempty],
+        )
+
+    def select(self, sequences: np.ndarray) -> Dataset:
+        """Keep the whole sequences a boolean mask selects."""
+        return self.take(np.repeat(sequences, self.lengths))
+
     def dump_canonical(self, stream: TextIO) -> None:
         """Write the deterministic dump to ``stream``, a block of rows at a time."""
-        table = self.sequences
         write_tsv(stream, ("seq_id", "entity", "item", "timestamp"), (
-            np.repeat(table.seq_ids, table.lengths),
-            (np.repeat(table.entity_codes, table.lengths), table.entity_ids),
-            (table.items, self.item_ids),
-            table.timestamps,
+            np.repeat(self.seq_ids, self.lengths),
+            (np.repeat(self.entity_codes, self.lengths), self.entity_ids),
+            (self.items, self.item_ids),
+            self.timestamps,
         ))
 
 
-def _table_counts(table: SequenceTable) -> tuple[int, int, int]:
+def _table_counts(table: Dataset) -> tuple[int, int, int]:
     """Events, sequences and distinct items of a table."""
     return table.num_events, len(table), int(np.count_nonzero(np.bincount(table.items)))
 
@@ -200,8 +191,8 @@ def filter_event_type(log: EventLog, keep: str) -> EventLog:
     return kept
 
 
-def sessionize(log: EventLog, cfg: PipelineConfig) -> SequenceTable:
-    """Cut each entity's history into sequences of the log's item codes.
+def sessionize(log: EventLog, cfg: PipelineConfig) -> Dataset:
+    """Cut each entity's history into sequences of the log's item codes and vocabulary.
 
     Modes: ``by_entity`` and ``by_session_column`` map every entity group to
     one sequence (in the latter the entity column already holds session keys);
@@ -223,60 +214,59 @@ def sessionize(log: EventLog, cfg: PipelineConfig) -> SequenceTable:
     if cfg.session_mode == SESSION_GAP:
         starts[1:] |= np.diff(log.timestamps) > cfg.gap_seconds
     firsts = np.flatnonzero(starts)
-    return SequenceTable(
+    return Dataset(
         items=log.item_codes,
         timestamps=log.timestamps,
         offsets=np.append(firsts, log.num_events),
         seq_ids=np.arange(len(firsts), dtype=np.int64),
         entity_codes=log.entity_codes[firsts],
         entity_ids=log.entity_ids,
+        item_ids=log.item_ids,
     )
 
 
-def collapse_repeats(sequences: SequenceTable) -> SequenceTable:
+def collapse_repeats(table: Dataset) -> Dataset:
     """Merge runs of the same item into one event keeping the first timestamp.
 
     Non-adjacent repeats stay: (i,j,i) is untouched, (i,i,j) becomes (i,j).
     One mask over the flat item column; runs never cross a sequence start.
     """
-    items = sequences.items
+    items = table.items
     keep = np.ones(len(items), dtype=bool)
     np.not_equal(items[1:], items[:-1], out=keep[1:])
-    keep[sequences.offsets[:-1]] = True
-    return sequences.take(keep)
+    keep[table.offsets[:-1]] = True
+    return table.take(keep)
 
 
 def iterative_support_filter(
-    sequences: SequenceTable,
-    cfg: PipelineConfig,
-    item_ids: tuple[str, ...],
-    provenance: list[StepRecord] | None = None,
+    table: Dataset, cfg: PipelineConfig, provenance: list[StepRecord] | None = None
 ) -> Dataset:
     """Drop short sequences and rare items until both constraints hold.
 
-    ``sequences`` hold codes into ``item_ids``, a sorted vocabulary such as an
-    event log's, and no adjacent repeats (the output of
-    :func:`collapse_repeats`).  Each pass first drops sequences shorter
+    ``table`` holds no adjacent repeats (the output of
+    :func:`collapse_repeats`); its items may index a vocabulary wider than
+    they use, such as an event log's.  Each pass first drops sequences shorter
     than ``min_seq_len``, then recounts item support over the survivors and
     removes every item below ``min_item_support`` at once, re-collapsing any
     adjacent repeats the removals exposed.  Passes repeat until one changes
-    nothing.  One ledger record is appended per pass, so cascades are visible
-    pass by pass.  The surviving codes and vocabulary are compacted together,
-    keeping their order, into the dataset's ``item_ids``.
+    nothing.  One ledger record per pass is appended to ``provenance``
+    (default: a copy of the table's ledger), so cascades are visible pass by
+    pass.  The surviving codes and vocabulary are compacted together, keeping
+    their order, into the result's ``item_ids``.
 
     Raises:
         PreprocessError: the filter emptied the dataset; the message replays
             the per-pass shrinkage so the cascade can be audited.
     """
-    records: list[StepRecord] = provenance if provenance is not None else []
-    current = sequences
+    records = provenance if provenance is not None else list(table.provenance)
+    current = table
     shrink_rows: list[str] = []
     iteration = 0
     while True:
         iteration += 1
         before = _table_counts(current)
         kept = current.select(current.lengths >= cfg.min_seq_len)
-        support = np.bincount(kept.items, minlength=len(item_ids))
+        support = np.bincount(kept.items, minlength=kept.num_items)
         weak = (support > 0) & (support < cfg.min_item_support)
         removed_items = int(np.count_nonzero(weak))
         # fully emptied sequences vanish in take()
@@ -304,8 +294,8 @@ def iterative_support_filter(
             "Shrinkage per pass: " + "; ".join(shrink_rows)
         )
 
-    codes, vocabulary = _compact(current.items, item_ids)
-    return Dataset(replace(current, items=codes), vocabulary, records)
+    codes, vocabulary = _compact(current.items, current.item_ids)
+    return replace(current, items=codes, item_ids=vocabulary, provenance=records)
 
 
 def preprocess(log: EventLog, cfg: PipelineConfig) -> Dataset:
@@ -319,16 +309,16 @@ def preprocess(log: EventLog, cfg: PipelineConfig) -> Dataset:
             "filter_event_type", {"keep": cfg.keep_event_type}, before, _log_counts(log)
         ))
 
-    sequences = sessionize(log, cfg)
+    sessions = sessionize(log, cfg)
     params: dict = {"mode": cfg.session_mode}
     if cfg.session_mode == SESSION_GAP:
         params["gap_seconds"] = cfg.gap_seconds
-    counts = _table_counts(sequences)
+    counts = _table_counts(sessions)
     provenance.append(StepRecord.counted("sessionize", params, _log_counts(log), counts))
 
-    collapsed = collapse_repeats(sequences)
+    collapsed = collapse_repeats(sessions)
     provenance.append(
         StepRecord.counted("collapse_repeats", {}, counts, _table_counts(collapsed))
     )
 
-    return iterative_support_filter(collapsed, cfg, log.item_ids, provenance)
+    return iterative_support_filter(collapsed, cfg, provenance)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SplitError
 from .events import SECONDS_PER_DAY
-from .preprocess import Dataset, SequenceTable
+from .preprocess import Dataset
 
 STRATEGY_TIME = "time"
 STRATEGY_LOO = "leave_one_out"
@@ -107,8 +107,8 @@ class DatasetSplit:
     window_days: int | None = None
 
 
-def _side_stats(table: SequenceTable) -> SideStats:
-    if not len(table):
+def _side_stats(table: Dataset) -> SideStats:
+    if not table:
         return SideStats(events=0, sequences=0, days=0)
     # timestamps never decrease inside a sequence: the extremes are its ends
     first = int(table.timestamps.min())
@@ -118,19 +118,16 @@ def _side_stats(table: SequenceTable) -> SideStats:
 
 
 def _make_split(
-    data: Dataset,
-    train_seqs: SequenceTable,
-    test_seqs: SequenceTable,
+    train: Dataset,
+    test: Dataset,
     spec: SplitSpec,
     split_time: int | None = None,
     window_days: int | None = None,
 ) -> DatasetSplit:
-    train = Dataset(train_seqs, data.item_ids, list(data.provenance))
-    test = Dataset(test_seqs, data.item_ids, list(data.provenance))
-    missing = test_seqs.items[train.item_support[test_seqs.items] == 0]
+    missing = test.items[train.item_support[test.items] == 0]
     stats = SplitStats(
-        train=_side_stats(train_seqs),
-        test=_side_stats(test_seqs),
+        train=_side_stats(train),
+        test=_side_stats(test),
         unseen_item_events=len(missing),
         unseen_items=int(np.count_nonzero(np.bincount(missing))),
     )
@@ -144,7 +141,7 @@ def _make_split(
     )
 
 
-def _cut(table: SequenceTable, events: np.ndarray, min_seq_len: int) -> SequenceTable:
+def _cut(table: Dataset, events: np.ndarray, min_seq_len: int) -> Dataset:
     """A boundary's side of each sequence: whole ones stay, stumps below ``min_seq_len`` go."""
     kept = table.count(events)
     whole_or_long = (kept == table.lengths) | (kept >= min_seq_len)
@@ -162,9 +159,9 @@ def choose_split_time(data: Dataset, target_test_days: int) -> int:
     """
     if target_test_days < 1:
         raise SplitError("target_test_days must be at least 1")
-    if not data.sequences:
+    if not data:
         raise SplitError("cannot split an empty dataset")
-    timestamps = data.sequences.timestamps
+    timestamps = data.timestamps
     first, last = int(timestamps.min()), int(timestamps.max())
     boundary = (last // SECONDS_PER_DAY + 1 - target_test_days) * SECONDS_PER_DAY
     if boundary <= first:
@@ -187,19 +184,18 @@ def time_split(data: Dataset, split_time: int, min_seq_len: int = 2) -> DatasetS
     A boundary outside the data's range surfaces as one of the empty-side
     errors below; :func:`choose_split_time` always returns a usable one.
     """
-    table = data.sequences
-    if not table:
+    if not data:
         raise SplitError("cannot split an empty dataset")
     # events before the boundary form a prefix of each sequence; a test
     # sequence has none of them, so no test event reaches train
-    train_seqs = _cut(table, table.timestamps < split_time, min_seq_len)
-    test_seqs = table.select(table.start_times >= split_time)
-    if not train_seqs:
+    train = _cut(data, data.timestamps < split_time, min_seq_len)
+    test = data.select(data.start_times >= split_time)
+    if not train:
         raise SplitError(f"split_time {split_time} leaves an empty training side")
-    if not test_seqs:
+    if not test:
         raise SplitError(f"split_time {split_time} leaves an empty test side")
     spec = SplitSpec(strategy=STRATEGY_TIME, split_time=split_time)
-    return _make_split(data, train_seqs, test_seqs, spec, split_time=split_time)
+    return _make_split(train, test, spec, split_time=split_time)
 
 
 def leave_one_out_split(data: Dataset, selection: LeaveOneOutSelection) -> DatasetSplit:
@@ -213,10 +209,9 @@ def leave_one_out_split(data: Dataset, selection: LeaveOneOutSelection) -> Datas
     Only sequences of length >= 2 are eligible (a shorter one has no prefix to
     leave behind); ineligible ones go to train whole.
     """
-    table = data.sequences
-    if not table:
+    if not data:
         raise SplitError("cannot split an empty dataset")
-    eligible = np.flatnonzero(table.lengths >= 2)
+    eligible = np.flatnonzero(data.lengths >= 2)
     if selection.kind == SELECT_ALL:
         chosen = eligible
     elif selection.k is not None and selection.k > len(eligible):
@@ -224,19 +219,17 @@ def leave_one_out_split(data: Dataset, selection: LeaveOneOutSelection) -> Datas
             f"selection k={selection.k} exceeds {len(eligible)} eligible sequences"
         )
     elif selection.kind == SELECT_MOST_RECENT:
-        order = eligible[np.lexsort((eligible, table.start_times[eligible]))]
+        order = eligible[np.lexsort((eligible, data.start_times[eligible]))]
         chosen = order[len(eligible) - selection.k :]
     else:
         rng = np.random.default_rng(selection.seed)
         chosen = eligible[rng.choice(len(eligible), size=selection.k, replace=False)]
     if not len(chosen):
         raise SplitError("no sequence is long enough to donate a test event")
-    held_out = np.zeros(table.num_events, dtype=bool)
-    held_out[table.offsets[1:][chosen] - 1] = True
-    train_seqs = table.take(~held_out)
-    test_seqs = table.take(held_out)
+    held_out = np.zeros(data.num_events, dtype=bool)
+    held_out[data.offsets[1:][chosen] - 1] = True
     spec = SplitSpec(strategy=STRATEGY_LOO, selection=selection)
-    return _make_split(data, train_seqs, test_seqs, spec)
+    return _make_split(data.take(~held_out), data.take(held_out), spec)
 
 
 def loo_prefix_rows(split: DatasetSplit) -> np.ndarray:
@@ -245,7 +238,7 @@ def loo_prefix_rows(split: DatasetSplit) -> np.ndarray:
     The prefix is the training sequence with the test sequence's id; for an
     id repeated in train the last such row is taken.
     """
-    train_ids, test_ids = split.train.sequences.seq_ids, split.test.sequences.seq_ids
+    train_ids, test_ids = split.train.seq_ids, split.test.seq_ids
     order = np.argsort(train_ids, kind="stable")
     at = np.searchsorted(train_ids[order], test_ids, side="right") - 1
     found = at >= 0
@@ -259,15 +252,15 @@ def random_split(data: Dataset, fraction: float, seed: int) -> DatasetSplit:
     """Assign whole sequences to test independently with the given probability."""
     spec = SplitSpec(strategy=STRATEGY_RANDOM, fraction=fraction, seed=seed)
     rng = np.random.default_rng(seed)
-    draws = rng.random(len(data.sequences))
-    train_seqs = data.sequences.select(draws >= fraction)
-    test_seqs = data.sequences.select(draws < fraction)
-    if not train_seqs or not test_seqs:
+    draws = rng.random(len(data))
+    train = data.select(draws >= fraction)
+    test = data.select(draws < fraction)
+    if not train or not test:
         raise SplitError(
             f"random split with fraction {fraction} left a side empty "
-            f"({len(train_seqs)} train / {len(test_seqs)} test sequences)"
+            f"({len(train)} train / {len(test)} test sequences)"
         )
-    return _make_split(data, train_seqs, test_seqs, spec)
+    return _make_split(train, test, spec)
 
 
 def truncate_training_window(
@@ -288,18 +281,12 @@ def truncate_training_window(
     if split.split_time is None:
         raise SplitError("window truncation needs a time split (no split boundary present)")
     window_start = split.split_time - window_days * SECONDS_PER_DAY
-    table = split.train.sequences
     # events inside the window form a suffix of each sequence
-    train_seqs = _cut(table, table.timestamps >= window_start, min_seq_len)
-    if not train_seqs:
+    train = _cut(split.train, split.train.timestamps >= window_start, min_seq_len)
+    if not train:
         raise SplitError(f"a {window_days}-day window leaves an empty training side")
     return _make_split(
-        split.train,
-        train_seqs,
-        split.test.sequences,
-        split.spec,
-        split_time=split.split_time,
-        window_days=window_days,
+        train, split.test, split.spec, split_time=split.split_time, window_days=window_days
     )
 
 

@@ -14,7 +14,8 @@ one, a log whose ids hold tabs and quotes derived from another, and a log
 with CRLF line ends whose ids hold a quoted CR or CRLF derived from a third.
 At most two processes run at once; a ``--threads 2`` run counts as two.
 
-It prints one line per difference and a summary line, and exits 1 on any
+It prints one line per difference, a summary line, and a line with the
+line count of ``src/recaudit/*.py`` in both trees.  It exits 1 on any
 difference that no ``--allow`` glob matches, or on any item that the working
 tree writes differently at ``--threads 1`` and ``2``.  A glob matches
 ``INVOCATION/threads-N/ITEM``, where ITEM is ``exit``, ``stdout``,
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import fnmatch
+import glob
 import hashlib
 import io
 import json
@@ -264,6 +266,15 @@ def extract_base(rev: str, destination: str) -> str:
     return os.path.join(destination, "src")
 
 
+def line_count(src: str) -> int:
+    """Lines of the package's modules under ``src``, as ``wc -l src/recaudit/*.py`` counts."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "recaudit", "*.py")):
+        with open(path, "rb") as handle:
+            total += handle.read().count(b"\n")
+    return total
+
+
 def _digest(data: bytes, replacements: list[tuple[str, str]]) -> str:
     text = data.decode("utf-8", errors="replace")
     for path, placeholder in replacements:
@@ -332,6 +343,7 @@ def main(argv=None) -> int:
         os.makedirs(corpus)
         paths = write_inputs(corpus)
         trees = {"tree": os.path.join(ROOT, "src"), "base": extract_base(args.base, tmp)}
+        lines = {side: line_count(src) for side, src in trees.items()}
         jobs = [(name, threads, side) for name in cases for threads in THREADS for side in trees]
         slots = _Slots()
 
@@ -379,6 +391,8 @@ def main(argv=None) -> int:
         f"differences, {split_pairs} differ between thread counts, "
         f"{time.perf_counter() - started:.0f} s"
     )
+    print(f"src/recaudit/*.py: {lines['base']} lines at {args.base}, "
+          f"{lines['tree']} in the working tree")
     return 1 if differences or split_pairs else 0
 
 

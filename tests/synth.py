@@ -16,7 +16,7 @@ from recaudit.errors import SplitError
 from recaudit.evaluation import EvalConfig, SamplerSpec, evaluate
 from recaudit.events import SECONDS_PER_DAY, ColumnMapping, EventLog, dump_canonical
 from recaudit.models import build_model
-from recaudit.preprocess import Dataset, SequenceTable
+from recaudit.preprocess import Dataset
 from recaudit.splitting import (
     STRATEGY_TIME, DatasetSplit, SideStats, SplitSpec, SplitStats, apply_split,
 )
@@ -83,8 +83,8 @@ def groups_of(log):
     return groups
 
 
-def sequence_table(rows, seq_ids=None, entities=None):
-    """SequenceTable columns from (items, timestamps) rows, one sequence per row.
+def sequence_table(rows, seq_ids=None, entities=None, *, item_ids):
+    """A Dataset of (items, timestamps) rows, one sequence per row, indexing ``item_ids``.
 
     Row ``k`` gets sequence id ``seq_ids[k]`` (default ``k``) and entity
     ``entities[k]`` (default ``"u<seq id>"``).
@@ -100,13 +100,14 @@ def sequence_table(rows, seq_ids=None, entities=None):
             [np.asarray(row[k], dtype=np.int64) for row in rows] or [np.empty(0, np.int64)]
         )
 
-    return SequenceTable(
+    return Dataset(
         items=column(0),
         timestamps=column(1),
         offsets=offsets,
         seq_ids=np.asarray(seq_ids, dtype=np.int64),
         entity_codes=np.array([entity_ids.index(e) for e in entities], dtype=np.int64),
         entity_ids=entity_ids,
+        item_ids=tuple(item_ids),
     )
 
 
@@ -147,7 +148,7 @@ def records(table):
 def build_dataset(index, rows, seq_id_base=0):
     """rows: list of (items, timestamps) parallel lists."""
     seq_ids = range(seq_id_base, seq_id_base + len(rows))
-    return Dataset(sequence_table(rows, seq_ids), index)
+    return sequence_table(rows, seq_ids, item_ids=index)
 
 
 def build_split(index, train_rows, test_rows, split_time=None):
@@ -273,7 +274,7 @@ def verify(dataset, cfg=None):
     if len(dataset.item_support) > dataset.num_items:
         raise AssertionError("item code out of catalog range")
     if cfg is not None:
-        if np.any(dataset.sequences.lengths < cfg.min_seq_len):
+        if np.any(dataset.lengths < cfg.min_seq_len):
             raise AssertionError("sequence below minimum length survived")
         present = dataset.item_support > 0
         if np.any(dataset.item_support[present] < cfg.min_item_support):
@@ -320,7 +321,7 @@ def matched_loo_k(split, prefix_start=1):
     [``prefix_start``, L-1]: the leave-one-out k that matches a time split's
     case count, so strategy comparisons are size-controlled.
     """
-    return int(np.maximum(split.test.sequences.lengths - prefix_start, 0).sum())
+    return int(np.maximum(split.test.lengths - prefix_start, 0).sum())
 
 
 def first_flip(crossing):

@@ -533,7 +533,7 @@ class TestPreprocessingFixpoint:
         )
         cfg = PipelineConfig(min_seq_len=2, min_item_support=2)
         records = []
-        result = iterative_support_filter(data.sequences, cfg, index, records)
+        result = iterative_support_filter(data, cfg, records)
 
         deltas = [
             (r.events_before, r.events_after, r.sequences_before, r.sequences_after,
@@ -573,7 +573,7 @@ class TestPreprocessingFixpoint:
     def _replay_log(data):
         return event_log(
             (seq.entity_id, data.item_ids[code], ts)
-            for seq in records(data.sequences)
+            for seq in records(data)
             for code, ts in zip(seq.items.tolist(), seq.timestamps.tolist())
         )
 

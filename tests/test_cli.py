@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import recaudit
@@ -315,6 +315,20 @@ class TestDiagnose:
             assert code == (2 if strategy == ("loo",) else 0)
             overlaps.append(payload["overlap"])
         assert overlaps[0] == overlaps[1]
+
+    @pytest.mark.parametrize("start", ["100000", "9223372036854775808"])
+    def test_prefix_start_past_every_sequence_fails_in_evaluate(
+        self, events_csv, tmp_path, start
+    ):
+        outdir = tmp_path / "out"
+        code, payload, err = run_cli(
+            ["run", "--input", events_csv, "--output-dir", str(outdir), "--prefix-start", start]
+        )
+        assert code == 1 and payload == ""
+        assert err.splitlines()[-1] == "error in stage evaluate: the split yields no test cases"
+        assert "note: skipping sequentiality: the split yields no test cases" in err
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["error"]["stage"] == "evaluate"
 
     def test_day_collisions_warn(self, daily_csv, tmp_path):
         code, payload, err = run_cli(
@@ -1095,6 +1109,8 @@ class TestFailureContractFuzz:
         st.dictionaries(st.sampled_from(FUZZED_KEYS), JSON_VALUES, min_size=1, max_size=3),
         st.sampled_from(FUZZ_COMMANDS),
     )
+    # a prefix start beyond int64 fails in the evaluate stage like any too-long one
+    @example({"eval.prefix_start": 2**63}, ("run",))
     @settings(max_examples=60, deadline=None)
     def test_config_values(self, events_csv, flat, command):
         with tempfile.TemporaryDirectory() as tmp:
@@ -1268,10 +1284,41 @@ class TestStageRunner:
             ({"model": {"name": "cooccurrence", "params": {"window": True}}},
              "error: model.params does not fit model 'cooccurrence': "
              "window must be a number, not a boolean"),
+            ({"input": {"max_reject_fraction": float("nan")}},
+             "error: config key 'input.max_reject_fraction' "
+             "must be a number in [0, 1], got nan"),
+            ({"input": {"max_reject_fraction": float("inf")}},
+             "error: config key 'input.max_reject_fraction' "
+             "must be a number in [0, 1], got inf"),
+            ({"input": {"max_reject_fraction": -0.5}},
+             "error: config key 'input.max_reject_fraction' "
+             "must be a number in [0, 1], got -0.5"),
+            ({"diagnostics": {"verdict_threshold": float("nan")}},
+             "error: config key 'diagnostics.verdict_threshold' "
+             "must be a number in [0, 1], got nan"),
+            ({"diagnostics": {"verdict_threshold": -0.05}},
+             "error: config key 'diagnostics.verdict_threshold' "
+             "must be a number in [0, 1], got -0.05"),
+            ({"diagnostics": {"verdict_threshold": 1.5}},
+             "error: config key 'diagnostics.verdict_threshold' "
+             "must be a number in [0, 1], got 1.5"),
+            ({"diagnostics": {"collision_threshold": float("nan")}},
+             "error: config key 'diagnostics.collision_threshold' "
+             "must be a number in [0, 1], got nan"),
+            ({"diagnostics": {"collision_threshold": -1}},
+             "error: config key 'diagnostics.collision_threshold' "
+             "must be a number in [0, 1], got -1.0"),
+            ({"diagnostics": {"collision_threshold": float("-inf")}},
+             "error: config key 'diagnostics.collision_threshold' "
+             "must be a number in [0, 1], got -inf"),
         ],
         ids=["zero-days", "loo-window", "model-params", "verdict-cutoff", "embedding-dim",
              "no-input", "none-with-size", "nan-smoothing", "infinite-smoothing",
-             "boolean-smoothing", "boolean-k", "boolean-window"],
+             "boolean-smoothing", "boolean-k", "boolean-window", "nan-reject-fraction",
+             "infinite-reject-fraction", "negative-reject-fraction", "nan-verdict-threshold",
+             "negative-verdict-threshold", "verdict-threshold-above-one",
+             "nan-collision-threshold", "negative-collision-threshold",
+             "infinite-collision-threshold"],
     )
     def test_bad_training_window_is_rejected_before_any_stage(
         self, events_csv, tmp_path, command, sections, message

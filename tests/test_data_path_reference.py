@@ -56,7 +56,7 @@ from recaudit.events import (
     _parse_timestamp,
     ingest_csv,
 )
-from recaudit.preprocess import Dataset, PipelineConfig, StepRecord, preprocess
+from recaudit.preprocess import PipelineConfig, StepRecord, preprocess
 from recaudit.reports import (
     METRICS_CSV_HEADER,
     RunManifest,
@@ -470,8 +470,8 @@ def ref_enumerate_cases(split, prefix_start):
     training prefixes keyed by sequence id under leave-one-out."""
     cases = []
     if split.spec.strategy == STRATEGY_LOO:
-        prefixes = {seq.seq_id: seq for seq in records(split.train.sequences)}
-        for seq in records(split.test.sequences):
+        prefixes = {seq.seq_id: seq for seq in records(split.train)}
+        for seq in records(split.test):
             source = prefixes.get(seq.seq_id)
             if source is None:
                 raise EvaluationError(
@@ -479,7 +479,7 @@ def ref_enumerate_cases(split, prefix_start):
                 )
             cases.append((len(cases), source.items, int(seq.items[0])))
         return cases
-    for seq in records(split.test.sequences):
+    for seq in records(split.test):
         for length in range(prefix_start, len(seq)):
             cases.append((len(cases), seq.items[:length], int(seq.items[length])))
     return cases
@@ -636,7 +636,7 @@ class TestPreprocessMatchesLoops:
         for seq in sequences:
             np.add.at(support, seq.items, 1)
         assert data.item_support.tolist() == support.tolist()
-        assert data.sequences.seq_ids.tolist() == [s.seq_id for s in sequences]
+        assert data.seq_ids.tolist() == [s.seq_id for s in sequences]
 
     @given(logs())
     @SETTINGS
@@ -761,7 +761,7 @@ class TestDiagnosticsMatchLoops:
                 split = time_split(data, day * SECONDS_PER_DAY)
         except SplitError:
             return
-        train, test = records(split.train.sequences), records(split.test.sequences)
+        train, test = records(split.train), records(split.test)
         expected, report = both(
             lambda: ref_overlap(train, test, loo), lambda: transition_overlap(split)
         )
@@ -770,8 +770,8 @@ class TestDiagnosticsMatchLoops:
 
     def test_overlap_needs_a_training_prefix_for_every_loo_test_sequence(self):
         index = ("a", "b", "c")
-        train = Dataset(sequence_table([([0, 1], [0, 1])], seq_ids=[4]), index)
-        test = Dataset(sequence_table([([2], [2]), ([1], [3])], seq_ids=[4, 9]), index)
+        train = sequence_table([([0, 1], [0, 1])], seq_ids=[4], item_ids=index)
+        test = sequence_table([([2], [2]), ([1], [3])], seq_ids=[4, 9], item_ids=index)
         split = DatasetSplit(
             train=train,
             test=test,
@@ -780,7 +780,7 @@ class TestDiagnosticsMatchLoops:
             split_time=None,
         )
         with pytest.raises(KeyError):
-            ref_overlap(records(train.sequences), records(test.sequences), loo=True)
+            ref_overlap(records(train), records(test), loo=True)
         with pytest.raises(DiagnosticsError, match="test sequence 9 has no training prefix"):
             transition_overlap(split)
         # the case table shares the prefix match and keeps its own error
@@ -815,8 +815,9 @@ def hand_splits(draw):
     train_rows = [draw(item_rows) for _ in train_ids]
 
     def side(rows, ids):
-        table = sequence_table([(items, range(len(items))) for items in rows], ids)
-        return Dataset(table, CASE_INDEX)
+        return sequence_table(
+            [(items, range(len(items))) for items in rows], ids, item_ids=CASE_INDEX
+        )
 
     empty = SideStats(0, 0, 0)
     return DatasetSplit(
@@ -838,7 +839,7 @@ def assert_same_cases(split, prefix_start):
         return
     cases = enumerate_cases(split, prefix_start)
     loo = split.spec.strategy == STRATEGY_LOO
-    assert cases.items is (split.train if loo else split.test).sequences.items
+    assert cases.items is (split.train if loo else split.test).items
     columns = (cases.starts, cases.stops, cases.targets)
     assert all(column.dtype == np.int64 for column in columns)
     rows = zip(*(column.tolist() for column in columns))
@@ -877,8 +878,8 @@ class TestCaseTableMatchesCaseLoop:
 
     def test_a_repeated_training_id_gives_its_last_prefix(self):
         rows = [([0], [0]), ([1, 2], [1, 2]), ([3], [3])]
-        train = Dataset(sequence_table(rows, seq_ids=[4, 5, 4]), CASE_INDEX)
-        test = Dataset(sequence_table([([5], [5]), ([2], [6])], seq_ids=[4, 5]), CASE_INDEX)
+        train = sequence_table(rows, seq_ids=[4, 5, 4], item_ids=CASE_INDEX)
+        test = sequence_table([([5], [5]), ([2], [6])], seq_ids=[4, 5], item_ids=CASE_INDEX)
         empty = SideStats(0, 0, 0)
         split = DatasetSplit(train, test, CASE_SPECS[STRATEGY_LOO], SplitStats(empty, empty, 0, 0))
         cases = enumerate_cases(split)
@@ -907,9 +908,9 @@ class TestDumpsStreamToTheirFiles:
         split = apply_split(data, cfg.split_spec())
         expected = {
             "ingest/canonical_events.tsv": ref_dump(groups),
-            "preprocess/dataset.tsv": ref_canonical_text(records(data.sequences), data.item_ids),
-            "split/train.tsv": ref_canonical_text(records(split.train.sequences), data.item_ids),
-            "split/test.tsv": ref_canonical_text(records(split.test.sequences), data.item_ids),
+            "preprocess/dataset.tsv": ref_canonical_text(records(data), data.item_ids),
+            "split/train.tsv": ref_canonical_text(records(split.train), data.item_ids),
+            "split/test.tsv": ref_canonical_text(records(split.test), data.item_ids),
         }
         for name, text in expected.items():
             assert len(text.splitlines()) > 3 * 7, name

@@ -209,6 +209,12 @@ class TestEnumerateCases:
         lengths = (cases.stops - cases.starts).tolist()
         assert list(zip(lengths, cases.targets.tolist())) == [(2, C), (3, D)]
 
+    @pytest.mark.parametrize("prefix_start", [4, 100_000, 2**63, 2**70])
+    def test_prefix_start_past_every_sequence_lists_no_case(self, prefix_start):
+        # beyond int64 as well: no test sequence is that long
+        cases = enumerate_cases(split_from(["abc"], ["abcd", "ab"]), prefix_start)
+        assert len(cases) == 0 and len(cases.starts) == len(cases.stops) == 0
+
     def test_loo_pairs_training_prefix_with_target(self):
         data = dataset_from(["abc", "bcd"])
         split = leave_one_out_split(data, LeaveOneOutSelection())

@@ -172,6 +172,13 @@ class TestRejectAccounting:
         except IngestError as exc:
             assert str(exc).count("line ") == 10
 
+    @pytest.mark.parametrize("fraction", [float("nan"), -0.01, float("-inf")])
+    def test_nan_or_negative_reject_fraction_is_refused(self, fraction):
+        # a NaN bound would switch the malformed-row gate off
+        rows = ["u1,a,1"] + [f"u1,i{k},broken" for k in range(30)]
+        with pytest.raises(ValueError, match="max_reject_fraction must be non-negative"):
+            ingest_csv(io.StringIO(csv_text(rows)), MAPPING, max_reject_fraction=fraction)
+
     def test_negative_epoch_rejected(self):
         rows = [f"u1,i{k},{k}" for k in range(200)] + ["u1,x,-5"]
         log = ingest_csv(io.StringIO(csv_text(rows)), MAPPING)
@@ -335,7 +342,7 @@ class TestDumpQuoting:
         for dataset in (data, split.train, split.test):
             expected = [["seq_id", "entity", "item", "timestamp"]] + [
                 [str(seq.seq_id), seq.entity_id, data.item_ids[code], str(ts)]
-                for seq in records(dataset.sequences)
+                for seq in records(dataset)
                 for code, ts in zip(seq.items.tolist(), seq.timestamps.tolist())
             ]
             assert read_tsv(canonical_text(dataset)) == expected

@@ -38,7 +38,7 @@ from synth import build_dataset, records, toarray
 def reference_cooccurrence_counts(train, window):
     n = train.num_items
     rows, cols = [], []
-    for seq in records(train.sequences):
+    for seq in records(train):
         items = seq.items.tolist()
         length = len(items)
         for p in range(length):
@@ -59,7 +59,7 @@ def reference_cooccurrence_counts(train, window):
 def reference_transitions(train):
     n = train.num_items
     rows, cols = [], []
-    for seq in records(train.sequences):
+    for seq in records(train):
         items = seq.items.tolist()
         rows.extend(items[:-1])
         cols.extend(items[1:])
@@ -94,7 +94,7 @@ def reference_cooccurrence_scores(train, counts, prefix):
 
 def reference_session_knn_scores(train, prefix, k, sample_size, decay):
     fallback = train.item_support.astype(np.float64)
-    sequences = records(train.sequences)
+    sequences = records(train)
     sessions = [seq.items for seq in sequences]
     session_sets = [set(seq.items.tolist()) for seq in sequences]
     order = sorted(
@@ -103,7 +103,7 @@ def reference_session_knn_scores(train, prefix, k, sample_size, decay):
         reverse=True,
     )
     rank_of = {sid: pos for pos, sid in enumerate(order)}
-    recency = [rank_of[i] for i in range(len(train.sequences))]
+    recency = [rank_of[i] for i in range(len(train))]
     inverted = {}
     for sid, items in enumerate(session_sets):
         for code in items:

@@ -1,15 +1,18 @@
 """Pipeline tests: sessionization, repeat collapsing, the support-filter fixpoint."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recaudit.errors import PreprocessError
+from recaudit.errors import PreprocessError, SplitError
 from recaudit.events import ColumnMapping, ingest_csv
 from recaudit.preprocess import (
+    SESSION_BY_ENTITY,
+    SESSION_GAP,
     PipelineConfig,
     collapse_repeats,
     filter_event_type,
@@ -18,7 +21,19 @@ from recaudit.preprocess import (
     sessionize,
 )
 from recaudit.reports import plain
-from synth import canonical_text, event_log as log_of, groups_of, records, sequence_table, verify
+from recaudit.splitting import (
+    STRATEGY_LOO, STRATEGY_RANDOM, STRATEGY_TIME, SplitSpec, apply_split, truncate_training_window,
+)
+from synth import (
+    DAY,
+    canonical_text,
+    event_log as log_of,
+    events_of,
+    groups_of,
+    records,
+    sequence_table,
+    verify,
+)
 
 ALPHABET = "abcdef"
 INDEX = tuple(ALPHABET)
@@ -34,7 +49,7 @@ def seq(seq_id, spelled, timestamps=None, entity="u"):
 
 def table(*sequences):
     seq_ids, entities, rows = zip(*sequences)
-    return sequence_table(rows, seq_ids, entities)
+    return sequence_table(rows, seq_ids, entities, item_ids=INDEX)
 
 
 def spelled(sequence, index=INDEX):
@@ -150,7 +165,7 @@ class TestSupportFilterCascade:
 
     def test_cascade_empties_and_raises_with_shrink_report(self):
         with pytest.raises(PreprocessError) as info:
-            iterative_support_filter(self.make_cascade(), CFG5, INDEX)
+            iterative_support_filter(self.make_cascade(), CFG5)
         message = str(info.value)
         assert "pass 1: events 10->5, sequences 5->5, items 3->1" in message
         assert "pass 2: events 5->0, sequences 5->0, items 1->0" in message
@@ -158,7 +173,7 @@ class TestSupportFilterCascade:
     def test_cascade_per_pass_ledger_records(self):
         ledger = []
         with pytest.raises(PreprocessError):
-            iterative_support_filter(self.make_cascade(), CFG5, INDEX, provenance=ledger)
+            iterative_support_filter(self.make_cascade(), CFG5, provenance=ledger)
         assert [r.params["iteration"] for r in ledger] == [1, 2]
         first, second = ledger
         assert (first.events_before, first.events_after) == (10, 5)
@@ -170,7 +185,7 @@ class TestSupportFilterCascade:
 
     def test_stable_input_is_fixpoint_in_one_pass(self):
         stable = table(*[seq(i, "ab") for i in range(5)])
-        dataset = iterative_support_filter(stable, CFG5, INDEX)
+        dataset = iterative_support_filter(stable, CFG5)
         assert dataset.num_sequences == 5
         assert dataset.num_events == 10
         assert [r.step for r in dataset.provenance] == ["support_filter"]
@@ -178,9 +193,9 @@ class TestSupportFilterCascade:
 
     def test_output_index_is_compacted_and_sorted(self):
         stable = table(*[seq(i, "bf") for i in range(5)])
-        dataset = iterative_support_filter(stable, CFG5, INDEX)
+        dataset = iterative_support_filter(stable, CFG5)
         assert dataset.item_ids == ("b", "f")
-        assert records(dataset.sequences)[0].items.tolist() == [0, 1]
+        assert records(dataset)[0].items.tolist() == [0, 1]
         assert dataset.item_support.tolist() == [5, 5]
 
     def test_item_removal_triggers_recollapse(self):
@@ -188,9 +203,9 @@ class TestSupportFilterCascade:
         # event keeps the first timestamp.
         cfg = PipelineConfig(min_seq_len=2, min_item_support=4)
         sequences = table(*[seq(i, "afab", [0, 1, 2, 3]) for i in range(3)], seq(3, "ab"))
-        dataset = iterative_support_filter(sequences, cfg, INDEX)
-        assert [spelled(s, dataset.item_ids) for s in records(dataset.sequences)] == ["ab"] * 4
-        assert records(dataset.sequences)[0].timestamps.tolist() == [0, 3]
+        dataset = iterative_support_filter(sequences, cfg)
+        assert [spelled(s, dataset.item_ids) for s in records(dataset)] == ["ab"] * 4
+        assert records(dataset)[0].timestamps.tolist() == [0, 3]
         verify(dataset, cfg)
 
 
@@ -210,11 +225,11 @@ class TestSupportFilterProperties:
     def test_fixpoint_satisfies_both_constraints(self, sequences, min_support):
         cfg = PipelineConfig(min_seq_len=2, min_item_support=min_support)
         try:
-            dataset = iterative_support_filter(sequences, cfg, INDEX)
+            dataset = iterative_support_filter(sequences, cfg)
         except PreprocessError:
             return
         verify(dataset, cfg)
-        assert all(len(s) >= 2 for s in records(dataset.sequences))
+        assert all(len(s) >= 2 for s in records(dataset))
         assert np.all(dataset.item_support >= min_support)
 
     @given(random_sequences(), st.integers(min_value=1, max_value=3))
@@ -222,10 +237,10 @@ class TestSupportFilterProperties:
     def test_filter_is_idempotent(self, sequences, min_support):
         cfg = PipelineConfig(min_seq_len=2, min_item_support=min_support)
         try:
-            first = iterative_support_filter(sequences, cfg, INDEX)
+            first = iterative_support_filter(sequences, cfg)
         except PreprocessError:
             return
-        second = iterative_support_filter(first.sequences, cfg, first.item_ids)
+        second = iterative_support_filter(first, cfg)
         assert canonical_text(second) == canonical_text(first)
 
     @given(random_sequences(), st.integers(min_value=1, max_value=3))
@@ -234,7 +249,7 @@ class TestSupportFilterProperties:
         cfg = PipelineConfig(min_seq_len=2, min_item_support=min_support)
         ledger = []
         try:
-            iterative_support_filter(sequences, cfg, INDEX, provenance=ledger)
+            iterative_support_filter(sequences, cfg, provenance=ledger)
         except PreprocessError:
             pass
         for record in ledger:
@@ -298,3 +313,89 @@ class TestConfigValidation:
             PipelineConfig(min_seq_len=1)
         with pytest.raises(ValueError):
             PipelineConfig(min_item_support=0)
+
+
+def decoded(table):
+    """Each event of a table as (seq id, entity id, item id, timestamp), ids decoded."""
+    return [
+        (s.seq_id, s.entity_id, table.item_ids[item], timestamp)
+        for s in records(table)
+        for item, timestamp in zip(s.items.tolist(), s.timestamps.tolist())
+    ]
+
+
+def assert_sub_table(part, whole):
+    """``part`` reads, through its own vocabularies, as a sub-multiset of ``whole``'s events."""
+    assert not Counter(decoded(part)) - Counter(decoded(whole))
+
+
+@st.composite
+def vocabulary_logs(draw):
+    """Logs of short same-day visits over a few entities, items and days.
+
+    Item and entity ids differ in length and script, so a code read through
+    the wrong vocabulary shows.
+    """
+    visits = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["u1", "u2", "u3", "ü4", "v", "w5", "x", "yy"]),
+            st.integers(0, 3),
+            st.lists(st.sampled_from(["a", "b", "c", "dd", "é"]), min_size=1, max_size=5),
+        ),
+        min_size=1,
+        max_size=14,
+    ))
+    return log_of(
+        (entity, item, day * DAY + 600 * k)
+        for entity, day, items in visits
+        for k, item in enumerate(items)
+    )
+
+
+class TestVocabularyTravelsWithCodes:
+    """Every step's ``item_ids`` and ``entity_ids`` are what its codes index."""
+
+    @given(
+        vocabulary_logs(),
+        st.sampled_from([SESSION_BY_ENTITY, SESSION_GAP]),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_step_decodes_to_events_of_its_input(self, log, mode, min_support):
+        cfg = PipelineConfig(session_mode=mode, gap_seconds=DAY, min_item_support=min_support)
+        sessions = sessionize(log, cfg)
+        assert sessions.item_ids == log.item_ids and sessions.entity_ids == log.entity_ids
+        assert [row[1:] for row in decoded(sessions)] == [
+            (e.entity_id, e.item_id, e.timestamp) for e in events_of(log)
+        ]
+        collapsed = collapse_repeats(sessions)
+        assert collapsed.item_ids == log.item_ids
+        assert_sub_table(collapsed, sessions)
+        try:
+            data = iterative_support_filter(collapsed, cfg)
+        except PreprocessError:
+            return
+        assert_sub_table(data, collapsed)
+        assert data.item_ids == tuple(sorted({row[2] for row in decoded(data)}))
+        assert np.all(data.item_support > 0)
+
+        splits = []
+        for spec in (
+            SplitSpec(strategy=STRATEGY_TIME, test_days=1),
+            SplitSpec(strategy=STRATEGY_LOO),
+            SplitSpec(strategy=STRATEGY_RANDOM, fraction=0.5, seed=min_support),
+        ):
+            try:
+                splits.append(apply_split(data, spec))
+            except SplitError:
+                continue
+        if splits and splits[0].split_time is not None:
+            try:
+                splits.append(truncate_training_window(splits[0], 1))
+            except SplitError:
+                pass
+        for split in splits:
+            for side in (split.train, split.test):
+                assert side.item_ids is data.item_ids and side.entity_ids is data.entity_ids
+                assert side.provenance == data.provenance
+                assert_sub_table(side, data)

@@ -34,36 +34,36 @@ def dataset(specs):
 
 
 def positions(side):
-    return {(s.seq_id, ts) for s in records(side.sequences) for ts in s.timestamps.tolist()}
+    return {(s.seq_id, ts) for s in records(side) for ts in s.timestamps.tolist()}
 
 
 class TestTimeSplit:
     def test_clean_separation(self):
         data = dataset([("ab", [10, 20]), ("cd", [30, 40])])
         split = time_split(data, 25)
-        assert [s.seq_id for s in records(split.train.sequences)] == [0]
-        assert [s.seq_id for s in records(split.test.sequences)] == [1]
+        assert [s.seq_id for s in records(split.train)] == [0]
+        assert [s.seq_id for s in records(split.test)] == [1]
 
     def test_straddler_cut_and_short_stump_dropped(self):
         data = dataset([("ab", [10, 30]), ("cd", [5, 15]), ("ef", [25, 40])])
         split = time_split(data, 20)
         # seq 0 straddles: stump [a@10] is below min length, gone entirely
-        assert [s.seq_id for s in records(split.train.sequences)] == [1]
-        assert [s.seq_id for s in records(split.test.sequences)] == [2]
+        assert [s.seq_id for s in records(split.train)] == [1]
+        assert [s.seq_id for s in records(split.test)] == [2]
 
     def test_straddler_with_long_stump_is_truncated(self):
         data = dataset([("abc", [10, 20, 99]), ("de", [30, 40])])
         split = time_split(data, 25)
-        (train_seq,) = records(split.train.sequences)
+        (train_seq,) = records(split.train)
         assert train_seq.items.tolist() == [INDEX.index("a"), INDEX.index("b")]
         assert train_seq.timestamps.tolist() == [10, 20]
 
     def test_sequence_starting_at_boundary_belongs_to_test(self):
         data = dataset([("abc", [25, 25, 99]), ("def", [10, 20, 25])])
         split = time_split(data, 25)
-        assert [s.seq_id for s in records(split.test.sequences)] == [0]
+        assert [s.seq_id for s in records(split.test)] == [0]
         # the boundary is half-open: an event at it is not train's
-        (train_seq,) = records(split.train.sequences)
+        (train_seq,) = records(split.train)
         assert (train_seq.seq_id, train_seq.timestamps.tolist()) == (1, [10, 20])
 
     def test_empty_test_is_an_error(self):
@@ -81,8 +81,8 @@ class TestTimeSplit:
             [("ab", [10, 30]), ("cd", [5, 15]), ("ef", [25, 40]), ("gh", [26, 27])]
         )
         split = time_split(data, 20)
-        max_train = max(s.end_time for s in records(split.train.sequences))
-        min_test_start = min(s.start_time for s in records(split.test.sequences))
+        max_train = max(s.end_time for s in records(split.train))
+        min_test_start = min(s.start_time for s in records(split.test))
         assert max_train < 20 <= min_test_start
 
     def test_sides_share_item_index(self):
@@ -127,10 +127,10 @@ class TestChooseSplitTime:
         # every event at a midnight; entities start on staggered days 0-4
         data = dataset([("ab", [day(k % 5), day(min(k % 5 + 1, 4))]) for k in range(40)])
         split = apply_split(data, SplitSpec(strategy="time", test_days=test_days))
-        last = max(s.end_time for s in records(data.sequences)) // DAY
+        last = max(s.end_time for s in records(data)) // DAY
         assert split.split_time == day(last + 1 - test_days)
         assert split.stats.test.days == test_days
-        starts = {s.start_time // DAY for s in records(split.test.sequences)}
+        starts = {s.start_time // DAY for s in records(split.test)}
         assert starts == set(range(last + 1 - test_days, last + 1))
 
     def test_chosen_time_yields_valid_split(self):
@@ -138,15 +138,15 @@ class TestChooseSplitTime:
             [("ab", [100, 200]), ("cd", [day(1, 7), day(1, 8)]), ("ef", [day(2, 5), day(2, 6)])]
         )
         split = time_split(data, choose_split_time(data, 1))
-        assert {s.seq_id for s in records(split.test.sequences)} == {2}
+        assert {s.seq_id for s in records(split.test)} == {2}
 
 
 class TestLeaveOneOut:
     def test_single_sequence_all(self):
         data = dataset([("abc", [1, 2, 3])])
         split = leave_one_out_split(data, LeaveOneOutSelection())
-        (prefix,) = records(split.train.sequences)
-        (target,) = records(split.test.sequences)
+        (prefix,) = records(split.train)
+        (target,) = records(split.test)
         assert prefix.items.tolist() == [INDEX.index("a"), INDEX.index("b")]
         assert target.items.tolist() == [INDEX.index("c")]
         assert target.timestamps.tolist() == [3]
@@ -155,13 +155,13 @@ class TestLeaveOneOut:
     def test_most_recent_selects_latest_start_times(self):
         data = dataset([("ab", [day(k), day(k, 10)]) for k in range(10)])
         split = leave_one_out_split(data, LeaveOneOutSelection("most_recent", k=3))
-        assert sorted(s.seq_id for s in records(split.test.sequences)) == [7, 8, 9]
-        assert len(split.test.sequences) == 3
+        assert sorted(s.seq_id for s in records(split.test)) == [7, 8, 9]
+        assert len(split.test) == 3
 
     def test_unselected_sequences_stay_whole(self):
         data = dataset([("ab", [day(k), day(k, 10)]) for k in range(10)])
         split = leave_one_out_split(data, LeaveOneOutSelection("most_recent", k=3))
-        whole = [s for s in records(split.train.sequences) if len(s) == 2]
+        whole = [s for s in records(split.train) if len(s) == 2]
         assert sorted(s.seq_id for s in whole) == list(range(7))
 
     def test_random_selection_is_seeded(self):
@@ -169,7 +169,7 @@ class TestLeaveOneOut:
         select = LeaveOneOutSelection("random", k=4, seed=7)
         one = leave_one_out_split(data, select)
         two = leave_one_out_split(data, select)
-        assert one.test.sequences.seq_ids.tolist() == two.test.sequences.seq_ids.tolist()
+        assert one.test.seq_ids.tolist() == two.test.seq_ids.tolist()
 
     def test_k_beyond_eligible_is_an_error(self):
         data = dataset([("ab", [1, 2]), ("cd", [3, 4])])
@@ -179,9 +179,9 @@ class TestLeaveOneOut:
     def test_reassembly_reproduces_original(self):
         data = dataset([("abc", [1, 2, 3]), ("de", [4, 5]), ("fgh", [6, 7, 8])])
         split = leave_one_out_split(data, LeaveOneOutSelection())
-        targets = {s.seq_id: s for s in records(split.test.sequences)}
-        for original in records(data.sequences):
-            prefix = next(s for s in records(split.train.sequences) if s.seq_id == original.seq_id)
+        targets = {s.seq_id: s for s in records(split.test)}
+        for original in records(data):
+            prefix = next(s for s in records(split.train) if s.seq_id == original.seq_id)
             rebuilt = prefix.items.tolist() + targets[original.seq_id].items.tolist()
             assert rebuilt == original.items.tolist()
 
@@ -202,20 +202,20 @@ class TestRandomSplit:
         data = self.make(100)
         one = random_split(data, 0.3, seed=11)
         two = random_split(data, 0.3, seed=11)
-        assert one.test.sequences.seq_ids.tolist() == two.test.sequences.seq_ids.tolist()
+        assert one.test.seq_ids.tolist() == two.test.seq_ids.tolist()
 
     def test_sides_are_disjoint_and_cover(self):
         data = self.make(200)
         split = random_split(data, 0.4, seed=3)
-        train_ids = {s.seq_id for s in records(split.train.sequences)}
-        test_ids = {s.seq_id for s in records(split.test.sequences)}
+        train_ids = {s.seq_id for s in records(split.train)}
+        test_ids = {s.seq_id for s in records(split.test)}
         assert train_ids.isdisjoint(test_ids)
         assert train_ids | test_ids == set(range(200))
 
     def test_test_size_within_binomial_bound(self):
         split = random_split(self.make(1000), 0.5, seed=5)
         # 4 sigma of Binomial(1000, 0.5)
-        assert abs(len(split.test.sequences) - 500) <= 4 * (1000 * 0.25) ** 0.5
+        assert abs(len(split.test) - 500) <= 4 * (1000 * 0.25) ** 0.5
 
     def test_degenerate_side_is_an_error(self):
         data = self.make(3)
@@ -240,19 +240,19 @@ class TestTruncateWindow:
     def test_window_covering_span_changes_nothing(self):
         split = self.make_split()
         narrowed = truncate_training_window(split, 90)
-        assert [s.seq_id for s in records(narrowed.train.sequences)] == [
-            s.seq_id for s in records(split.train.sequences)
+        assert [s.seq_id for s in records(narrowed.train)] == [
+            s.seq_id for s in records(split.train)
         ]
         assert narrowed.window_days == 90
 
     def test_window_keeps_only_recent_days(self):
         split = self.make_split()
         narrowed = truncate_training_window(split, 14)
-        starts = [s.start_time for s in records(narrowed.train.sequences)]
+        starts = [s.start_time for s in records(narrowed.train)]
         assert min(starts) >= day(30) - 14 * DAY
-        assert len(narrowed.train.sequences) == 14
-        assert [s.seq_id for s in records(narrowed.test.sequences)] == [
-            s.seq_id for s in records(split.test.sequences)
+        assert len(narrowed.train) == 14
+        assert [s.seq_id for s in records(narrowed.test)] == [
+            s.seq_id for s in records(split.test)
         ]
 
     def test_straddling_sequence_cut_at_window_start(self):
@@ -260,7 +260,7 @@ class TestTruncateWindow:
                  ("fg", [day(4, 10), day(4, 20)])]
         split = time_split(dataset(specs), day(4))
         narrowed = truncate_training_window(split, 2)
-        cut = next(s for s in records(narrowed.train.sequences) if s.seq_id == 0)
+        cut = next(s for s in records(narrowed.train) if s.seq_id == 0)
         assert cut.timestamps.tolist() == [day(3), day(3, 60)]
 
     def test_empty_window_is_an_error(self):
@@ -283,8 +283,8 @@ class TestValidationAndSpecs:
         spec = SplitSpec(strategy="time", test_days=1)
         outer = apply_split(data, spec)
         inner = make_validation(outer.train, spec)
-        max_val_train = max(s.end_time for s in records(inner.train.sequences))
-        min_val_test = min(s.start_time for s in records(inner.test.sequences))
+        max_val_train = max(s.end_time for s in records(inner.train))
+        min_val_test = min(s.start_time for s in records(inner.test))
         assert max_val_train < min_val_test < outer.split_time
 
     def test_time_validation_without_test_days_is_an_error(self):
@@ -298,15 +298,15 @@ class TestValidationAndSpecs:
         outer = leave_one_out_split(data, LeaveOneOutSelection())
         inner = make_validation(outer.train, outer.spec)
         # the ab prefix shrank to one event and cannot donate again
-        assert [s.seq_id for s in records(inner.test.sequences)] == [1]
+        assert [s.seq_id for s in records(inner.test)] == [1]
 
     def test_apply_split_dispatches(self):
         data = dataset([("ab", [10, 20]), ("cd", [day(1, 10), day(1, 20)])])
         assert apply_split(data, SplitSpec(strategy="time", test_days=1)).split_time == day(1)
         loo = apply_split(data, SplitSpec(strategy="leave_one_out"))
-        assert len(loo.test.sequences) == 2
+        assert len(loo.test) == 2
         rnd = apply_split(data, SplitSpec(strategy="random", fraction=0.5, seed=0))
-        assert len(rnd.train.sequences) + len(rnd.test.sequences) == 2
+        assert len(rnd.train) + len(rnd.test) == 2
 
     def test_matched_loo_k_counts_prefix_cases(self):
         data = dataset([("ab", [10, 20]), ("cde", [30, 40, 50]), ("fgh", [60, 70, 80])])
@@ -356,9 +356,9 @@ class TestSplitProperties:
         except SplitError:
             return
         assert positions(split.train).isdisjoint(positions(split.test))
-        max_train = max(s.end_time for s in records(split.train.sequences))
+        max_train = max(s.end_time for s in records(split.train))
         assert max_train < split_time
-        for seq in records(split.test.sequences):
+        for seq in records(split.test):
             assert seq.start_time >= split_time
 
     @given(random_dataset())
@@ -368,7 +368,7 @@ class TestSplitProperties:
         train_pos = positions(split.train)
         test_pos = positions(split.test)
         assert train_pos.isdisjoint(test_pos)
-        assert len(test_pos | train_pos) == sum(len(s) for s in records(data.sequences))
+        assert len(test_pos | train_pos) == sum(len(s) for s in records(data))
 
     @given(random_dataset(), st.floats(min_value=0.1, max_value=0.9), st.integers(0, 99))
     @settings(max_examples=60, deadline=None)
@@ -377,7 +377,7 @@ class TestSplitProperties:
             split = random_split(data, fraction, seed)
         except SplitError:
             return
-        train_ids = {s.seq_id for s in records(split.train.sequences)}
-        test_ids = {s.seq_id for s in records(split.test.sequences)}
+        train_ids = {s.seq_id for s in records(split.train)}
+        test_ids = {s.seq_id for s in records(split.test)}
         assert train_ids.isdisjoint(test_ids)
-        assert len(train_ids) + len(test_ids) == len(data.sequences)
+        assert len(train_ids) + len(test_ids) == len(data)
